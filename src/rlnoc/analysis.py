@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Literal
 
-from .topology import Coord
-from .traffic import Flow, Flowset, InterferenceSets, interference_table
+from .traffic import Flow, Flowset, InterferenceSets
 
 
 class AnalysisError(ValueError):
     pass
+
+
+class InvariantError(AnalysisError):
+    """A recurrence broke its monotonicity: a defect of the analysis, never
+    of its input."""
 
 
 Injection = Literal["independent", "shared"]
@@ -176,7 +179,9 @@ def ring_capacity(flowset: Flowset, ring_id: int) -> int:
     """Packet-buffer size of every switch of the ring: the override when set,
     otherwise the largest packet assigned to the ring (1 when unused)."""
     ring = flowset.topology.ring(ring_id)
-    largest = max((f.length for f in flowset.on_ring(ring_id)), default=0)
+    # Each flow's source switch bounds the flow's own payload, so the largest
+    # backlog bound plus one is the largest packet of the ring.
+    largest = max(flowset.index.buffer_bounds[ring_id]) + 1
     if ring.buffer_capacity is not None:
         if largest > ring.buffer_capacity:
             raise AnalysisError(
@@ -184,21 +189,15 @@ def ring_capacity(flowset: Flowset, ring_id: int) -> int:
                 f"a {largest}-flit packet"
             )
         return ring.buffer_capacity
-    return max(largest, 1)
+    return largest
 
 
 def buffer_bound(flowset: Flowset, ring_id: int, switch) -> int:
     """Worst packet-buffer backlog at a switch: the largest locally injected
     payload, since incoming flits are buffered only while an injection holds
     the output port."""
-    switch = Coord(*switch)
     ring = flowset.topology.ring(ring_id)
-    ring.position(switch)
-    best = 0
-    for f in flowset.on_ring(ring_id):
-        if f.src == switch and f.length - 1 > best:
-            best = f.length - 1
-    return best
+    return flowset.index.buffer_bounds[ring_id][ring.position(switch)]
 
 
 def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int:
@@ -209,8 +208,8 @@ def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int
         return 0
     if config.maxloop_mode == "fixed":
         return config.maxloop
-    count = sum(1 for g in flowset.flows if g.dst == flow.dst and g.id != flow.id)
-    return count + 1 if config.oldest_first_inclusive else count
+    others = flowset.index.same_dst[flow.dst] - 1
+    return others + 1 if config.oldest_first_inclusive else others
 
 
 def post_injection_interference(flowset: Flowset, flow: Flow,
@@ -227,17 +226,15 @@ def post_injection_interference(flowset: Flowset, flow: Flow,
         maxloop = resolve_maxloop(flowset, flow, config)
     ring = flowset.topology.ring(flow.ring)
     start = ring.position(flow.src)
-    hops = ring.hops(flow.src, flow.dst)
-    down_positions = [(start + d) % ring.size for d in range(1, hops + 1)]
+    downstream = ring.hops(flow.src, flow.dst)
     if config.exclude_destination_buffer:
-        down_positions = down_positions[:-1]
+        downstream -= 1
     if config.ipos_formula == "coarse":
         capacity = ring_capacity(flowset, flow.ring)
-        return len(down_positions) * capacity + maxloop * ring.size * capacity
-    bounds = {pos: buffer_bound(flowset, flow.ring, ring.switches[pos])
-              for pos in range(ring.size)}
-    direct = sum(bounds[pos] for pos in down_positions)
-    return direct + maxloop * sum(bounds.values())
+        return downstream * capacity + maxloop * ring.size * capacity
+    bounds = flowset.index.buffer_bounds[flow.ring]
+    direct = sum(bounds[(start + d) % ring.size] for d in range(1, downstream + 1))
+    return direct + maxloop * sum(bounds)
 
 
 def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
@@ -261,7 +258,8 @@ def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
             trace.append(nxt)
         if nxt == w:
             return w
-        assert nxt > w, "busy-period iterate decreased"
+        if nxt < w:
+            raise InvariantError(f"busy-period iterate decreased from {w} to {nxt}")
         w = nxt
         if w > budget:
             return None
@@ -270,14 +268,14 @@ def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
 class _FlowContext:
     """Static per-flow data shared by every pass of an analysis run."""
 
-    __slots__ = ("flow", "sets", "no_load", "loop", "maxloop", "post", "fixed",
+    __slots__ = ("flow", "no_load", "loop", "maxloop", "post", "fixed",
                  "budget", "in_sum", "terms", "in_core", "diverges")
 
-    def __init__(self, flowset: Flowset, flow: Flow, sets: InterferenceSets,
-                 config: AnalysisConfig, maxloops: dict[int, int],
-                 by_id: dict[int, Flow]):
+    def __init__(self, flowset: Flowset, flow: Flow, config: AnalysisConfig,
+                 maxloops: dict[int, int]):
+        by_id = flowset.index.flows
+        sets = flowset.index.interference[flow.id]
         self.flow = flow
-        self.sets = sets
         self.no_load = basic_latency(flowset, flow)
         self.loop = loop_latency(flowset, flow)
         self.maxloop = maxloops[flow.id]
@@ -285,31 +283,52 @@ class _FlowContext:
         self.fixed = self.no_load + self.loop * self.maxloop + self.post
         self.budget = flow.deadline - self.fixed
         self.in_sum = sum(by_id[j].length for j in sets.in_ring)
-        self.in_core = sorted(sets.in_core)
+        self.in_core = sets.in_core
         # Busy-period ceiling terms: one per upstream interferer, plus
         # maxloop_j replica terms per flow of the ring (the flow itself
         # included) when ejection sharing makes deflections possible.
-        copies: dict[int, int] = {}
-        for j in sorted(sets.up):
-            copies[j] = copies.get(j, 0) + 1
-        for j in sorted(sets.ring_all | {flow.id}):
-            loops = maxloops[j]
-            if loops:
-                copies[j] = copies.get(j, 0) + loops
+        copies = dict.fromkeys(sets.up, 1)
+        if config.ejection == "shared":
+            for j in sets.ring_all | {flow.id}:
+                if maxloops[j]:
+                    copies[j] = copies.get(j, 0) + maxloops[j]
         self.terms = tuple(
             (by_id[j].period, by_id[j].length, by_id[j].jitter, j, n)
             for j, n in sorted(copies.items())
         )
-        load = sum(Fraction(length * n, period) for period, length, _, _, n in self.terms)
-        self.diverges = bool(self.terms) and load >= 1
+        # The load sum(L * n / T) reaches 1 exactly when num >= den.
+        num, den = 0, 1
+        for period, length, _, _, n in self.terms:
+            num = num * period + length * n * den
+            den *= period
+        self.diverges = num >= den
 
 
-def _build_context(flowset: Flowset, config: AnalysisConfig):
-    table = interference_table(flowset)
+class _Contexts:
+    """Flow contexts drawn from a generator the first time an iteration
+    reaches them and kept for later passes, so a pass that stops at a
+    failing flow never builds the contexts of the flows after it."""
+
+    def __init__(self, pending):
+        self._pending = pending
+        self._built: list[_FlowContext] = []
+
+    def __iter__(self):
+        yield from self._built
+        for ctx in self._pending:
+            self._built.append(ctx)
+            yield ctx
+
+
+def _build_context(flowset: Flowset, config: AnalysisConfig) -> _Contexts:
+    """The flows' contexts in flow-id order, each built on first use."""
+    if config.ipos_formula == "coarse":
+        # Reject an undersized buffer override before any flow can fail.
+        for ring_id in flowset.index.on_ring:
+            ring_capacity(flowset, ring_id)
     maxloops = {f.id: resolve_maxloop(flowset, f, config) for f in flowset.flows}
-    by_id = {f.id: f for f in flowset.flows}
     flows = sorted(flowset.flows, key=lambda f: f.id)
-    return [_FlowContext(flowset, f, table[f.id], config, maxloops, by_id) for f in flows]
+    return _Contexts(_FlowContext(flowset, f, config, maxloops) for f in flows)
 
 
 def _busy(ctx: _FlowContext, base: int, jk: dict[int, int],
@@ -321,64 +340,6 @@ def _busy(ctx: _FlowContext, base: int, jk: dict[int, int],
     if record is not None:
         record.busy_traces.append(trace)
     return value
-
-
-def pre_injection_basic(flowset: Flowset, flow: Flow, jk: dict[int, int],
-                        config: AnalysisConfig | None = None) -> int | None:
-    """Busy period of the flow's injection switch output port, co-injected
-    packets included (independent injection links). None means the flow
-    cannot meet its deadline."""
-    config = config or AnalysisConfig(injection="independent")
-    ctx = _single_context(flowset, flow, config)
-    return _busy(ctx, 1 + ctx.in_sum, _filled(jk, flowset), None)
-
-
-def pre_injection_deflected(flowset: Flowset, flow: Flow, jk: dict[int, int],
-                            config: AnalysisConfig,
-                            maxloops: dict[int, int] | None = None) -> int | None:
-    """As pre_injection_basic, with deflected packets of every ring flow
-    folded in as replicas of their flows (independent injection, shared
-    ejection). ``maxloops`` overrides the per-flow deflection bounds."""
-    ctx = _single_context(flowset, flow, config, maxloops)
-    return _busy(ctx, 1 + ctx.in_sum, _filled(jk, flowset), None)
-
-
-def idle_cycle_wait(flowset: Flowset, flow: Flow, jk: dict[int, int],
-                    config: AnalysisConfig | None = None,
-                    maxloops: dict[int, int] | None = None) -> int | None:
-    """Wait at the head of the injection queue for an idle cycle on the ring:
-    the co-injection term drops out, deflection replicas stay."""
-    config = config or AnalysisConfig()
-    ctx = _single_context(flowset, flow, config, maxloops)
-    return _busy(ctx, 1, _filled(jk, flowset), None)
-
-
-def queue_wait(flowset: Flowset, flow: Flow, idle: dict[int, int]) -> int:
-    """Time queued behind one packet of every flow sharing the source core:
-    each contributes its own injection plus its head-of-queue wait."""
-    table = interference_table(flowset)
-    return sum(flowset.flow(j).length + idle[j] for j in table[flow.id].in_core)
-
-
-def pre_injection_shared(idle_value: int, queue_value: int) -> int:
-    return idle_value + queue_value
-
-
-def _single_context(flowset: Flowset, flow: Flow, config: AnalysisConfig,
-                    maxloops: dict[int, int] | None = None) -> _FlowContext:
-    table = interference_table(flowset)
-    if maxloops is None:
-        maxloops = {f.id: resolve_maxloop(flowset, f, config) for f in flowset.flows}
-    else:
-        maxloops = {f.id: maxloops.get(f.id, 0) for f in flowset.flows}
-    by_id = {f.id: f for f in flowset.flows}
-    return _FlowContext(flowset, flow, table[flow.id], config, maxloops, by_id)
-
-
-def _filled(jk: dict[int, int], flowset: Flowset) -> dict[int, int]:
-    full = {f.id: 0 for f in flowset.flows}
-    full.update(jk)
-    return full
 
 
 def analyze(flowset: Flowset, config: AnalysisConfig,
@@ -394,24 +355,23 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     injection needs a two-phase pass: head-of-queue waits for all flows
     first, then the queue terms that consume them.
     """
-    contexts = _build_context(flowset, config)
-    if not contexts:
+    if not flowset.flows:
         return FlowsetResult("schedulable", {}, 0)
+    contexts = _build_context(flowset, config)
     shared = config.injection == "shared"
-    ids = [ctx.flow.id for ctx in contexts]
-    lengths = {ctx.flow.id: ctx.flow.length for ctx in contexts}
+    lengths = {f.id: f.length for f in flowset.flows}
 
     if config.jitter_method == "simplified":
-        jk = {ctx.flow.id: ctx.flow.deadline - ctx.no_load for ctx in contexts}
-        outcome = _run_pass(contexts, jk, {i: 0 for i in ids}, lengths, shared,
+        jk = {f.id: f.deadline - basic_latency(flowset, f) for f in flowset.flows}
+        outcome = _run_pass(contexts, jk, dict.fromkeys(lengths, 0), lengths, shared,
                             record, update_jk=False)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, 1, failing_flow=outcome)
         rows, _ = outcome
         return FlowsetResult("schedulable", _freeze(contexts, rows, jk), 1)
 
-    jk = {i: 0 for i in ids}
-    bounds = {i: 0 for i in ids}
+    jk = dict.fromkeys(lengths, 0)
+    bounds = dict.fromkeys(lengths, 0)
     rows: dict[int, tuple[int, int, int]] = {}
     for iteration in range(1, config.iteration_cap + 1):
         outcome = _run_pass(contexts, jk, bounds, lengths, shared, record,
@@ -455,7 +415,9 @@ def _run_pass(contexts, jk, bounds, lengths, shared, record, update_jk):
         if record is not None:
             record.note_bound(fid, bound)
         if bound != bounds[fid]:
-            assert bound > bounds[fid], "bound decreased across iterations"
+            if bound < bounds[fid]:
+                raise InvariantError(
+                    f"flow {fid}: bound decreased from {bounds[fid]} to {bound}")
             changed = True
             bounds[fid] = bound
             if update_jk:

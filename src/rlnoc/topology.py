@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -66,14 +67,18 @@ class Ring:
     def size(self) -> int:
         return len(self.switches)
 
+    @cached_property
+    def _positions(self) -> dict[Coord, int]:
+        return {coord: pos for pos, coord in enumerate(self.switches)}
+
     def __contains__(self, coord) -> bool:
-        return Coord(*coord) in self.switches
+        return Coord(*coord) in self._positions
 
     def position(self, coord) -> int:
         coord = Coord(*coord)
         try:
-            return self.switches.index(coord)
-        except ValueError:
+            return self._positions[coord]
+        except KeyError:
             raise NotOnRingError(f"switch {tuple(coord)} is not on ring {self.id}") from None
 
     def hops(self, src, dst) -> int:
@@ -90,11 +95,15 @@ class Topology:
     rings: tuple[Ring, ...]
     routing: dict[tuple[Coord, Coord], int] = field(repr=False)
 
+    @cached_property
+    def _rings_by_id(self) -> dict[int, Ring]:
+        return {ring.id: ring for ring in self.rings}
+
     def ring(self, ring_id: int) -> Ring:
-        for ring in self.rings:
-            if ring.id == ring_id:
-                return ring
-        raise KeyError(f"no ring with id {ring_id}")
+        try:
+            return self._rings_by_id[ring_id]
+        except KeyError:
+            raise KeyError(f"no ring with id {ring_id}") from None
 
     def cores(self) -> Iterable[Coord]:
         for row in range(self.height):

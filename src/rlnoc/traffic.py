@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
 from .topology import (
     Coord,
@@ -66,14 +67,17 @@ class Flowset:
             if f.src not in ring or f.dst not in ring:
                 raise TrafficError(f"flow {f.id}: ring {f.ring} does not contain both endpoints")
 
-    def flow(self, flow_id: int) -> Flow:
-        for f in self.flows:
-            if f.id == flow_id:
-                return f
-        raise KeyError(f"no flow with id {flow_id}")
+    @cached_property
+    def index(self) -> FlowsetIndex:
+        """Config-independent lookups over the flowset, built on first use
+        and kept for the flowset's lifetime."""
+        return FlowsetIndex(self)
 
-    def on_ring(self, ring_id: int) -> tuple[Flow, ...]:
-        return tuple(f for f in self.flows if f.ring == ring_id)
+    def flow(self, flow_id: int) -> Flow:
+        try:
+            return self.index.flows[flow_id]
+        except KeyError:
+            raise KeyError(f"no flow with id {flow_id}") from None
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,28 @@ class InterferenceSets:
     in_core: frozenset[int]
     upind: frozenset[int]
     ring_all: frozenset[int]
+
+
+class FlowsetIndex:
+    """Config-independent lookups shared by the analyses of one flowset:
+    flows by id and by ring, each ring's worst backlog per switch position
+    (the largest payload, length - 1, injected there), the flow count per
+    destination switch, and the interference table."""
+
+    __slots__ = ("flows", "on_ring", "buffer_bounds", "same_dst", "interference")
+
+    def __init__(self, flowset: Flowset):
+        topo = flowset.topology
+        self.flows = {f.id: f for f in flowset.flows}
+        self.on_ring: dict[int, list[Flow]] = {}
+        self.buffer_bounds = {ring.id: [0] * ring.size for ring in topo.rings}
+        for f in flowset.flows:
+            self.on_ring.setdefault(f.ring, []).append(f)
+            bounds = self.buffer_bounds[f.ring]
+            pos = topo.ring(f.ring).position(f.src)
+            bounds[pos] = max(bounds[pos], f.length - 1)
+        self.same_dst = Counter(f.dst for f in flowset.flows)
+        self.interference = interference_table(flowset)
 
 
 @dataclass(frozen=True)
@@ -164,7 +190,7 @@ def classify_switch_flows(flowset: Flowset, ring_id: int, switch) -> tuple[set, 
         raise NotOnRingError(f"switch {tuple(switch)} is not on ring {ring_id}")
     pos = ring.position(switch)
     into, out, thru = set(), set(), set()
-    for f in flowset.on_ring(ring_id):
+    for f in flowset.index.on_ring.get(ring_id, ()):
         if f.src == switch:
             into.add(f.id)
         elif f.dst == switch:
@@ -187,18 +213,19 @@ def _link_profile(ring, flow) -> tuple[int, Coord, Coord]:
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     """Interference sets for every flow of the flowset in one pass."""
-    topo = flowset.topology
     by_core: dict[Coord, set[int]] = {}
+    by_ring: dict[int, list[Flow]] = {}
     for f in flowset.flows:
         by_core.setdefault(f.src, set()).add(f.id)
+        by_ring.setdefault(f.ring, []).append(f)
 
     table: dict[int, InterferenceSets] = {}
     up_map: dict[int, frozenset[int]] = {}
     in_ring_map: dict[int, frozenset[int]] = {}
     profiles: dict[int, tuple[int, Coord, Coord]] = {}
 
-    for ring in topo.rings:
-        members = flowset.on_ring(ring.id)
+    for ring in flowset.topology.rings:
+        members = by_ring.get(ring.id)
         if not members:
             continue
         thru_at: dict[int, set[int]] = {}
@@ -254,7 +281,7 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
 
 def interference_sets(flowset: Flowset, flow: Flow | int) -> InterferenceSets:
     flow_id = flow if isinstance(flow, int) else flow.id
-    return interference_table(flowset)[flow_id]
+    return flowset.index.interference[flow_id]
 
 
 _FLOW_FIELDS = {"id", "T", "D", "L", "J", "src", "dst", "ring"}

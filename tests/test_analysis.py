@@ -7,21 +7,19 @@ from rlnoc.analysis import (
     AnalysisConfig,
     AnalysisError,
     AnalysisRecord,
+    InvariantError,
     analyze,
     basic_latency,
     buffer_bound,
-    idle_cycle_wait,
     loop_latency,
     parse_profile,
     post_injection_interference,
-    pre_injection_basic,
-    pre_injection_deflected,
-    pre_injection_shared,
     profile_name,
-    queue_wait,
     resolve_maxloop,
     results_to_csv,
     ring_capacity,
+    _build_context,
+    _busy,
     _fixed_point,
 )
 from rlnoc.topology import generate_multi_ring
@@ -33,6 +31,31 @@ def single_up_flowset(topology, up_period=100, up_length=5, length=2):
     focus = make_flow(1, (2, 0), (2, 1), period=1_000, length=length)
     upstream = make_flow(2, (1, 0), (1, 1), period=up_period, length=up_length)
     return build_flowset(topology, focus, upstream)
+
+
+def flow_context(flowset, config, fid):
+    return next(ctx for ctx in _build_context(flowset, config) if ctx.flow.id == fid)
+
+
+def injection_busy(flowset, config, fid, jk):
+    """Busy period of the flow's injection switch output port, co-injected
+    packets included (independent injection). None: deadline missed."""
+    ctx = flow_context(flowset, config, fid)
+    return _busy(ctx, 1 + ctx.in_sum, jk, None)
+
+
+def idle_wait(flowset, config, fid, jk):
+    """Head-of-queue wait for an idle ring cycle (shared injection): the
+    co-injection term drops out."""
+    return _busy(flow_context(flowset, config, fid), 1, jk, None)
+
+
+def co_located_flowset(topology, co_length, thru_length):
+    """Flows 1 and 2 share the core (0,0); flow 3 passes through its switch."""
+    return build_flowset(topology,
+                         make_flow(1, (0, 0), (2, 0)),
+                         make_flow(2, (0, 0), (1, 1), length=co_length),
+                         make_flow(3, (0, 1), (1, 0), length=thru_length))
 
 
 class TestNoLoadLatencies:
@@ -129,21 +152,22 @@ class TestPostInjectionInterference:
 class TestBusyPeriods:
     def test_isolated_flow_needs_one_idle_cycle(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
-        assert pre_injection_basic(flowset, flowset.flows[0], {}) == 1
-        assert idle_cycle_wait(flowset, flowset.flows[0], {}) == 1
+        assert analyze(flowset, parse_profile("0D_IU_II")).results[1].pre_injection == 1
+        assert analyze(flowset, parse_profile("0D_IU_SI")).results[1].pre_idle == 1
 
     def test_single_upstream_interferer(self, six_ring_topology):
         flowset = single_up_flowset(six_ring_topology)
-        focus = flowset.flow(1)
-        assert pre_injection_basic(flowset, focus, {2: 0}) == 6
-        assert idle_cycle_wait(flowset, focus, {2: 0}) == 6
+        jk = {1: 0, 2: 0}
+        assert injection_busy(flowset, parse_profile("0D_IU_II"), 1, jk) == 6
+        assert idle_wait(flowset, parse_profile("0D_IU_SI"), 1, jk) == 6
 
     def test_saturated_output_port_diverges(self, six_ring_topology):
         focus = make_flow(1, (2, 0), (2, 1), period=1_000, length=2)
         up1 = make_flow(2, (1, 0), (1, 1), period=10, length=5, deadline=10)
         up2 = make_flow(3, (0, 0), (0, 1), period=10, length=5, deadline=10)
         flowset = build_flowset(six_ring_topology, focus, up1, up2)
-        assert pre_injection_basic(flowset, focus, {2: 0, 3: 0}) is None
+        assert injection_busy(flowset, parse_profile("0D_IU_II"), 1,
+                              {1: 0, 2: 0, 3: 0}) is None
 
     def test_iterates_strictly_increase_until_cutoff(self):
         trace = []
@@ -153,33 +177,38 @@ class TestBusyPeriods:
         assert trace == sorted(trace)
         assert all(b > a for a, b in zip(trace, trace[1:]))
 
+    def test_decreasing_iterate_raises(self):
+        # A negative length makes the second iterate fall below the first,
+        # which no valid flowset can produce.
+        with pytest.raises(InvariantError):
+            _fixed_point(5, ((10, -3, 0, 2, 1),), {2: 0}, budget=100)
+
     def test_deflecting_interferer_adds_one_replica(self, six_ring_topology):
+        # Every flow may deflect once: the interferer (T=100, L=5) enters as
+        # two copies and the flow itself (T=1000, L=2) as one replica, so
+        # w = 1 + 2*5 + 2 = 13 is the fixed point.
         flowset = single_up_flowset(six_ring_topology)
-        focus = flowset.flow(1)
-        cfg = AnalysisConfig(injection="independent", ejection="shared",
-                             maxloop_mode="fixed", maxloop=1)
+        cfg = parse_profile("1D_IU_II")
         jk = {1: 0, 2: 0}
-        assert pre_injection_deflected(flowset, focus, jk, cfg,
-                                       maxloops={2: 1}) == 11
-        assert idle_cycle_wait(flowset, focus, jk, cfg, maxloops={2: 1}) == 11
+        assert injection_busy(flowset, cfg, 1, jk) == 13
+        assert idle_wait(flowset, cfg, 1, jk) == 13
 
     def test_zero_maxloops_reduce_to_basic(self, six_ring_topology):
+        # Oldest-First with no two flows sharing a destination: shared
+        # ejection, yet every deflection bound is zero.
         flowset = single_up_flowset(six_ring_topology)
-        focus = flowset.flow(1)
         cfg = AnalysisConfig(injection="independent", ejection="shared",
-                             maxloop_mode="fixed", maxloop=1)
-        assert (pre_injection_deflected(flowset, focus, {2: 0}, cfg, maxloops={})
-                == pre_injection_basic(flowset, focus, {2: 0}))
+                             maxloop_mode="oldest_first")
+        jk = {1: 0, 2: 0}
+        assert (injection_busy(flowset, cfg, 1, jk)
+                == injection_busy(flowset, parse_profile("0D_IU_II"), 1, jk))
 
     def test_monotone_in_maxloop(self, six_ring_topology):
         flowset = single_up_flowset(six_ring_topology)
-        focus = flowset.flow(1)
-        cfg = AnalysisConfig(injection="independent", ejection="shared",
-                             maxloop_mode="fixed", maxloop=3)
         previous = 0
         for loops in range(4):
-            value = pre_injection_deflected(flowset, focus, {2: 0}, cfg,
-                                            maxloops={2: loops})
+            value = injection_busy(flowset, parse_profile(f"{loops}D_IU_II"), 1,
+                                   {1: 0, 2: 0})
             assert value >= previous
             previous = value
 
@@ -187,21 +216,28 @@ class TestBusyPeriods:
 class TestQueueWait:
     def test_empty_core(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
-        assert queue_wait(flowset, flowset.flows[0], {1: 1}) == 0
+        assert analyze(flowset, parse_profile("0D_IU_SI")).results[1].pre_queue == 0
 
     def test_one_co_located_packet(self, six_ring_topology):
-        flowset = build_flowset(six_ring_topology,
-                                make_flow(1, (0, 0), (2, 0)),
-                                make_flow(2, (0, 0), (1, 1), length=4))
-        assert queue_wait(flowset, flowset.flows[0], {2: 3}) == 7
+        # Flow 2 (4 flits) waits 1 + 2 idle cycles behind flow 3's 2 flits.
+        flowset = co_located_flowset(six_ring_topology, co_length=4, thru_length=2)
+        result = analyze(flowset, parse_profile("0D_IU_SI"))
+        assert result.results[2].pre_idle == 3
+        assert result.results[1].pre_queue == 7
 
-    def test_shared_total_is_the_sum(self):
-        assert pre_injection_shared(1, 0) == 1
-        assert pre_injection_shared(6, 7) == 13
+    def test_shared_total_is_the_sum(self, six_ring_topology):
+        config = parse_profile("0D_IU_SI")
+        alone = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
+        r = analyze(alone, config).results[1]
+        assert (r.pre_idle, r.pre_queue, r.pre_injection) == (1, 0, 1)
+        flowset = co_located_flowset(six_ring_topology, co_length=1, thru_length=5)
+        r = analyze(flowset, config).results[1]
+        assert (r.pre_idle, r.pre_queue, r.pre_injection) == (6, 7, 13)
 
     def test_shared_formulation_never_below_basic(self, six_ring_topology):
         # On a single-ring topology the queue and the co-injection term cover
         # the same flows, making the two formulations directly comparable.
+        config = parse_profile("0D_IU_II")
         rng = random.Random(7)
         cells = list(six_ring_topology.cores())
         checked = 0
@@ -213,16 +249,17 @@ class TestQueueWait:
                                        length=rng.randint(1, 12),
                                        jitter=rng.randint(0, 50)))
             flowset = build_flowset(six_ring_topology, *flows)
+            contexts = list(_build_context(flowset, config))
             jk = {f.id: 0 for f in flowset.flows}
-            idle = {f.id: idle_cycle_wait(flowset, f, jk) for f in flowset.flows}
+            idle = {ctx.flow.id: _busy(ctx, 1, jk, None) for ctx in contexts}
             if any(v is None for v in idle.values()):
                 continue
-            for f in flowset.flows:
-                basic = pre_injection_basic(flowset, f, jk)
+            for ctx in contexts:
+                basic = _busy(ctx, 1 + ctx.in_sum, jk, None)
                 if basic is None:
                     continue
-                shared = idle[f.id] + queue_wait(flowset, f, idle)
-                assert shared >= basic, (trial, f.id)
+                queue = sum(flowset.flow(j).length + idle[j] for j in ctx.in_core)
+                assert idle[ctx.flow.id] + queue >= basic, (trial, ctx.flow.id)
                 checked += 1
         assert checked > 1000
 
