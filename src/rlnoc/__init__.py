@@ -33,7 +33,7 @@ from .simulator import (
     simulate,
 )
 from .topology import Coord, Ring, Topology, generate_multi_ring, load_topology
-from .traffic import BenchmarkParams, Flow, Flowset, generate_flowset, interference_sets
+from .traffic import BenchmarkParams, Flow, Flowset, generate_flowset
 
 __all__ = [
     "AnalysisConfig",
@@ -55,7 +55,6 @@ __all__ = [
     "generate_flowset",
     "generate_multi_ring",
     "hardware_from_config",
-    "interference_sets",
     "load_topology",
     "loop_latency",
     "oracle_check",

@@ -192,14 +192,6 @@ def ring_capacity(flowset: Flowset, ring_id: int) -> int:
     return largest
 
 
-def buffer_bound(flowset: Flowset, ring_id: int, switch) -> int:
-    """Worst packet-buffer backlog at a switch: the largest locally injected
-    payload, since incoming flits are buffered only while an injection holds
-    the output port."""
-    ring = flowset.topology.ring(ring_id)
-    return flowset.index.buffer_bounds[ring_id][ring.position(switch)]
-
-
 def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int:
     """Deflection bound per flow: zero without ejection sharing; the configured
     constant; or the number of other flows targeting the same core, each of
@@ -213,17 +205,13 @@ def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int
 
 
 def post_injection_interference(flowset: Flowset, flow: Flow,
-                                config: AnalysisConfig | None = None,
-                                maxloop: int | None = None) -> int:
+                                config: AnalysisConfig, maxloop: int) -> int:
     """Downstream buffering bound, plus one whole-ring bound per deflection.
 
     The tight variant sums each downstream switch's own backlog bound; the
     coarse variant charges the full buffer capacity per switch. The
     destination switch is included unless the study flag drops it.
     """
-    config = config or AnalysisConfig()
-    if maxloop is None:
-        maxloop = resolve_maxloop(flowset, flow, config)
     ring = flowset.topology.ring(flow.ring)
     start = ring.position(flow.src)
     downstream = ring.hops(flow.src, flow.dst)
@@ -273,8 +261,9 @@ class _FlowContext:
 
     def __init__(self, flowset: Flowset, flow: Flow, config: AnalysisConfig,
                  maxloops: dict[int, int]):
-        by_id = flowset.index.flows
-        sets = flowset.index.interference[flow.id]
+        index = flowset.index
+        by_id = index.flows
+        sets = index.interference[flow.id]
         self.flow = flow
         self.no_load = basic_latency(flowset, flow)
         self.loop = loop_latency(flowset, flow)
@@ -283,15 +272,15 @@ class _FlowContext:
         self.fixed = self.no_load + self.loop * self.maxloop + self.post
         self.budget = flow.deadline - self.fixed
         self.in_sum = sum(by_id[j].length for j in sets.in_ring)
-        self.in_core = sets.in_core
+        self.in_core = tuple(g.id for g in index.on_core[flow.src] if g.id != flow.id)
         # Busy-period ceiling terms: one per upstream interferer, plus
         # maxloop_j replica terms per flow of the ring (the flow itself
         # included) when ejection sharing makes deflections possible.
         copies = dict.fromkeys(sets.up, 1)
         if config.ejection == "shared":
-            for j in sets.ring_all | {flow.id}:
-                if maxloops[j]:
-                    copies[j] = copies.get(j, 0) + maxloops[j]
+            for g in index.on_ring[flow.ring]:
+                if maxloops[g.id]:
+                    copies[g.id] = copies.get(g.id, 0) + maxloops[g.id]
         self.terms = tuple(
             (by_id[j].period, by_id[j].length, by_id[j].jitter, j, n)
             for j, n in sorted(copies.items())

@@ -8,7 +8,7 @@ hold exactly rather than statistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import AnalysisConfig, FlowsetResult, analyze, parse_profile
 from .seeds import derive_seed
@@ -116,15 +116,7 @@ def find_schedulable_flowset(params: BenchmarkParams, config: AnalysisConfig,
     and the attempt count."""
     topology = generate_multi_ring(params.width, params.height)
     for attempt in range(1, max_attempts + 1):
-        candidate = BenchmarkParams(
-            flows_per_set=params.flows_per_set,
-            width=params.width,
-            height=params.height,
-            packet_range=params.packet_range,
-            period_range=params.period_range,
-            jitter_fraction_range=params.jitter_fraction_range,
-            seed=derive_seed(seed, "attempt", attempt),
-        )
+        candidate = replace(params, seed=derive_seed(seed, "attempt", attempt))
         flowset = generate_flowset(candidate, topology)
         result = analyze(flowset, config)
         if result.schedulable:

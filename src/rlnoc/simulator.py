@@ -364,8 +364,6 @@ class _Engine:
         # (grouped per ejection link) or thru traffic wanting the output port.
         eject_cands: dict[tuple, list] = {}
         thru: dict[int, dict[int, int]] = {}
-        pb_occupied = {rid: set(r.pb) for rid, r in self.rings.items() if r.pb}
-        inj_occupied = {rid: set(r.inj) for rid, r in self.rings.items() if r.inj}
         for rid in sorted(self.rings):
             ring = self.rings[rid]
             if not ring.fb:
@@ -422,17 +420,16 @@ class _Engine:
             if ekey not in consumed:
                 raise ProtocolViolation("ejecting packet missed a cycle")
 
-        # Ring traffic that holds the output port this cycle; a flit leaving
-        # over the ejection link frees the port, so it does not gate header
+        # Resolve output ports and commit the flits they emit. The ports that
+        # carry ring traffic this cycle are kept per ring: a flit leaving over
+        # the ejection link frees the port, so it does not gate header
         # injection (the buffer-empty rule protects the port, not the slot).
-        thru_positions = {rid: set(d) for rid, d in thru.items()}
-
-        # Resolve output ports and commit the flits they emit.
+        emitted: dict[int, set[int]] = {}
         for rid in sorted(self.rings):
             ring = self.rings[rid]
             ring_thru = thru.get(rid, {})
             new_fb: dict[int, int] = {}
-            positions = set(ring.inj) | set(ring.pb) | set(ring_thru)
+            positions = emitted[rid] = set(ring.inj) | set(ring.pb) | set(ring_thru)
             for pos in sorted(positions):
                 nxt = (pos + 1) % ring.size
                 if pos in ring.inj:
@@ -486,8 +483,7 @@ class _Engine:
             # cycle: a thru or deflected flit, a packet buffer that was
             # draining at cycle start (even if it emptied this cycle), or an
             # ongoing payload injection (even one that finished this cycle).
-            if (pos in thru_positions.get(rid, ()) or pos in pb_occupied.get(rid, ())
-                    or pos in inj_occupied.get(rid, ())):
+            if pos in emitted[rid]:
                 continue
             nxt = (pos + 1) % ring.size
             if nxt in ring.fb:

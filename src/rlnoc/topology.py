@@ -111,21 +111,6 @@ class Topology:
                 yield Coord(col, row)
 
 
-def path(ring: Ring, src, dst) -> tuple[Coord, ...]:
-    """Ordered switches from src's switch to dst's switch, inclusive, in ring order."""
-    src, dst = Coord(*src), Coord(*dst)
-    if src == dst:
-        raise ValueError("path requires distinct source and destination")
-    start = ring.position(src)
-    hops = ring.hops(src, dst)
-    return tuple(ring.switches[(start + k) % ring.size] for k in range(hops + 1))
-
-
-def dpath(ring: Ring, src, dst) -> tuple[Coord, ...]:
-    """The downstream path: same as path() minus its first switch."""
-    return path(ring, src, dst)[1:]
-
-
 def select_ring(topology: Topology, src, dst) -> int:
     """Routing-table lookup: hop-minimal ring for the pair, lowest id on ties."""
     src, dst = Coord(*src), Coord(*dst)

@@ -18,7 +18,6 @@ from functools import cached_property
 
 from .topology import (
     Coord,
-    NotOnRingError,
     Topology,
     generate_multi_ring,
     load_topology,
@@ -88,34 +87,33 @@ class InterferenceSets:
     down     same-ring flows injected along the downstream path, destination
              switch excluded (downstream direct)
     in_ring  other flows injected at the same switch into the same ring
-    in_core  other flows sharing the source core, regardless of ring
     upind    link-disjoint flows that delay a member of ``up`` (upstream indirect)
-    ring_all every other flow assigned to the same ring
     """
 
     up: frozenset[int]
     down: frozenset[int]
     in_ring: frozenset[int]
-    in_core: frozenset[int]
     upind: frozenset[int]
-    ring_all: frozenset[int]
 
 
 class FlowsetIndex:
     """Config-independent lookups shared by the analyses of one flowset:
-    flows by id and by ring, each ring's worst backlog per switch position
-    (the largest payload, length - 1, injected there), the flow count per
-    destination switch, and the interference table."""
+    flows by id, by ring and by source core, each ring's worst backlog per
+    switch position (the largest payload, length - 1, injected there), the
+    flow count per destination switch, and the interference table."""
 
-    __slots__ = ("flows", "on_ring", "buffer_bounds", "same_dst", "interference")
+    __slots__ = ("flows", "on_ring", "on_core", "buffer_bounds", "same_dst",
+                 "interference")
 
     def __init__(self, flowset: Flowset):
         topo = flowset.topology
         self.flows = {f.id: f for f in flowset.flows}
         self.on_ring: dict[int, list[Flow]] = {}
+        self.on_core: dict[Coord, list[Flow]] = {}
         self.buffer_bounds = {ring.id: [0] * ring.size for ring in topo.rings}
         for f in flowset.flows:
             self.on_ring.setdefault(f.ring, []).append(f)
+            self.on_core.setdefault(f.src, []).append(f)
             bounds = self.buffer_bounds[f.ring]
             pos = topo.ring(f.ring).position(f.src)
             bounds[pos] = max(bounds[pos], f.length - 1)
@@ -182,24 +180,6 @@ def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) 
     return Flowset(tuple(flows), topology)
 
 
-def classify_switch_flows(flowset: Flowset, ring_id: int, switch) -> tuple[set, set, set]:
-    """Partition a switch's traffic on one ring into (injected, ejected, thru) flow ids."""
-    switch = Coord(*switch)
-    ring = flowset.topology.ring(ring_id)
-    if switch not in ring:
-        raise NotOnRingError(f"switch {tuple(switch)} is not on ring {ring_id}")
-    pos = ring.position(switch)
-    into, out, thru = set(), set(), set()
-    for f in flowset.index.on_ring.get(ring_id, ()):
-        if f.src == switch:
-            into.add(f.id)
-        elif f.dst == switch:
-            out.add(f.id)
-        elif 0 < (pos - ring.position(f.src)) % ring.size < ring.hops(f.src, f.dst):
-            thru.add(f.id)
-    return into, out, thru
-
-
 def _link_profile(ring, flow) -> tuple[int, Coord, Coord]:
     # Ring links occupied by the flow, as a bitmask over link positions
     # (link p runs from switch p to switch p+1), plus its injection and
@@ -213,14 +193,12 @@ def _link_profile(ring, flow) -> tuple[int, Coord, Coord]:
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     """Interference sets for every flow of the flowset in one pass."""
-    by_core: dict[Coord, set[int]] = {}
     by_ring: dict[int, list[Flow]] = {}
     for f in flowset.flows:
-        by_core.setdefault(f.src, set()).add(f.id)
         by_ring.setdefault(f.ring, []).append(f)
 
-    table: dict[int, InterferenceSets] = {}
     up_map: dict[int, frozenset[int]] = {}
+    down_map: dict[int, frozenset[int]] = {}
     in_ring_map: dict[int, frozenset[int]] = {}
     profiles: dict[int, tuple[int, Coord, Coord]] = {}
 
@@ -239,7 +217,6 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
         for f in members:
             start = ring.position(f.src)
             up = frozenset(thru_at.get(start, ()))
-            in_ring = frozenset(in_at.get(start, set()) - {f.id})
             down = set()
             for d in range(1, ring.hops(f.src, f.dst)):
                 down |= in_at.get((start + d) % ring.size, set())
@@ -248,40 +225,27 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
             # the four classes mutually exclusive. No bound consumes the down
             # set, so the precedence is free of analytical consequences.
             up_map[f.id] = up
-            in_ring_map[f.id] = in_ring
-            table[f.id] = InterferenceSets(
-                up=up,
-                down=frozenset(down - {f.id} - up),
-                in_ring=in_ring,
-                in_core=frozenset(by_core[f.src] - {f.id}),
-                upind=frozenset(),
-                ring_all=frozenset(g.id for g in members if g.id != f.id),
-            )
+            down_map[f.id] = frozenset(down - {f.id} - up)
+            in_ring_map[f.id] = frozenset(in_at[start] - {f.id})
 
     # Upstream indirect interference: one level of indirection only. A flow
     # qualifies when it delays some member of up (as upstream or injection
     # direct interference) while sharing no link with the flow under analysis.
+    table: dict[int, InterferenceSets] = {}
     for f in flowset.flows:
-        sets = table[f.id]
         mask_f, src_f, dst_f = profiles[f.id]
         upind = set()
-        for j in sets.up:
+        for j in up_map[f.id]:
             for k in up_map[j] | in_ring_map[j]:
                 if k == f.id or k in upind:
                     continue
                 mask_k, src_k, dst_k = profiles[k]
                 if mask_k & mask_f == 0 and src_k != src_f and dst_k != dst_f:
                     upind.add(k)
-        table[f.id] = InterferenceSets(
-            up=sets.up, down=sets.down, in_ring=sets.in_ring,
-            in_core=sets.in_core, upind=frozenset(upind), ring_all=sets.ring_all,
-        )
+        table[f.id] = InterferenceSets(up=up_map[f.id], down=down_map[f.id],
+                                       in_ring=in_ring_map[f.id],
+                                       upind=frozenset(upind))
     return table
-
-
-def interference_sets(flowset: Flowset, flow: Flow | int) -> InterferenceSets:
-    flow_id = flow if isinstance(flow, int) else flow.id
-    return flowset.index.interference[flow_id]
 
 
 _FLOW_FIELDS = {"id", "T", "D", "L", "J", "src", "dst", "ring"}
@@ -303,8 +267,53 @@ def flowset_to_doc(flowset: Flowset, seed: int | None = None,
     return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_coord(value, key: str, fid: int, topology: Topology) -> Coord:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise TrafficError(f"flow {fid}: {key!r} must be [col, row], got {value!r}")
+    coord = Coord(*value)
+    if not (0 <= coord.col < topology.width and 0 <= coord.row < topology.height):
+        raise TrafficError(f"flow {fid}: {key!r} {value} is outside the "
+                           f"{topology.width}x{topology.height} grid")
+    return coord
+
+
+def _load_flow(entry, topology: Topology) -> Flow:
+    if not isinstance(entry, dict):
+        raise TrafficError("each flow must be a mapping")
+    unknown = set(entry) - _FLOW_FIELDS
+    if unknown:
+        raise TrafficError(f"unknown flow fields: {sorted(unknown)}")
+    for key in ("id", "T", "D", "L", "J", "src", "dst"):
+        if key not in entry:
+            raise TrafficError(f"flow entry missing field {key!r}")
+    fid = entry["id"]
+    if not _is_int(fid):
+        raise TrafficError(f"flow id must be an integer, got {fid!r}")
+    for key in ("T", "D", "L", "J"):
+        if not _is_int(entry[key]):
+            raise TrafficError(f"flow {fid}: {key!r} must be an integer, got {entry[key]!r}")
+    src = _load_coord(entry["src"], "src", fid, topology)
+    dst = _load_coord(entry["dst"], "dst", fid, topology)
+    if src == dst:
+        raise TrafficError(f"flow {fid}: source equals destination")
+    ring = entry.get("ring")
+    if ring is None:
+        ring = select_ring(topology, src, dst)
+    elif not _is_int(ring) or ring not in {r.id for r in topology.rings}:
+        raise TrafficError(f"flow {fid}: 'ring' must name a ring of the topology, "
+                           f"got {ring!r}")
+    return Flow(id=fid, period=entry["T"], deadline=entry["D"], length=entry["L"],
+                jitter=entry["J"], src=src, dst=dst, ring=ring)
+
+
 def load_flowset(doc: dict, topology: Topology | None = None) -> Flowset:
-    """Rebuild a flowset from a document; rings are recomputed when absent."""
+    """Rebuild a flowset from a document; rings are recomputed when absent.
+    Every field is type- and range-checked, so a malformed document raises
+    ``TrafficError`` (or a topology error) naming the offending field."""
     if not isinstance(doc, dict):
         raise TrafficError("flowset document must be a mapping")
     unknown = set(doc) - _SET_FIELDS
@@ -315,29 +324,13 @@ def load_flowset(doc: dict, topology: Topology | None = None) -> Flowset:
             topology = load_topology(doc["topology"])
         else:
             for key in ("width", "height"):
-                if not isinstance(doc.get(key), int):
+                if not _is_int(doc.get(key)):
                     raise TrafficError(f"missing or non-integer field {key!r}")
             topology = generate_multi_ring(doc["width"], doc["height"])
-    flows = []
-    for entry in doc.get("flows", ()):
-        if not isinstance(entry, dict):
-            raise TrafficError("each flow must be a mapping")
-        unknown = set(entry) - _FLOW_FIELDS
-        if unknown:
-            raise TrafficError(f"unknown flow fields: {sorted(unknown)}")
-        try:
-            src = Coord(*entry["src"])
-            dst = Coord(*entry["dst"])
-            ring = entry.get("ring")
-            if ring is None:
-                ring = select_ring(topology, src, dst)
-            flows.append(Flow(
-                id=entry["id"], period=entry["T"], deadline=entry["D"],
-                length=entry["L"], jitter=entry["J"], src=src, dst=dst, ring=ring,
-            ))
-        except KeyError as exc:
-            raise TrafficError(f"flow entry missing field {exc}") from None
-    return Flowset(tuple(flows), topology)
+    entries = doc.get("flows", [])
+    if not isinstance(entries, list):
+        raise TrafficError(f"field 'flows' must be a list, got {entries!r}")
+    return Flowset(tuple(_load_flow(entry, topology) for entry in entries), topology)
 
 
 def load_flowset_file(path_str: str, topology: Topology | None = None) -> Flowset:

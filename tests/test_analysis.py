@@ -10,7 +10,6 @@ from rlnoc.analysis import (
     InvariantError,
     analyze,
     basic_latency,
-    buffer_bound,
     loop_latency,
     parse_profile,
     post_injection_interference,
@@ -88,16 +87,19 @@ class TestBufferBounds:
                                 make_flow(1, (0, 0), (2, 0), length=5),
                                 make_flow(2, (0, 0), (1, 1), length=9),
                                 make_flow(3, (1, 0), (0, 1), length=7))
-        assert buffer_bound(flowset, 0, (0, 0)) == 8
-        assert buffer_bound(flowset, 0, (1, 0)) == 6
-        assert buffer_bound(flowset, 0, (2, 1)) == 0
+        ring = six_ring_topology.ring(0)
+        bounds = flowset.index.buffer_bounds[0]
+        assert bounds[ring.position((0, 0))] == 8
+        assert bounds[ring.position((1, 0))] == 6
+        assert bounds[ring.position((2, 1))] == 0
 
     def test_bound_below_ring_capacity(self):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=9))
         for ring in flowset.topology.rings:
             cap = ring_capacity(flowset, ring.id)
-            for sw in ring.switches:
-                assert buffer_bound(flowset, ring.id, sw) <= cap - 1
+            assert len(flowset.index.buffer_bounds[ring.id]) == ring.size
+            for bound in flowset.index.buffer_bounds[ring.id]:
+                assert bound <= cap - 1
 
     def test_capacity_override_validated(self, six_ring_topology):
         from dataclasses import replace
@@ -109,17 +111,22 @@ class TestBufferBounds:
             ring_capacity(flowset, 0)
 
 
+def post_interference(flowset, flow, config):
+    return post_injection_interference(flowset, flow, config,
+                                       resolve_maxloop(flowset, flow, config))
+
+
 class TestPostInjectionInterference:
     def test_zero_without_downstream_injectors(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
-        assert post_injection_interference(flowset, flowset.flows[0]) == 0
+        assert post_interference(flowset, flowset.flows[0], AnalysisConfig()) == 0
 
     def test_coarse_is_downstream_switches_times_capacity(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (2, 0), (0, 0), length=16))
         flow = flowset.flows[0]
         cfg = AnalysisConfig(ipos_formula="coarse")
-        assert post_injection_interference(flowset, flow, cfg) == 4 * 16
+        assert post_interference(flowset, flow, cfg) == 4 * 16
 
     def test_tight_never_exceeds_coarse_over_1000_flowsets(self):
         topo = generate_multi_ring(4, 4)
@@ -129,23 +136,23 @@ class TestPostInjectionInterference:
             flowset = generate_flowset(BenchmarkParams(flows_per_set=12, seed=seed),
                                        topo)
             for f in flowset.flows:
-                assert (post_injection_interference(flowset, f, tight)
-                        <= post_injection_interference(flowset, f, coarse))
+                assert (post_interference(flowset, f, tight)
+                        <= post_interference(flowset, f, coarse))
 
     def test_destination_exclusion_variant_is_tighter(self, five_flow_fixture):
         default = AnalysisConfig()
         variant = AnalysisConfig(exclude_destination_buffer=True)
         for f in five_flow_fixture.flows:
-            assert (post_injection_interference(five_flow_fixture, f, variant)
-                    <= post_injection_interference(five_flow_fixture, f, default))
+            assert (post_interference(five_flow_fixture, f, variant)
+                    <= post_interference(five_flow_fixture, f, default))
 
     def test_deflections_add_whole_ring_bound(self, five_flow_fixture):
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=2)
         flow = five_flow_fixture.flow(3)
-        base = post_injection_interference(five_flow_fixture, flow, maxloop=0)
-        ring_sum = sum(buffer_bound(five_flow_fixture, 0, sw)
-                       for sw in five_flow_fixture.topology.rings[0].switches)
-        assert (post_injection_interference(five_flow_fixture, flow, cfg)
+        base = post_injection_interference(five_flow_fixture, flow, cfg, 0)
+        ring_sum = sum(five_flow_fixture.index.buffer_bounds[0])
+        assert ring_sum > 0
+        assert (post_interference(five_flow_fixture, flow, cfg)
                 == base + 2 * ring_sum)
 
 
@@ -315,9 +322,10 @@ class TestAnalyze:
         flowset = Flowset((make_flow(1, (0, 0), (3, 0), ring=2),
                            make_flow(2, (0, 3), (3, 3), ring=6)), topo)
         table = interference_table(flowset)
-        for fid in (1, 2):
-            sets = table[fid]
-            assert not (sets.up | sets.down | sets.in_ring | sets.in_core)
+        for flow in flowset.flows:
+            sets = table[flow.id]
+            assert not (sets.up | sets.down | sets.in_ring)
+            assert flowset.index.on_core[flow.src] == [flow]
         for config in (parse_profile("0D_IU_II"), parse_profile("0D_IU_SI")):
             result = analyze(flowset, config)
             assert result.schedulable

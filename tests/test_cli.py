@@ -85,6 +85,49 @@ def test_schema_violation_exits_three(tmp_path):
     assert run(["topo", "--load", str(bad)]) == 3
 
 
+def _flow_doc(**changes):
+    flow = {"id": 1, "T": 1000, "D": 900, "L": 4, "J": 0,
+            "src": [0, 0], "dst": [1, 0], "ring": 0}
+    flow.update(changes)
+    return {"width": 4, "height": 4, "flows": [flow]}
+
+
+# Malformed flowset documents and the part of the error message that names
+# what is wrong with each.
+MALFORMED_FLOWSETS = {
+    "float_period": (_flow_doc(T=1000.5), "'T' must be an integer"),
+    "float_deadline": (_flow_doc(D=900.5), "'D' must be an integer"),
+    "string_length": (_flow_doc(L="4"), "'L' must be an integer"),
+    "bool_length": (_flow_doc(L=True), "'L' must be an integer"),
+    "string_id": (_flow_doc(id="1"), "flow id must be an integer"),
+    "three_element_src": (_flow_doc(src=[0, 0, 0]), "'src' must be [col, row]"),
+    "scalar_dst": (_flow_doc(dst=5), "'dst' must be [col, row]"),
+    "off_grid_src": (_flow_doc(src=[7, 0]), "'src' [7, 0] is outside the 4x4 grid"),
+    "off_grid_src_routed": (_flow_doc(src=[0, 9], ring=None),
+                            "'src' [0, 9] is outside the 4x4 grid"),
+    "same_endpoints_routed": (_flow_doc(dst=[0, 0], ring=None),
+                              "source equals destination"),
+    "unknown_ring": (_flow_doc(ring=99), "'ring' must name a ring"),
+    "string_ring": (_flow_doc(ring="0"), "'ring' must name a ring"),
+    "flows_not_a_list": ({"width": 4, "height": 4, "flows": 5},
+                         "'flows' must be a list"),
+    "missing_field": ({"width": 4, "height": 4, "flows": [{"id": 1}]},
+                      "missing field 'T'"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FLOWSETS))
+def test_malformed_flowset_exits_three(tmp_path, capsys, command, name):
+    doc, message = MALFORMED_FLOWSETS[name]
+    flowset_file = tmp_path / "bad.json"
+    flowset_file.write_text(json.dumps(doc))
+    assert run([command, "--flowset", str(flowset_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         run(["analyze", "--no-such-flag"])

@@ -12,10 +12,8 @@ from rlnoc.topology import (
     Ring,
     SchemaError,
     build_topology,
-    dpath,
     generate_multi_ring,
     load_topology,
-    path,
     save_topology_file,
     load_topology_file,
     select_ring,
@@ -62,34 +60,48 @@ class TestGenerator:
 
 
 class TestPathFunctions:
+    """Ring paths: positions along the switch order and hop counts."""
+
+    @staticmethod
+    def walk(ring, src, dst):
+        start = ring.position(src)
+        return tuple(ring.switches[(start + k) % ring.size]
+                     for k in range(ring.hops(src, dst) + 1))
+
     def test_long_way_around(self, six_ring_topology):
         ring = six_ring_topology.rings[0]
-        walk = path(ring, (2, 0), (0, 0))
-        assert walk == (Coord(2, 0), Coord(2, 1), Coord(1, 1), Coord(0, 1), Coord(0, 0))
-        assert len(walk) == 5
+        assert ring.hops((2, 0), (0, 0)) == 4
+        assert self.walk(ring, (2, 0), (0, 0)) == (
+            Coord(2, 0), Coord(2, 1), Coord(1, 1), Coord(0, 1), Coord(0, 0))
 
     def test_adjacent_pair(self, six_ring_topology):
         ring = six_ring_topology.rings[0]
-        assert len(path(ring, (2, 0), (2, 1))) == 2
-        assert dpath(ring, (2, 0), (2, 1)) == (Coord(2, 1),)
+        assert ring.hops((2, 0), (2, 1)) == 1
+        assert self.walk(ring, (2, 0), (2, 1)) == (Coord(2, 0), Coord(2, 1))
 
     def test_path_dpath_relation_all_pairs_all_rings(self):
+        # Going from a to b and on back to a is exactly one circle.
         topo = generate_multi_ring(4, 4)
         for ring in topo.rings:
             for a in ring.switches:
                 for b in ring.switches:
                     if a == b:
                         continue
-                    assert len(path(ring, a, b)) == len(dpath(ring, a, b)) + 1
+                    assert 0 < ring.hops(a, b) < ring.size
+                    assert ring.hops(a, b) + ring.hops(b, a) == ring.size
 
     def test_not_on_ring(self, ten_ring_fixture):
         ring = ten_ring_fixture.ring(0)  # rows 0-1 band
+        assert (0, 3) not in ring
         with pytest.raises(NotOnRingError):
-            path(ring, (0, 0), (0, 3))
+            ring.position((0, 3))
+        with pytest.raises(NotOnRingError):
+            ring.hops((0, 0), (0, 3))
 
     def test_same_endpoints_rejected(self, six_ring_topology):
+        assert six_ring_topology.rings[0].hops((0, 0), (0, 0)) == 0
         with pytest.raises(ValueError):
-            path(six_ring_topology.rings[0], (0, 0), (0, 0))
+            select_ring(six_ring_topology, (0, 0), (0, 0))
 
 
 class TestRouting:

@@ -3,15 +3,12 @@ import math
 import pytest
 
 from conftest import build_flowset, make_flow
-from rlnoc.topology import NotOnRingError, generate_multi_ring
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
     TrafficError,
-    classify_switch_flows,
     flowset_to_doc,
     generate_flowset,
-    interference_sets,
     interference_table,
     load_flowset,
 )
@@ -37,40 +34,17 @@ class TestFiveFlowScenario:
             assert sets.upind == frozenset(upind), fid
 
     def test_single_flow_api_matches_table(self, five_flow_fixture):
+        # Per-flow lookups go through the flowset's cached index.
         table = interference_table(five_flow_fixture)
         for flow in five_flow_fixture.flows:
-            assert interference_sets(five_flow_fixture, flow) == table[flow.id]
+            assert five_flow_fixture.index.interference[flow.id] == table[flow.id]
 
     def test_in_core_and_ring_all(self, five_flow_fixture):
-        table = interference_table(five_flow_fixture)
-        assert table[1].in_core == frozenset({5})
-        assert table[5].in_core == frozenset({1})
-        assert table[3].in_core == frozenset()
-        for fid in EXPECTED_SETS:
-            assert table[fid].ring_all == frozenset(EXPECTED_SETS) - {fid}
-
-
-class TestClassifySwitchFlows:
-    def test_injection_switch_of_two_flows(self, five_flow_fixture):
-        into, out, thru = classify_switch_flows(five_flow_fixture, 0, (2, 0))
-        assert (into, out, thru) == ({1, 5}, {4}, {2})
-
-    def test_unused_switch_is_empty(self, six_ring_topology):
-        flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (1, 0)))
-        assert classify_switch_flows(flowset, 0, (1, 1)) == (set(), set(), set())
-
-    def test_union_over_switches_covers_the_ring_traffic(self, five_flow_fixture):
-        ring = five_flow_fixture.topology.rings[0]
-        seen = set()
-        for sw in ring.switches:
-            for part in classify_switch_flows(five_flow_fixture, 0, sw):
-                seen |= part
-        assert seen == {1, 2, 3, 4, 5}
-
-    def test_switch_not_on_ring(self, ten_ring_fixture):
-        flowset = Flowset((), ten_ring_fixture)
-        with pytest.raises(NotOnRingError):
-            classify_switch_flows(flowset, 0, (0, 3))
+        index = five_flow_fixture.index
+        on_core = {core: [f.id for f in flows] for core, flows in index.on_core.items()}
+        assert on_core == {(2, 0): [1, 5], (1, 0): [2], (0, 1): [3], (0, 0): [4]}
+        assert list(index.on_ring) == [0]
+        assert [f.id for f in index.on_ring[0]] == sorted(EXPECTED_SETS)
 
 
 class TestInterferenceProperties:
@@ -84,10 +58,11 @@ class TestInterferenceProperties:
             table = interference_table(flowset)
             for flow in flowset.flows:
                 s = table[flow.id]
-                assert flow.id not in s.up | s.down | s.in_ring | s.in_core | s.upind
+                in_core = {f.id for f in flowset.index.on_core[flow.src]} - {flow.id}
+                assert flow.id not in s.up | s.down | s.in_ring | s.upind
                 assert not (s.up & s.down) and not (s.up & s.in_ring)
                 assert not (s.down & s.in_ring) and not (s.upind & (s.up | s.down | s.in_ring))
-                assert s.in_ring <= s.in_core
+                assert s.in_ring <= in_core
 
     def test_co_injection_is_symmetric(self):
         for seed in range(8):
@@ -98,13 +73,15 @@ class TestInterferenceProperties:
                     assert flow.id in table[other].in_ring
 
     def test_down_members_inject_on_the_downstream_path(self):
-        from rlnoc.topology import dpath
         for seed in range(4):
             flowset = self.build_random(seed)
             table = interference_table(flowset)
             for flow in flowset.flows:
                 ring = flowset.topology.ring(flow.ring)
-                interior = set(dpath(ring, flow.src, flow.dst)[:-1])
+                start = ring.position(flow.src)
+                # The switches strictly between source and destination.
+                interior = {ring.switches[(start + d) % ring.size]
+                            for d in range(1, ring.hops(flow.src, flow.dst))}
                 for other in table[flow.id].down:
                     assert flowset.flow(other).src in interior
 
@@ -115,13 +92,19 @@ class TestInterferenceProperties:
         reduced = Flowset(tuple(f for f in flowset.flows if f.id != victim),
                           flowset.topology)
         smaller = interference_table(reduced)
+        def ids(flows):
+            return {f.id for f in flows}
+
         for flow in reduced.flows:
             before, after = table[flow.id], smaller[flow.id]
             assert after.up <= before.up
             assert after.down <= before.down
             assert after.in_ring <= before.in_ring
-            assert after.in_core <= before.in_core
-            assert after.ring_all <= before.ring_all
+            assert after.upind <= before.upind
+            assert (ids(reduced.index.on_core[flow.src])
+                    <= ids(flowset.index.on_core[flow.src]))
+            assert (ids(reduced.index.on_ring[flow.ring])
+                    <= ids(flowset.index.on_ring[flow.ring]))
 
 
 class TestGenerator:
