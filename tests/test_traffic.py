@@ -12,6 +12,7 @@ from rlnoc.traffic import (
     interference_table,
     load_flowset,
 )
+from rlnoc.topology import NotOnRingError
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -45,6 +46,16 @@ class TestFiveFlowScenario:
         assert on_core == {(2, 0): [1, 5], (1, 0): [2], (0, 1): [3], (0, 0): [4]}
         assert list(index.on_ring) == [0]
         assert [f.id for f in index.on_ring[0]] == sorted(EXPECTED_SETS)
+
+
+class TestClassifySwitchFlows:
+    def test_switch_not_on_ring(self, ten_ring_fixture):
+        # Per-switch lookups on a flowset's ring refuse a switch off that ring.
+        flowset = Flowset((), ten_ring_fixture)
+        ring = flowset.topology.ring(0)
+        assert not flowset.index.on_ring
+        with pytest.raises(NotOnRingError):
+            ring.position((0, 3))
 
 
 class TestInterferenceProperties:
