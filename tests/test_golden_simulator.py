@@ -6,8 +6,12 @@ cycle, which a change to the shared cycle engine could alter in both modes
 at once; these digests pin the exact outcomes instead. The cases are
 criterion-2 style schedulable flowsets under each campaign-type
 configuration with sporadic and periodic releases, plus dense short runs on
-shared ejection links where packets deflect.
+shared ejection links where packets deflect. The dense runs also pin the
+hash of their full event trace, which fixes the order in which the engine
+processes rings, ports and ejection links within a cycle.
 """
+
+import hashlib
 
 import pytest
 
@@ -41,6 +45,12 @@ GOLDEN_DENSE = {
     2: (12, "9bef6eac429e9314a673c64386f869ede59ef7813152e23ab261d576d452f1d8"),
 }
 
+# ejection-link partition limit -> sha256 of repr(outcome.trace)
+GOLDEN_DENSE_TRACE = {
+    None: "0c8ba117dadfaaddd1a0390f9309374c20bd60748463934a9db920dfb027d185",
+    2: "1e4b927ef704320b1f1c31fa2a5b8171346b64331840c47fd5396022bcc2747d",
+}
+
 
 def campaign_outcome(name, flows, release, fast_forward=True):
     config = parse_profile(name)
@@ -54,10 +64,11 @@ def campaign_outcome(name, flows, release, fast_forward=True):
     return outcome
 
 
-def dense_outcome(partition_limit, fast_forward):
+def dense_outcome(partition_limit, fast_forward, collect_trace=False):
     flowset = generate_flowset(BenchmarkParams(
         flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
-    cfg = SimConfig(seed=3, horizon=3_000, fast_forward=fast_forward)
+    cfg = SimConfig(seed=3, horizon=3_000, fast_forward=fast_forward,
+                    collect_trace=collect_trace)
     return simulate(flowset, cfg, HardwareProfile("shared", "shared", partition_limit))
 
 
@@ -79,3 +90,11 @@ def test_campaign_digest_stepping_every_cycle():
 def test_dense_shared_ejection_digest(partition_limit, fast_forward):
     outcome = dense_outcome(partition_limit, fast_forward)
     assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[partition_limit]
+
+
+@pytest.mark.parametrize("partition_limit", (None, 2))
+def test_dense_shared_ejection_trace(partition_limit):
+    outcome = dense_outcome(partition_limit, fast_forward=True, collect_trace=True)
+    assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[partition_limit]
+    trace_digest = hashlib.sha256(repr(outcome.trace).encode("ascii")).hexdigest()
+    assert trace_digest == GOLDEN_DENSE_TRACE[partition_limit]
