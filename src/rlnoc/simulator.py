@@ -30,6 +30,8 @@ exactly-predictable situations: a packet released into an empty network with
 no other release due before it drains, and the tail of a congestion episode
 where a single packet remains in flight. Both shortcuts reproduce the
 cycle-accurate outcome bit for bit (tests compare the two modes directly).
+A stepped cycle visits only the rings that hold traffic, so idle rings cost
+nothing.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from typing import Literal
 from .analysis import AnalysisConfig, FlowsetResult, ring_capacity
 from .seeds import derive_seed
 from .traffic import Flowset
-
-_IDX_BITS = 10
-_IDX_MASK = (1 << _IDX_BITS) - 1
 
 
 class ProtocolViolation(RuntimeError):
@@ -116,6 +115,9 @@ class SimOutcome:
     deflections: int
     drained: bool
     digest: str
+    # Cycles simulated one by one; the rest were fast-forwarded. Not part of
+    # the digest or of any report.
+    stepped_cycles: int
     trace: list = field(default_factory=list)
 
 
@@ -130,9 +132,6 @@ class _RingState:
         self.pb: dict[int, deque] = {}
         self.defl: dict[int, int] = {}
         self.inj: dict[int, list] = {}
-
-    def busy(self) -> bool:
-        return bool(self.fb or self.pb or self.inj)
 
 
 def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
@@ -181,15 +180,21 @@ class _Engine:
         topo = flowset.topology
         width = topo.width
 
-        if any(f.length >= 1 << _IDX_BITS for f in flowset.flows):
-            raise ProtocolViolation("packet length exceeds the engine's flit index range")
+        # A flit is encoded as (packet id << idx_bits) | flit index, with just
+        # enough index bits for the longest packet.
+        longest = max((f.length for f in flowset.flows), default=1)
+        self.idx_bits = max(1, (longest - 1).bit_length())
+        self.idx_mask = (1 << self.idx_bits) - 1
 
         self.rings: dict[int, _RingState] = {
             ring.id: _RingState(ring.id, ring.size, ring_capacity(flowset, ring.id))
             for ring in topo.rings
         }
-        # Per flow: ring id, source/destination positions, hop count, queue
-        # key and ejection-link key. Keys are tuples so they sort uniformly.
+        # Ids of the rings whose fb, pb or inj is non-empty.
+        self.busy_rings: set[int] = set()
+        # Per flow: ring id, source/destination positions, hop count, length,
+        # queue key, ejection-link key and flow id. Keys are tuples so they
+        # sort uniformly.
         self.flow_info: dict[int, tuple] = {}
         dst_groups: dict[int, list[int]] = {}
         for f in sorted(flowset.flows, key=lambda f: f.id):
@@ -215,14 +220,15 @@ class _Engine:
             ekey = elinks.get(f.id, (core_dst, f.ring)) if hw.ejection == "shared" \
                 else (core_dst, f.ring)
             self.flow_info[f.id] = (f.ring, srcpos, dstpos,
-                                    ring.hops(f.src, f.dst), f.length, qkey, ekey)
+                                    ring.hops(f.src, f.dst), f.length, qkey, ekey, f.id)
 
         self.queues: dict[tuple, deque] = {}
         self.busy_queues: set[tuple] = set()
         self.ebusy: dict[tuple, list] = {}
 
-        # Packet registry, indexed by packet id in release order.
-        self.pkt_flow: list[int] = []
+        # Packet registry, indexed by packet id in release order; pkt_info
+        # holds each packet's flow_info tuple.
+        self.pkt_info: list[tuple] = []
         self.pkt_release: list[int] = []
         self.pkt_deflections: list[int] = []
         self.pkt_delivery: list[int] = []
@@ -235,12 +241,13 @@ class _Engine:
         self.deflection_events = 0
         self.trace: list = []
         self.fast = cfg.fast_forward and not cfg.collect_trace
+        self.stepped_cycles = 0
 
     # -- packet bookkeeping -------------------------------------------------
 
     def _new_packet(self, flow_id: int, release: int) -> int:
-        pkt = len(self.pkt_flow)
-        self.pkt_flow.append(flow_id)
+        pkt = len(self.pkt_info)
+        self.pkt_info.append(self.flow_info[flow_id])
         self.pkt_release.append(release)
         self.pkt_deflections.append(0)
         self.pkt_delivery.append(-1)
@@ -250,7 +257,7 @@ class _Engine:
         return pkt
 
     def _deliver(self, pkt: int, cycle: int) -> None:
-        flow_id = self.pkt_flow[pkt]
+        flow_id = self.pkt_info[pkt][7]
         latency = cycle - self.pkt_release[pkt]
         stats = self.flow_stats[flow_id]
         stats[0] += 1
@@ -309,30 +316,27 @@ class _Engine:
                 self.queues.setdefault(qkey, deque()).append(pkt)
                 ptr += 1
             self._cycle(t)
+            self.stepped_cycles += 1
             t += 1
         return self._finish()
 
     def _network_busy(self) -> bool:
-        if self.queues or self.ebusy:
-            return True
-        return any(r.busy() for r in self.rings.values())
+        return bool(self.queues or self.ebusy or self.busy_rings)
 
     def _try_solo_fast_forward(self, t: int, next_release: int | None) -> int | None:
         """When a single packet remains in flight with a clear road, deliver it
         analytically and jump past its completion."""
         if self.queues or self.ebusy and len(self.ebusy) > 1:
             return None
-        live = None
-        for ring in self.rings.values():
-            if ring.pb or ring.inj or ring.defl:
-                return None
-            if ring.fb:
-                if live is not None:
-                    return None
-                live = ring
-        if live is None:
+        # Every flit in flight keeps its ring busy, and so does a pending
+        # deflection (its packet's last flits are still on the ring), so the
+        # packet must be the only traffic of the only busy ring.
+        if len(self.busy_rings) != 1:
             return None
-        pkts = {flit >> _IDX_BITS for flit in live.fb.values()}
+        live = self.rings[next(iter(self.busy_rings))]
+        if live.pb or live.inj or live.defl:
+            return None
+        pkts = {flit >> self.idx_bits for flit in live.fb.values()}
         if len(pkts) != 1:
             return None
         pkt = pkts.pop()
@@ -340,7 +344,7 @@ class _Engine:
             busy = next(iter(self.ebusy.values()))
             if busy[0] != pkt:
                 return None
-        info = self.flow_info[self.pkt_flow[pkt]]
+        info = self.pkt_info[pkt]
         if info[0] != live.ring_id:
             return None
         dstpos, size = info[2], live.size
@@ -349,6 +353,7 @@ class _Engine:
             return None
         self.flits_ejected += len(live.fb)
         live.fb.clear()
+        self.busy_rings.clear()
         self.ebusy.clear()
         self._deliver(pkt, finish)
         return finish + 1
@@ -356,24 +361,29 @@ class _Engine:
     # -- one cycle ------------------------------------------------------------
 
     def _cycle(self, t: int) -> None:
-        flow_info = self.flow_info
-        pkt_flow = self.pkt_flow
+        rings = self.rings
+        busy_rings = self.busy_rings
+        pkt_info = self.pkt_info
+        bits, mask = self.idx_bits, self.idx_mask
         trace = self.trace if self.cfg.collect_trace else None
+        # Rings idle at cycle start have no flit to route and no port to
+        # serve; the rest are visited in ring-id order.
+        active = sorted(busy_rings)
 
         # Route every flit that sits in a flit buffer: ejection candidates
         # (grouped per ejection link) or thru traffic wanting the output port.
         eject_cands: dict[tuple, list] = {}
         thru: dict[int, dict[int, int]] = {}
-        for rid in sorted(self.rings):
-            ring = self.rings[rid]
+        for rid in active:
+            ring = rings[rid]
             if not ring.fb:
                 continue
             ring_thru: dict[int, int] = {}
             for pos in sorted(ring.fb):
                 flit = ring.fb[pos]
-                pkt = flit >> _IDX_BITS
-                idx = flit & _IDX_MASK
-                info = flow_info[pkt_flow[pkt]]
+                pkt = flit >> bits
+                idx = flit & mask
+                info = pkt_info[pkt]
                 if info[2] == pos and info[0] == rid:
                     if ring.defl.get(pos) == pkt:
                         ring_thru[pos] = flit
@@ -407,7 +417,7 @@ class _Engine:
                 headers = [c for c in cands if c[3] == 0]
                 if len(headers) != len(cands):
                     raise ProtocolViolation("mid-packet flit arrived on a free ejection link")
-                key = lambda c: (self.pkt_release[c[2]], pkt_flow[c[2]])
+                key = lambda c: (self.pkt_release[c[2]], self.pkt_info[c[2]][7])
                 winner = min(headers, key=key)
                 for cand in headers:
                     rid, pos, pkt, idx = cand
@@ -425,8 +435,8 @@ class _Engine:
         # the ejection link frees the port, so it does not gate header
         # injection (the buffer-empty rule protects the port, not the slot).
         emitted: dict[int, set[int]] = {}
-        for rid in sorted(self.rings):
-            ring = self.rings[rid]
+        for rid in active:
+            ring = rings[rid]
             ring_thru = thru.get(rid, {})
             new_fb: dict[int, int] = {}
             positions = emitted[rid] = set(ring.inj) | set(ring.pb) | set(ring_thru)
@@ -435,12 +445,11 @@ class _Engine:
                 if pos in ring.inj:
                     state = ring.inj[pos]
                     pkt, idx, qkey = state[0], state[1], state[2]
-                    new_fb[nxt] = (pkt << _IDX_BITS) | idx
+                    new_fb[nxt] = (pkt << bits) | idx
                     self.flits_injected += 1
                     if trace is not None:
                         trace.append(("out", t, rid, pos, pkt, idx))
-                    length = flow_info[pkt_flow[pkt]][4]
-                    if idx + 1 == length:
+                    if idx + 1 == pkt_info[pkt][4]:
                         del ring.inj[pos]
                         self.busy_queues.discard(qkey)
                         queue = self.queues[qkey]
@@ -456,7 +465,7 @@ class _Engine:
                     flit = buf.popleft()
                     new_fb[nxt] = flit
                     if trace is not None:
-                        trace.append(("out", t, rid, pos, flit >> _IDX_BITS, flit & _IDX_MASK))
+                        trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
                     if pos in ring_thru:
                         buf.append(ring_thru.pop(pos))
                     if not buf:
@@ -465,10 +474,12 @@ class _Engine:
                     flit = ring_thru.pop(pos)
                     new_fb[nxt] = flit
                     if trace is not None:
-                        trace.append(("out", t, rid, pos, flit >> _IDX_BITS, flit & _IDX_MASK))
+                        trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
             if ring_thru:
                 raise ProtocolViolation("a flit was left behind in a flit buffer")
             ring.fb = new_fb
+            if not (new_fb or ring.pb or ring.inj):
+                busy_rings.discard(rid)
 
         # Fresh header injections: head of each idle queue, provided the
         # ring's flit buffer was empty this cycle and its packet buffer is.
@@ -476,19 +487,20 @@ class _Engine:
             if qkey in self.busy_queues:
                 continue
             pkt = self.queues[qkey][0]
-            info = flow_info[pkt_flow[pkt]]
+            info = pkt_info[pkt]
             rid, pos, length = info[0], info[1], info[4]
-            ring = self.rings[rid]
+            ring = rings[rid]
             # Blocked whenever the output port carried ring traffic this
             # cycle: a thru or deflected flit, a packet buffer that was
             # draining at cycle start (even if it emptied this cycle), or an
             # ongoing payload injection (even one that finished this cycle).
-            if pos in emitted[rid]:
+            if pos in emitted.get(rid, ()):
                 continue
             nxt = (pos + 1) % ring.size
             if nxt in ring.fb:
                 raise ProtocolViolation("output port emitted two flits in one cycle")
-            ring.fb[nxt] = pkt << _IDX_BITS
+            ring.fb[nxt] = pkt << bits
+            busy_rings.add(rid)
             self.flits_injected += 1
             if trace is not None:
                 trace.append(("inject", t, pkt, rid, pos))
@@ -514,7 +526,7 @@ class _Engine:
 
     def _eject(self, ekey: tuple, rid: int, pos: int, pkt: int, idx: int,
                t: int, trace) -> None:
-        length = self.flow_info[self.pkt_flow[pkt]][4]
+        length = self.pkt_info[pkt][4]
         self.flits_ejected += 1
         if trace is not None:
             trace.append(("eject", t, ekey, pkt, idx))
@@ -527,10 +539,9 @@ class _Engine:
     def _deflect(self, rid: int, pos: int, pkt: int, t: int, thru, trace) -> None:
         self.pkt_deflections[pkt] += 1
         self.deflection_events += 1
-        length = self.flow_info[self.pkt_flow[pkt]][4]
-        if length > 1:
+        if self.pkt_info[pkt][4] > 1:
             self.rings[rid].defl[pos] = pkt
-        thru.setdefault(rid, {})[pos] = pkt << _IDX_BITS
+        thru.setdefault(rid, {})[pos] = pkt << self.idx_bits
         if trace is not None:
             trace.append(("deflect", t, rid, pos, pkt))
 
@@ -549,7 +560,7 @@ class _Engine:
             )
         blob = ";".join(
             f"{pkt}:{self.pkt_delivery[pkt]}:{self.pkt_deflections[pkt]}"
-            for pkt in range(len(self.pkt_flow))
+            for pkt in range(len(self.pkt_info))
         )
         digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
         return SimOutcome(
@@ -561,6 +572,7 @@ class _Engine:
             deflections=self.deflection_events,
             drained=drained,
             digest=digest,
+            stepped_cycles=self.stepped_cycles,
             trace=self.trace,
         )
 

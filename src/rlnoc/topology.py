@@ -246,15 +246,20 @@ def topology_to_doc(topology: Topology) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_topology(doc: dict) -> Topology:
-    """Build a topology from a parsed document, rejecting unknown fields."""
+    """Build a topology from a parsed document, rejecting unknown fields and
+    non-integer (including boolean) numbers."""
     if not isinstance(doc, dict):
         raise SchemaError("topology document must be a mapping")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         raise SchemaError(f"unknown topology fields: {sorted(unknown)}")
     for key in ("width", "height"):
-        if not isinstance(doc.get(key), int):
+        if not _is_int(doc.get(key)):
             raise SchemaError(f"missing or non-integer field {key!r}")
     entries = doc.get("rings")
     if not isinstance(entries, list) or not entries:
@@ -266,7 +271,7 @@ def load_topology(doc: dict) -> Topology:
         unknown = set(entry) - _RING_FIELDS
         if unknown:
             raise SchemaError(f"unknown ring fields: {sorted(unknown)}")
-        if not isinstance(entry.get("id"), int):
+        if not _is_int(entry.get("id")):
             raise SchemaError("ring is missing an integer 'id'")
         raw = entry.get("switches")
         if not isinstance(raw, list):
@@ -274,11 +279,11 @@ def load_topology(doc: dict) -> Topology:
         switches = []
         for item in raw:
             if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or not all(isinstance(v, int) for v in item)):
+                    or not all(map(_is_int, item))):
                 raise SchemaError(f"ring {entry['id']}: switch entries must be [col, row]")
             switches.append(Coord(item[0], item[1]))
         capacity = entry.get("buffer_capacity")
-        if capacity is not None and not isinstance(capacity, int):
+        if capacity is not None and not _is_int(capacity):
             raise SchemaError(f"ring {entry['id']}: buffer_capacity must be an integer")
         rings.append(Ring(id=entry["id"], switches=tuple(switches), buffer_capacity=capacity))
     return build_topology(doc["width"], doc["height"], rings)

@@ -19,6 +19,7 @@ from functools import cached_property
 from .topology import (
     Coord,
     Topology,
+    _is_int,
     generate_multi_ring,
     load_topology,
     select_ring,
@@ -265,10 +266,6 @@ def flowset_to_doc(flowset: Flowset, seed: int | None = None,
         for f in flowset.flows
     ]
     return doc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_coord(value, key: str, fid: int, topology: Topology) -> Coord:

@@ -92,6 +92,17 @@ def _flow_doc(**changes):
     return {"width": 4, "height": 4, "flows": [flow]}
 
 
+def _topology_doc(top=(), ring=()):
+    """A flowset document that embeds the six-switch ring, with changes."""
+    ring_doc = {"id": 0, "switches": [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]]}
+    ring_doc.update(ring)
+    topology = {"width": 3, "height": 2, "rings": [ring_doc]}
+    topology.update(top)
+    flow = {"id": 1, "T": 1000, "D": 900, "L": 4, "J": 0,
+            "src": [0, 0], "dst": [1, 0], "ring": 0}
+    return {"topology": topology, "flows": [flow]}
+
+
 # Malformed flowset documents and the part of the error message that names
 # what is wrong with each.
 MALFORMED_FLOWSETS = {
@@ -113,6 +124,17 @@ MALFORMED_FLOWSETS = {
                          "'flows' must be a list"),
     "missing_field": ({"width": 4, "height": 4, "flows": [{"id": 1}]},
                       "missing field 'T'"),
+    "topology_bool_width": (_topology_doc(top={"width": True}),
+                            "non-integer field 'width'"),
+    "topology_bool_height": (_topology_doc(top={"height": True}),
+                             "non-integer field 'height'"),
+    "topology_bool_ring_id": (_topology_doc(ring={"id": False}),
+                              "ring is missing an integer 'id'"),
+    "topology_bool_switch": (
+        _topology_doc(ring={"switches": [[0, 0], [True, 0], [2, 0], [2, 1], [1, 1], [0, 1]]}),
+        "switch entries must be [col, row]"),
+    "topology_bool_buffer_capacity": (_topology_doc(ring={"buffer_capacity": True}),
+                                      "buffer_capacity must be an integer"),
 }
 
 
@@ -126,6 +148,32 @@ def test_malformed_flowset_exits_three(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_packets_longer_than_1024_flits_run_end_to_end(tmp_path):
+    doc = {"width": 2, "height": 2, "flows": [
+        {"id": 1, "T": 100_000, "D": 100_000, "L": 1500, "J": 0,
+         "src": [0, 0], "dst": [1, 0]},
+        {"id": 2, "T": 100_000, "D": 100_000, "L": 3, "J": 0,
+         "src": [0, 1], "dst": [1, 0]},
+    ]}
+    flowset_file = tmp_path / "long.json"
+    flowset_file.write_text(json.dumps(doc))
+    result_file = tmp_path / "result.csv"
+    assert run(["analyze", "--flowset", str(flowset_file), "--config", "0D_IU_SI",
+                "--out", str(result_file)]) == 0
+    assert result_file.read_text().startswith("# verdict=schedulable")
+    sim_file = tmp_path / "sim.csv"
+    assert run(["simulate", "--flowset", str(flowset_file), "--horizon", "300000",
+                "--out", str(sim_file)]) == 0
+    rows = sim_file.read_text().strip().split("\n")[2:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert all(int(row.split(",")[1]) > 0 for row in rows)
+    report_file = tmp_path / "verify.txt"
+    assert run(["verify", "--flowset", str(flowset_file), "--config", "0D_IU_SI",
+                "--seeds", "2", "--horizon", "300000", "--out", str(report_file)]) == 0
+    report = report_file.read_text()
+    assert "violation" not in report and report.endswith("checked 2 runs: ok\n")
 
 
 def test_bad_flags_exit_two():

@@ -1,12 +1,13 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
 from rlnoc.analysis import analyze, basic_latency, parse_profile
 from rlnoc.simulator import (
     HardwareProfile,
-    ProtocolViolation,
     SimConfig,
     hardware_from_config,
     oracle_check,
@@ -34,6 +35,19 @@ class TestCalibration:
         assert stats.max_latency == expect
         assert stats.mean_latency == expect
         assert stats.max_latency <= basic_latency(flowset, flowset.flows[0]) + 1
+
+    def test_stepped_cycles_count_only_simulated_cycles(self, six_ring_topology):
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (2, 0), (0, 0), period=700, length=8))
+        cfg = SimConfig(seed=5, horizon=50_000)
+        fast = simulate(flowset, cfg, SHARED)
+        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        assert fast.digest == slow.digest
+        # Every uncontended packet is fast-forwarded; stepping runs each one
+        # from its release to the cycle its last flit is ejected.
+        assert fast.stepped_cycles == 0
+        latency = slow.per_flow[1].max_latency
+        assert slow.stepped_cycles == slow.released * (latency + 1)
 
     def test_every_topology_and_path_shape(self):
         topo = generate_multi_ring(4, 4)
@@ -71,6 +85,48 @@ class TestDeterminism:
         assert fast.digest == slow.digest
         assert fast.per_flow == slow.per_flow
         assert fast.deflections == slow.deflections
+
+
+LAYOUTS = [HardwareProfile(injection, ejection, limit)
+           for injection in ("independent", "shared")
+           for ejection in ("independent", "shared")
+           for limit in ((None,) if ejection == "independent" else (None, 1, 2))]
+
+
+@st.composite
+def small_flowsets(draw):
+    width = draw(st.sampled_from((2, 3)))
+    topo = generate_multi_ring(width, width)
+    cores = [(col, row) for col in range(width) for row in range(width)]
+    # Flows converge on one core half the time, so that shared ejection
+    # links deflect packets.
+    hot = draw(st.sampled_from(cores))
+    flows = []
+    for fid in range(1, draw(st.integers(1, 12)) + 1):
+        dst = hot if draw(st.booleans()) else draw(st.sampled_from(cores))
+        src = draw(st.sampled_from([core for core in cores if core != dst]))
+        period = draw(st.integers(10, 200))
+        flows.append(make_flow(fid, src, dst, ring=select_ring(topo, src, dst),
+                               period=period, length=draw(st.integers(1, 16)),
+                               jitter=draw(st.integers(0, period // 2))))
+    return Flowset(tuple(flows), topo)
+
+
+class TestFastForwardProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(flowset=small_flowsets(), hw=st.sampled_from(LAYOUTS),
+           seed=st.integers(0, 2**16), horizon=st.integers(100, 2_000),
+           release=st.sampled_from(("periodic", "sporadic")))
+    def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release):
+        cfg = SimConfig(seed=seed, horizon=horizon, release=release)
+        fast = simulate(flowset, cfg, hw)
+        slow = simulate(flowset, replace(cfg, fast_forward=False), hw)
+        assert fast.digest == slow.digest
+        assert fast.deflections == slow.deflections
+        assert (fast.flits_injected, fast.flits_ejected) == \
+            (slow.flits_injected, slow.flits_ejected)
+        assert fast.per_flow == slow.per_flow
+        assert fast.stepped_cycles <= slow.stepped_cycles
 
 
 class TestConservation:
@@ -207,12 +263,20 @@ class TestProtocolRules:
         assert out.per_flow[2].max_deflections == 3
         assert out.per_flow[2].max_latency == 16
 
-    def test_oversized_packet_rejected(self, six_ring_topology):
+    def test_packets_longer_than_1024_flits_simulate(self, six_ring_topology):
+        # The flit index width follows the longest packet, so a packet of
+        # 1030 flits is carried in order like any other.
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (1, 0), period=5_000,
                                           length=1030))
-        with pytest.raises(ProtocolViolation):
-            simulate(flowset, SimConfig(seed=0, horizon=100), SHARED)
+        cfg = SimConfig(seed=0, horizon=100, release="periodic",
+                        release_offsets={1: 0}, collect_trace=True)
+        out = simulate(flowset, cfg, SHARED)
+        assert out.released == out.delivered == 1
+        assert out.flits_injected == out.flits_ejected == 1030
+        assert out.per_flow[1].max_latency == basic_latency(flowset, flowset.flows[0]) - 1
+        ejected = [e[4] for e in out.trace if e[0] == "eject"]
+        assert ejected == list(range(1030))
 
 
 class TestOracle:
