@@ -166,8 +166,7 @@ class AnalysisRecord:
 
 def basic_latency(flowset: Flowset, flow: Flow) -> int:
     """Contention-free source-to-destination latency: path switches + payload."""
-    ring = flowset.topology.ring(flow.ring)
-    return ring.hops(flow.src, flow.dst) + 1 + flow.length - 1
+    return flowset.index.route[flow.id][1] + 1 + flow.length - 1
 
 
 def loop_latency(flowset: Flowset, flow: Flow) -> int:
@@ -200,7 +199,7 @@ def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int
         return 0
     if config.maxloop_mode == "fixed":
         return config.maxloop
-    others = flowset.index.same_dst[flow.dst] - 1
+    others = len(flowset.index.on_dst[flow.dst]) - 1
     return others + 1 if config.oldest_first_inclusive else others
 
 
@@ -212,16 +211,15 @@ def post_injection_interference(flowset: Flowset, flow: Flow,
     coarse variant charges the full buffer capacity per switch. The
     destination switch is included unless the study flag drops it.
     """
-    ring = flowset.topology.ring(flow.ring)
-    start = ring.position(flow.src)
-    downstream = ring.hops(flow.src, flow.dst)
+    start, downstream = flowset.index.route[flow.id]
+    bounds = flowset.index.buffer_bounds[flow.ring]
+    size = len(bounds)
     if config.exclude_destination_buffer:
         downstream -= 1
     if config.ipos_formula == "coarse":
         capacity = ring_capacity(flowset, flow.ring)
-        return downstream * capacity + maxloop * ring.size * capacity
-    bounds = flowset.index.buffer_bounds[flow.ring]
-    direct = sum(bounds[(start + d) % ring.size] for d in range(1, downstream + 1))
+        return downstream * capacity + maxloop * size * capacity
+    direct = sum(bounds[(start + d) % size] for d in range(1, downstream + 1))
     return direct + maxloop * sum(bounds)
 
 
@@ -315,8 +313,8 @@ def _build_context(flowset: Flowset, config: AnalysisConfig) -> _Contexts:
         # Reject an undersized buffer override before any flow can fail.
         for ring_id in flowset.index.on_ring:
             ring_capacity(flowset, ring_id)
-    maxloops = {f.id: resolve_maxloop(flowset, f, config) for f in flowset.flows}
-    flows = sorted(flowset.flows, key=lambda f: f.id)
+    flows = flowset.index.flows.values()
+    maxloops = {f.id: resolve_maxloop(flowset, f, config) for f in flows}
     return _Contexts(_FlowContext(flowset, f, config, maxloops) for f in flows)
 
 

@@ -57,6 +57,16 @@ def _float_pair(text: str) -> tuple[float, float]:
     return _parse_pair(text, float)
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -122,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", metavar="FILE")
     p.add_argument("--config", default="0D_IU_SI")
     p.add_argument("--ipos", choices=("tight", "coarse"), default="tight")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0, help="master seed for the simulation seeds")
     p.add_argument("--horizon", type=int, default=1_000_000)
     p.add_argument("--out", metavar="FILE", help="write the violation report")
@@ -133,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", type=_grid, nargs="+", default=None, metavar="WxH")
     p.add_argument("--packets", type=_int_pair, nargs="+", default=None, metavar="LO:HI")
     p.add_argument("--flows", type=int, nargs="+", default=None)
-    p.add_argument("--flowsets", type=int, default=None, help="flowsets per point")
+    p.add_argument("--flowsets", type=_count, default=None, help="flowsets per point")
     p.add_argument("--configs", nargs="+", default=None)
     p.add_argument("--out", metavar="FILE")
 
@@ -143,12 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="configuration (the worse one in diff mode)")
     p.add_argument("--config-better", default=None,
                    help="better configuration for diff mode")
-    p.add_argument("--flows", type=int, nargs="+", default=(25, 50, 75, 100))
-    p.add_argument("--flowsets", type=int, default=1, help="flowsets per point")
+    p.add_argument("--flows", type=_count, nargs="+", default=(25, 50, 75, 100))
+    p.add_argument("--flowsets", type=_count, default=1, help="flowsets per point")
     p.add_argument("--grid", type=_grid, default=(4, 4), metavar="WxH")
     p.add_argument("--packets", type=_int_pair, default=(16, 48), metavar="LO:HI")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--attempts", type=int, default=200)
+    p.add_argument("--attempts", type=_count, default=200)
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("plot", help="render a sweep or stats CSV as SVG")
@@ -268,7 +278,7 @@ def _cmd_sweep(args) -> int:
         overrides["packet_ranges"] = tuple(args.packets)
     if args.flows:
         overrides["flows_schedule"] = tuple(args.flows)
-    if args.flowsets:
+    if args.flowsets is not None:
         overrides["flowsets_per_point"] = args.flowsets
     if args.configs:
         overrides["configs"] = tuple(args.configs)

@@ -196,31 +196,24 @@ class _Engine:
         # queue key, ejection-link key and flow id. Keys are tuples so they
         # sort uniformly.
         self.flow_info: dict[int, tuple] = {}
-        dst_groups: dict[int, list[int]] = {}
-        for f in sorted(flowset.flows, key=lambda f: f.id):
-            dst_groups.setdefault(f.dst.row * width + f.dst.col, []).append(f.id)
+        index = flowset.index
+        # Under shared ejection, each core's flows, in id order, are dealt
+        # round-robin over its ejection links.
         elinks: dict[int, tuple] = {}
-        for core, fids in sorted(dst_groups.items()):
-            if hw.ejection == "independent":
-                continue
-            if hw.partition_limit is None:
-                for fid in fids:
-                    elinks[fid] = (core, 0)
-            else:
-                n_links = -(-len(fids) // hw.partition_limit)
-                for i, fid in enumerate(fids):
-                    elinks[fid] = (core, i % n_links)
-        for f in flowset.flows:
-            ring = topo.ring(f.ring)
-            srcpos = ring.position(f.src)
-            dstpos = ring.position(f.dst)
+        if hw.ejection == "shared":
+            limit = hw.partition_limit
+            for dst, flows in index.on_dst.items():
+                n_links = 1 if limit is None else -(-len(flows) // limit)
+                for i, f in enumerate(flows):
+                    elinks[f.id] = (dst.row * width + dst.col, i % n_links)
+        for f in index.flows.values():
+            start, hops = index.route[f.id]
             core_src = f.src.row * width + f.src.col
             core_dst = f.dst.row * width + f.dst.col
             qkey = (core_src,) if hw.injection == "shared" else (core_src, f.ring)
-            ekey = elinks.get(f.id, (core_dst, f.ring)) if hw.ejection == "shared" \
-                else (core_dst, f.ring)
-            self.flow_info[f.id] = (f.ring, srcpos, dstpos,
-                                    ring.hops(f.src, f.dst), f.length, qkey, ekey, f.id)
+            ekey = elinks[f.id] if hw.ejection == "shared" else (core_dst, f.ring)
+            self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
+                                    hops, f.length, qkey, ekey, f.id)
 
         self.queues: dict[tuple, deque] = {}
         self.busy_queues: set[tuple] = set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,12 +73,6 @@ class Flowset:
         and kept for the flowset's lifetime."""
         return FlowsetIndex(self)
 
-    def flow(self, flow_id: int) -> Flow:
-        try:
-            return self.index.flows[flow_id]
-        except KeyError:
-            raise KeyError(f"no flow with id {flow_id}") from None
-
 
 @dataclass(frozen=True)
 class InterferenceSets:
@@ -98,28 +92,37 @@ class InterferenceSets:
 
 
 class FlowsetIndex:
-    """Config-independent lookups shared by the analyses of one flowset:
-    flows by id, by ring and by source core, each ring's worst backlog per
-    switch position (the largest payload, length - 1, injected there), the
-    flow count per destination switch, and the interference table."""
-
-    __slots__ = ("flows", "on_ring", "on_core", "buffer_bounds", "same_dst",
-                 "interference")
+    """Config-independent lookups shared by the analyses and simulations of
+    one flowset: flows by id (in id order), by ring, by source core and by
+    destination core; each flow's route, ``(start, hops)``: its source
+    position on its ring and its hop count; each ring's worst backlog per
+    switch position (the largest payload, length - 1, injected there); and
+    the interference table, built on first use."""
 
     def __init__(self, flowset: Flowset):
         topo = flowset.topology
-        self.flows = {f.id: f for f in flowset.flows}
+        # Weak: a cycle through Flowset.index would keep dropped flowsets
+        # alive until the garbage collector's next full pass.
+        self._flowset = weakref.ref(flowset)
+        self.flows = {f.id: f for f in sorted(flowset.flows, key=lambda f: f.id)}
         self.on_ring: dict[int, list[Flow]] = {}
         self.on_core: dict[Coord, list[Flow]] = {}
+        self.on_dst: dict[Coord, list[Flow]] = {}
+        self.route: dict[int, tuple[int, int]] = {}
         self.buffer_bounds = {ring.id: [0] * ring.size for ring in topo.rings}
-        for f in flowset.flows:
+        for f in self.flows.values():
+            ring = topo.ring(f.ring)
+            start = ring.position(f.src)
+            self.route[f.id] = (start, ring.hops(f.src, f.dst))
             self.on_ring.setdefault(f.ring, []).append(f)
             self.on_core.setdefault(f.src, []).append(f)
+            self.on_dst.setdefault(f.dst, []).append(f)
             bounds = self.buffer_bounds[f.ring]
-            pos = topo.ring(f.ring).position(f.src)
-            bounds[pos] = max(bounds[pos], f.length - 1)
-        self.same_dst = Counter(f.dst for f in flowset.flows)
-        self.interference = interference_table(flowset)
+            bounds[start] = max(bounds[start], f.length - 1)
+
+    @cached_property
+    def interference(self) -> dict[int, InterferenceSets]:
+        return interference_table(self._flowset())
 
 
 @dataclass(frozen=True)
@@ -181,46 +184,35 @@ def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) 
     return Flowset(tuple(flows), topology)
 
 
-def _link_profile(ring, flow) -> tuple[int, Coord, Coord]:
-    # Ring links occupied by the flow, as a bitmask over link positions
-    # (link p runs from switch p to switch p+1), plus its injection and
-    # ejection link identities (the source and destination switches).
-    start = ring.position(flow.src)
-    mask = 0
-    for d in range(ring.hops(flow.src, flow.dst)):
-        mask |= 1 << ((start + d) % ring.size)
-    return mask, flow.src, flow.dst
-
-
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     """Interference sets for every flow of the flowset in one pass."""
-    by_ring: dict[int, list[Flow]] = {}
-    for f in flowset.flows:
-        by_ring.setdefault(f.ring, []).append(f)
-
+    index = flowset.index
     up_map: dict[int, frozenset[int]] = {}
     down_map: dict[int, frozenset[int]] = {}
     in_ring_map: dict[int, frozenset[int]] = {}
-    profiles: dict[int, tuple[int, Coord, Coord]] = {}
+    # Ring links occupied by each flow, as a bitmask over link positions
+    # (link p runs from switch p to switch p+1).
+    masks: dict[int, int] = {}
 
-    for ring in flowset.topology.rings:
-        members = by_ring.get(ring.id)
-        if not members:
-            continue
+    for ring_id, members in index.on_ring.items():
+        size = flowset.topology.ring(ring_id).size
         thru_at: dict[int, set[int]] = {}
         in_at: dict[int, set[int]] = {}
         for f in members:
-            profiles[f.id] = _link_profile(ring, f)
-            start = ring.position(f.src)
+            start, hops = index.route[f.id]
             in_at.setdefault(start, set()).add(f.id)
-            for d in range(1, ring.hops(f.src, f.dst)):
-                thru_at.setdefault((start + d) % ring.size, set()).add(f.id)
+            mask = 1 << start
+            for d in range(1, hops):
+                pos = (start + d) % size
+                thru_at.setdefault(pos, set()).add(f.id)
+                mask |= 1 << pos
+            masks[f.id] = mask
         for f in members:
-            start = ring.position(f.src)
+            start, hops = index.route[f.id]
             up = frozenset(thru_at.get(start, ()))
             down = set()
-            for d in range(1, ring.hops(f.src, f.dst)):
-                down |= in_at.get((start + d) % ring.size, set())
+            for d in range(1, hops):
+                down |= in_at.get((start + d) % size, set())
             # A wrapping flow can both cross the injection switch and inject
             # downstream; it is classified as upstream interference, keeping
             # the four classes mutually exclusive. No bound consumes the down
@@ -231,17 +223,17 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
 
     # Upstream indirect interference: one level of indirection only. A flow
     # qualifies when it delays some member of up (as upstream or injection
-    # direct interference) while sharing no link with the flow under analysis.
+    # direct interference) while sharing no link, injection link or ejection
+    # link (source or destination switch) with the flow under analysis.
     table: dict[int, InterferenceSets] = {}
-    for f in flowset.flows:
-        mask_f, src_f, dst_f = profiles[f.id]
+    for f in index.flows.values():
         upind = set()
         for j in up_map[f.id]:
             for k in up_map[j] | in_ring_map[j]:
                 if k == f.id or k in upind:
                     continue
-                mask_k, src_k, dst_k = profiles[k]
-                if mask_k & mask_f == 0 and src_k != src_f and dst_k != dst_f:
+                g = index.flows[k]
+                if masks[k] & masks[f.id] == 0 and g.src != f.src and g.dst != f.dst:
                     upind.add(k)
         table[f.id] = InterferenceSets(up=up_map[f.id], down=down_map[f.id],
                                        in_ring=in_ring_map[f.id],

@@ -148,7 +148,7 @@ class TestPostInjectionInterference:
 
     def test_deflections_add_whole_ring_bound(self, five_flow_fixture):
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=2)
-        flow = five_flow_fixture.flow(3)
+        flow = five_flow_fixture.index.flows[3]
         base = post_injection_interference(five_flow_fixture, flow, cfg, 0)
         ring_sum = sum(five_flow_fixture.index.buffer_bounds[0])
         assert ring_sum > 0
@@ -265,7 +265,7 @@ class TestQueueWait:
                 basic = _busy(ctx, 1 + ctx.in_sum, jk, None)
                 if basic is None:
                     continue
-                queue = sum(flowset.flow(j).length + idle[j] for j in ctx.in_core)
+                queue = sum(flowset.index.flows[j].length + idle[j] for j in ctx.in_core)
                 assert idle[ctx.flow.id] + queue >= basic, (trial, ctx.flow.id)
                 checked += 1
         assert checked > 1000
@@ -283,11 +283,11 @@ class TestResolveMaxloop:
         flowset = build_flowset(six_ring_topology, *flows)
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="oldest_first")
         for fid in (1, 2, 3):
-            assert resolve_maxloop(flowset, flowset.flow(fid), cfg) == 2
-        assert resolve_maxloop(flowset, flowset.flow(4), cfg) == 0
+            assert resolve_maxloop(flowset, flowset.index.flows[fid], cfg) == 2
+        assert resolve_maxloop(flowset, flowset.index.flows[4], cfg) == 0
         inclusive = AnalysisConfig(ejection="shared", maxloop_mode="oldest_first",
                                    oldest_first_inclusive=True)
-        assert resolve_maxloop(flowset, flowset.flow(1), inclusive) == 3
+        assert resolve_maxloop(flowset, flowset.index.flows[1], inclusive) == 3
 
     def test_fixed_bound_applies_to_every_flow(self, five_flow_fixture):
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=3)

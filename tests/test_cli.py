@@ -183,6 +183,17 @@ def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
+    # Counts below 1 are usage errors, not empty or default runs.
+    for argv in (["flowstats", "--mode", "shares", "--flowsets", "0"],
+                 ["flowstats", "--mode", "shares", "--flows", "0"],
+                 ["flowstats", "--mode", "shares", "--attempts", "0"],
+                 ["sweep", "--flowsets", "0"],
+                 ["sweep", "--flowsets", "-1"],
+                 ["verify", "--flowset", "flows.json", "--seeds", "-2"],
+                 ["verify", "--flowset", "flows.json", "--seeds", "0"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
 
 
 def test_unknown_profile_exits_two(tmp_path, capsys):

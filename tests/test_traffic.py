@@ -1,8 +1,16 @@
+import itertools
+import json
 import math
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
+from rlnoc.analysis import analyze, parse_profile, results_to_csv
+from rlnoc.simulator import HardwareProfile, SimConfig, simulate
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
@@ -12,7 +20,7 @@ from rlnoc.traffic import (
     interference_table,
     load_flowset,
 )
-from rlnoc.topology import NotOnRingError
+from rlnoc.topology import NotOnRingError, build_topology, generate_multi_ring
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -58,6 +66,57 @@ class TestClassifySwitchFlows:
             ring.position((0, 3))
 
 
+def shuffled(flowset, seed=0):
+    flows = list(flowset.flows)
+    random.Random(seed).shuffle(flows)
+    return Flowset(tuple(flows), flowset.topology)
+
+
+class TestFlowsetIndex:
+    @pytest.mark.parametrize("grid", [(4, 4), (5, 5)])
+    def test_route_matches_ring_positions(self, grid):
+        for seed in range(4):
+            flowset = generate_flowset(BenchmarkParams(
+                flows_per_set=80, width=grid[0], height=grid[1], seed=seed))
+            for f in flowset.flows:
+                ring = flowset.topology.ring(f.ring)
+                assert flowset.index.route[f.id] == (ring.position(f.src),
+                                                     ring.hops(f.src, f.dst))
+
+    def test_flows_in_id_order_whatever_the_listing(self):
+        flowset = shuffled(generate_flowset(BenchmarkParams(flows_per_set=40, seed=2)))
+        assert [f.id for f in flowset.flows] != list(range(1, 41))
+        index = flowset.index
+        assert list(index.flows) == list(range(1, 41))
+        for groups in (index.on_ring, index.on_core, index.on_dst):
+            for flows in groups.values():
+                assert [f.id for f in flows] == sorted(f.id for f in flows)
+
+    @pytest.mark.parametrize("name,ipos", [("0D_IU_SI", "tight"), ("0D_NI_II", "tight"),
+                                           ("OF_IU_SI", "tight"), ("1D_IU_SI", "coarse")])
+    def test_listing_order_leaves_analysis_unchanged(self, name, ipos):
+        # The 60-flow sets are mostly unschedulable under OF_IU_SI, where the
+        # failing flow reported is the first one checked.
+        config = parse_profile(name, ipos_formula=ipos)
+        for flows, seed in itertools.product((30, 60), range(4)):
+            in_order = generate_flowset(BenchmarkParams(flows_per_set=flows, seed=seed))
+            csvs = [results_to_csv(analyze(fs, config), config,
+                                   diagnostics=fs.index.interference)
+                    for fs in (in_order, shuffled(in_order, seed))]
+            assert csvs[0] == csvs[1]
+
+    def test_listing_order_leaves_simulation_unchanged(self):
+        # Dense traffic on shared ejection links split two flows per link:
+        # which flows share a link follows the id order of each core's flows.
+        in_order = generate_flowset(BenchmarkParams(
+            flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
+        cfg = SimConfig(seed=3, horizon=3_000)
+        hw = HardwareProfile("shared", "shared", partition_limit=2)
+        outcomes = [simulate(fs, cfg, hw) for fs in (in_order, shuffled(in_order))]
+        assert outcomes[0].deflections > 0
+        assert outcomes[0].digest == outcomes[1].digest
+
+
 class TestInterferenceProperties:
     def build_random(self, seed, flows=18):
         params = BenchmarkParams(flows_per_set=flows, width=4, height=4, seed=seed)
@@ -94,7 +153,7 @@ class TestInterferenceProperties:
                 interior = {ring.switches[(start + d) % ring.size]
                             for d in range(1, ring.hops(flow.src, flow.dst))}
                 for other in table[flow.id].down:
-                    assert flowset.flow(other).src in interior
+                    assert flowset.index.flows[other].src in interior
 
     def test_removing_a_flow_never_grows_sets(self):
         flowset = self.build_random(3)
@@ -210,3 +269,30 @@ class TestFlowsetFiles:
         flowset = load_flowset(doc)
         assert flowset.topology.width == 2
         assert flowset.flows[0].ring == 0
+
+
+@st.composite
+def file_flowsets(draw):
+    """A small generated flowset and whether its file embeds the topology;
+    an embedded topology may carry a buffer-capacity override."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    topology = generate_multi_ring(width, height)
+    embed = draw(st.booleans())
+    if embed and draw(st.booleans()):
+        target = draw(st.sampled_from([ring.id for ring in topology.rings]))
+        capacity = draw(st.integers(1, 64))
+        topology = build_topology(width, height, [
+            replace(ring, buffer_capacity=capacity) if ring.id == target else ring
+            for ring in topology.rings])
+    params = BenchmarkParams(flows_per_set=draw(st.integers(0, 12)), width=width,
+                             height=height, seed=draw(st.integers(0, 2**16)))
+    return generate_flowset(params, topology), embed
+
+
+class TestFlowsetFileProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(case=file_flowsets(), seed=st.one_of(st.none(), st.integers(0, 2**31)))
+    def test_json_round_trip_is_lossless(self, case, seed):
+        flowset, embed = case
+        doc = json.loads(json.dumps(flowset_to_doc(flowset, seed, embed_topology=embed)))
+        assert load_flowset(doc) == flowset
