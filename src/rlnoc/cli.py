@@ -57,14 +57,20 @@ def _float_pair(text: str) -> tuple[float, float]:
     return _parse_pair(text, float)
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """Argument type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_count = _at_least(1)
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -92,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the topology document")
 
     p = sub.add_parser("gen", help="generate a random flowset file")
-    p.add_argument("--flows", type=int, required=True)
+    p.add_argument("--flows", type=_at_least(0), required=True)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=4)
     p.add_argument("--packets", type=_int_pair, default=(16, 48), metavar="LO:HI")
@@ -122,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="0D_IU_SI",
                    help="analysis profile the hardware should match")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=1_000_000)
+    p.add_argument("--horizon", type=_count, default=1_000_000)
     p.add_argument("--release", choices=("sporadic", "periodic"), default="sporadic")
     p.add_argument("--trace", metavar="FILE", help="write a cycle-stamped event trace")
     p.add_argument("--out", metavar="FILE")
@@ -134,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ipos", choices=("tight", "coarse"), default="tight")
     p.add_argument("--seeds", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0, help="master seed for the simulation seeds")
-    p.add_argument("--horizon", type=int, default=1_000_000)
+    p.add_argument("--horizon", type=_count, default=1_000_000)
     p.add_argument("--out", metavar="FILE", help="write the violation report")
 
     p = sub.add_parser("sweep", help="schedulability-ratio sweep")
@@ -142,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grids", type=_grid, nargs="+", default=None, metavar="WxH")
     p.add_argument("--packets", type=_int_pair, nargs="+", default=None, metavar="LO:HI")
-    p.add_argument("--flows", type=int, nargs="+", default=None)
+    p.add_argument("--flows", type=_at_least(0), nargs="+", default=None)
     p.add_argument("--flowsets", type=_count, default=None, help="flowsets per point")
     p.add_argument("--configs", nargs="+", default=None)
     p.add_argument("--out", metavar="FILE")

@@ -25,13 +25,15 @@ A flit sent on a link during cycle t is processed by the downstream switch in
 cycle t+1, so in an empty network the last flit of a packet crosses the
 ejection link hops + length - 1 cycles after release.
 
-Because utilisation is typically low, the engine fast-forwards through two
-exactly-predictable situations: a packet released into an empty network with
-no other release due before it drains, and the tail of a congestion episode
-where a single packet remains in flight. Both shortcuts reproduce the
-cycle-accurate outcome bit for bit (tests compare the two modes directly).
-A stepped cycle visits only the rings that hold traffic, so idle rings cost
-nothing.
+Because utilisation is typically low, the engine steps cycle by cycle only
+while packets can interact. While every packet is an uncontended worm (no
+packet-buffer or deflection state, no queue holding two packets, and packets
+pairwise on different rings and ejection links), its flits cross the ejection
+link on consecutive cycles from a header cycle fixed by its progress so far.
+The engine then jumps in closed form to the next release or past the last
+delivery, bit for bit like stepping (tests compare the two modes). Without
+drain, a run stops at the horizon in both modes. A stepped cycle visits only
+the rings that hold traffic, so idle rings cost nothing.
 """
 
 from __future__ import annotations
@@ -138,21 +140,14 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     out: list[tuple[int, int]] = []
     for f in flowset.flows:
         rng = random.Random(derive_seed(cfg.seed, "rel", f.id))
-        times: list[int] = []
         if cfg.release_offsets is not None:
-            start = cfg.release_offsets.get(f.id, 0)
-            n = 0
-            while start + n * f.period < cfg.horizon:
-                times.append(start + n * f.period)
-                n += 1
+            times = list(range(cfg.release_offsets.get(f.id, 0), cfg.horizon, f.period))
         elif cfg.release == "periodic":
             offset = rng.randrange(f.period)
-            n = 0
-            while offset + n * f.period < cfg.horizon:
-                times.append(offset + n * f.period + rng.randrange(f.jitter + 1))
-                n += 1
-            times.sort()
+            times = sorted(base + rng.randrange(f.jitter + 1)
+                           for base in range(offset, cfg.horizon, f.period))
         else:
+            times = []
             t = rng.randrange(f.period + 1)
             while t < cfg.horizon:
                 times.append(t)
@@ -176,7 +171,6 @@ class _Engine:
     def __init__(self, flowset: Flowset, cfg: SimConfig, hw: HardwareProfile):
         self.flowset = flowset
         self.cfg = cfg
-        self.hw = hw
         topo = flowset.topology
         width = topo.width
 
@@ -238,16 +232,18 @@ class _Engine:
 
     # -- packet bookkeeping -------------------------------------------------
 
-    def _new_packet(self, flow_id: int, release: int) -> int:
+    def _release(self, flow_id: int, release: int) -> None:
+        """Register a new packet of the flow and append it to its queue."""
         pkt = len(self.pkt_info)
-        self.pkt_info.append(self.flow_info[flow_id])
+        info = self.flow_info[flow_id]
+        self.pkt_info.append(info)
         self.pkt_release.append(release)
         self.pkt_deflections.append(0)
         self.pkt_delivery.append(-1)
         self.released += 1
+        self.queues.setdefault(info[5], deque()).append(pkt)
         if self.cfg.collect_trace:
             self.trace.append(("release", release, pkt, flow_id))
-        return pkt
 
     def _deliver(self, pkt: int, cycle: int) -> None:
         flow_id = self.pkt_info[pkt][7]
@@ -271,85 +267,102 @@ class _Engine:
         n_rel = len(releases)
         ptr = 0
         t = 0
+        # Without drain the run stops at the start of the horizon cycle.
+        stop = None if self.cfg.drain else self.cfg.horizon
         guard = 2 * self.cfg.horizon + 10_000_000
         while True:
-            if not self._network_busy():
+            if not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
-                rel_t, flow_id = releases[ptr]
-                info = self.flow_info[flow_id]
-                solo_end = rel_t + info[3] + info[4] - 1
-                if self.fast and (ptr + 1 >= n_rel or releases[ptr + 1][0] > solo_end):
-                    pkt = self._new_packet(flow_id, rel_t)
-                    self.flits_injected += info[4]
-                    self.flits_ejected += info[4]
-                    self._deliver(pkt, solo_end)
-                    ptr += 1
-                    t = solo_end + 1
-                    continue
-                t = rel_t
-            elif self.fast and ptr < n_rel and releases[ptr][0] > t:
-                skip = self._try_solo_fast_forward(t, releases[ptr][0])
-                if skip is not None:
-                    t = skip
-                    continue
-            elif self.fast and ptr >= n_rel:
-                skip = self._try_solo_fast_forward(t, None)
-                if skip is not None:
-                    t = skip
-                    continue
-            if not self.cfg.drain and t >= self.cfg.horizon:
+                t = releases[ptr][0]
+            if stop is not None and t >= stop:
                 break
             if t > guard:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
             while ptr < n_rel and releases[ptr][0] == t:
-                flow_id = releases[ptr][1]
-                pkt = self._new_packet(flow_id, t)
-                qkey = self.flow_info[flow_id][5]
-                self.queues.setdefault(qkey, deque()).append(pkt)
+                self._release(releases[ptr][1], t)
                 ptr += 1
+            if self.fast:
+                # Jittered periodic releases may fall after the horizon.
+                target = releases[ptr][0] if ptr < n_rel else stop
+                reached = self._jump(t, target if stop is None else min(target, stop))
+                if reached is not None:
+                    t = reached
+                    continue
             self._cycle(t)
             self.stepped_cycles += 1
             t += 1
         return self._finish()
 
-    def _network_busy(self) -> bool:
-        return bool(self.queues or self.ebusy or self.busy_rings)
+    def _jump(self, t: int, target: int | None) -> int | None:
+        """Advance from the start of cycle t to that of target in one step.
 
-    def _try_solo_fast_forward(self, t: int, next_release: int | None) -> int | None:
-        """When a single packet remains in flight with a clear road, deliver it
-        analytically and jump past its completion."""
-        if self.queues or self.ebusy and len(self.ebusy) > 1:
-            return None
-        # Every flit in flight keeps its ring busy, and so does a pending
-        # deflection (its packet's last flits are still on the ring), so the
-        # packet must be the only traffic of the only busy ring.
-        if len(self.busy_rings) != 1:
-            return None
-        live = self.rings[next(iter(self.busy_rings))]
-        if live.pb or live.inj or live.defl:
-            return None
-        pkts = {flit >> self.idx_bits for flit in live.fb.values()}
-        if len(pkts) != 1:
-            return None
-        pkt = pkts.pop()
-        if self.ebusy:
-            busy = next(iter(self.ebusy.values()))
-            if busy[0] != pkt:
+        Applies when every packet in the network is an uncontended worm (see
+        the module docstring): its header crosses the ejection link at some
+        cycle e and flit i follows at e + i. Packets that finish before
+        target are delivered and the rest are rebuilt as they stand at
+        target; a target of None means just after the last finish. Returns
+        the cycle reached, or None when packets could interact.
+        """
+        rings, pkt_info, bits = self.rings, self.pkt_info, self.idx_bits
+        # Per packet: e, and the cycle its header leaves (or left) the source
+        # port, or None once its tail has left too.
+        worms: dict[int, tuple] = {}
+        for qkey, queue in self.queues.items():
+            if len(queue) > 1:
                 return None
-        info = self.pkt_info[pkt]
-        if info[0] != live.ring_id:
+            info = pkt_info[queue[0]]
+            h = t - rings[info[0]].inj[info[1]][1] if qkey in self.busy_queues else t
+            worms[queue[0]] = (h + info[3], h)
+        # A busy ring with an empty packet buffer holds flits in its flit
+        # buffers, which must all be one packet's. A packet not queued has
+        # left its source entirely.
+        for rid in self.busy_rings:
+            ring = rings[rid]
+            if ring.pb or ring.defl:
+                return None
+            pos, flit = next(iter(ring.fb.items()))
+            pkt = flit >> bits
+            worms.setdefault(pkt, (t + (pkt_info[pkt][2] - pos) % ring.size
+                                   - (flit & self.idx_mask), None))
+            if any(flit >> bits != pkt for flit in ring.fb.values()):
+                return None
+        n = len(worms)
+        if n > 1 and (len({pkt_info[p][0] for p in worms}) < n
+                      or len({pkt_info[p][6] for p in worms}) < n):
             return None
-        dstpos, size = info[2], live.size
-        finish = t + max((dstpos - pos) % size for pos in live.fb)
-        if next_release is not None and next_release <= finish:
+        if self.ebusy and any(busy[0] not in worms for busy in self.ebusy.values()):
             return None
-        self.flits_ejected += len(live.fb)
-        live.fb.clear()
-        self.busy_rings.clear()
-        self.ebusy.clear()
-        self._deliver(pkt, finish)
-        return finish + 1
+
+        if target is None:
+            target = max(e + pkt_info[p][4] for p, (e, _) in worms.items())
+        for pkt, (e, h) in worms.items():
+            rid, src, dst, _, length, qkey, ekey, _ = pkt_info[pkt]
+            ring = rings[rid]
+            sent = length if h is None else min(length, target - h)
+            gone = min(length, max(0, target - e))
+            self.flits_injected += sent - (length if h is None else t - h)
+            self.flits_ejected += gone - max(0, t - e)
+            if gone == length:
+                self._deliver(pkt, e + length - 1)
+            # At target, flit i is e + i - target switches short of dst.
+            ring.fb = {(dst + target - e - i) % ring.size: (pkt << bits) | i
+                       for i in range(gone, sent)}
+            if h is not None and sent < length:
+                ring.inj = {src: [pkt, sent, qkey]}
+                self.busy_queues.add(qkey)
+            elif h is not None:
+                ring.inj = {}
+                self.busy_queues.discard(qkey)
+                del self.queues[qkey]
+            self.ebusy.pop(ekey, None)
+            if 0 < gone < length:
+                self.ebusy[ekey] = [pkt, gone]
+            if ring.fb or ring.inj:
+                self.busy_rings.add(rid)
+            else:
+                self.busy_rings.discard(rid)
+        return target
 
     # -- one cycle ------------------------------------------------------------
 
@@ -539,7 +552,7 @@ class _Engine:
             trace.append(("deflect", t, rid, pos, pkt))
 
     def _finish(self) -> SimOutcome:
-        drained = not self._network_busy()
+        drained = not (self.queues or self.ebusy or self.busy_rings)
         if self.cfg.drain and not drained:
             raise ProtocolViolation("network failed to drain after the last release")
         per_flow = {}

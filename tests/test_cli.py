@@ -176,24 +176,32 @@ def test_packets_longer_than_1024_flits_run_end_to_end(tmp_path):
     assert "violation" not in report and report.endswith("checked 2 runs: ok\n")
 
 
-def test_bad_flags_exit_two():
+def test_bad_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["analyze", "--no-such-flag"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
-    # Counts below 1 are usage errors, not empty or default runs.
+    # Counts below 1, horizons below 1 and negative flow counts are usage
+    # errors, not empty, vacuous or default runs.
     for argv in (["flowstats", "--mode", "shares", "--flowsets", "0"],
                  ["flowstats", "--mode", "shares", "--flows", "0"],
                  ["flowstats", "--mode", "shares", "--attempts", "0"],
                  ["sweep", "--flowsets", "0"],
                  ["sweep", "--flowsets", "-1"],
                  ["verify", "--flowset", "flows.json", "--seeds", "-2"],
-                 ["verify", "--flowset", "flows.json", "--seeds", "0"]):
+                 ["verify", "--flowset", "flows.json", "--seeds", "0"],
+                 ["verify", "--flowset", "flows.json", "--horizon", "0"],
+                 ["verify", "--flowset", "flows.json", "--horizon", "-5"],
+                 ["simulate", "--flowset", "flows.json", "--horizon", "0"],
+                 ["gen", "--flows", "-1"],
+                 ["sweep", "--flows", "-1"]):
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2, argv
+    # An empty flowset is still a legal request.
+    assert run(["gen", "--flows", "0", "--out", str(tmp_path / "empty.json")]) == 0
 
 
 def test_unknown_profile_exits_two(tmp_path, capsys):

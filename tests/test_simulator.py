@@ -49,6 +49,35 @@ class TestCalibration:
         latency = slow.per_flow[1].max_latency
         assert slow.stepped_cycles == slow.released * (latency + 1)
 
+    def test_independent_worms_are_never_stepped(self):
+        # Different rings, sources and destinations: the packets overlap in
+        # time but cannot touch, so the engine jumps over every cycle.
+        topo = generate_multi_ring(3, 2)
+        flowset = Flowset((make_flow(1, (0, 0), (0, 1), ring=1, period=500, length=40),
+                           make_flow(2, (1, 0), (2, 1), ring=2, period=500, length=40)),
+                          topo)
+        cfg = SimConfig(seed=0, horizon=2_000, release="periodic",
+                        release_offsets={1: 0, 2: 5})
+        fast = simulate(flowset, cfg, SHARED)
+        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        assert fast.stepped_cycles == 0
+        assert fast.digest == slow.digest
+        for flow in flowset.flows:
+            assert fast.per_flow[flow.id].max_latency == basic_latency(flowset, flow) - 1
+
+    def test_shared_injection_queue_is_stepped(self, six_ring_topology):
+        # The second packet queues behind the first, still injecting, at the
+        # same core: the two interact, so those cycles are stepped.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
+                                make_flow(2, (0, 0), (1, 1), period=1_000, length=12))
+        cfg = SimConfig(seed=0, horizon=3_000, release="periodic",
+                        release_offsets={1: 0, 2: 3})
+        fast = simulate(flowset, cfg, SHARED)
+        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        assert 0 < fast.stepped_cycles < slow.stepped_cycles
+        assert fast.digest == slow.digest
+
     def test_every_topology_and_path_shape(self):
         topo = generate_multi_ring(4, 4)
         for seed, (src, dst) in enumerate([((0, 0), (3, 3)), ((2, 1), (2, 0)),
@@ -106,8 +135,10 @@ def small_flowsets(draw):
         dst = hot if draw(st.booleans()) else draw(st.sampled_from(cores))
         src = draw(st.sampled_from([core for core in cores if core != dst]))
         period = draw(st.integers(10, 200))
+        # Packets up to 64 flits outlast the rings and many release gaps, so
+        # jumps land mid-injection and after deflection loops.
         flows.append(make_flow(fid, src, dst, ring=select_ring(topo, src, dst),
-                               period=period, length=draw(st.integers(1, 16)),
+                               period=period, length=draw(st.integers(1, 64)),
                                jitter=draw(st.integers(0, period // 2))))
     return Flowset(tuple(flows), topo)
 
@@ -116,12 +147,15 @@ class TestFastForwardProperty:
     @settings(max_examples=150, deadline=None)
     @given(flowset=small_flowsets(), hw=st.sampled_from(LAYOUTS),
            seed=st.integers(0, 2**16), horizon=st.integers(100, 2_000),
-           release=st.sampled_from(("periodic", "sporadic")))
-    def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release):
-        cfg = SimConfig(seed=seed, horizon=horizon, release=release)
+           release=st.sampled_from(("periodic", "sporadic")), drain=st.booleans())
+    def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release,
+                                          drain):
+        cfg = SimConfig(seed=seed, horizon=horizon, release=release, drain=drain)
         fast = simulate(flowset, cfg, hw)
         slow = simulate(flowset, replace(cfg, fast_forward=False), hw)
         assert fast.digest == slow.digest
+        assert (fast.drained, fast.released, fast.delivered) == \
+            (slow.drained, slow.released, slow.delivered)
         assert fast.deflections == slow.deflections
         assert (fast.flits_injected, fast.flits_ejected) == \
             (slow.flits_injected, slow.flits_ejected)
@@ -147,6 +181,17 @@ class TestConservation:
         out = simulate(flowset, SimConfig(seed=9, horizon=50_000, drain=False),
                        SHARED)
         assert out.delivered <= out.released
+
+    def test_without_drain_fast_forward_also_stops_at_the_horizon(self):
+        # A packet released shortly before the horizon finishes after it, so
+        # it stays in flight whether the run steps or jumps.
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=23))
+        cfg = SimConfig(seed=23, horizon=50_000, drain=False)
+        fast = simulate(flowset, cfg, HardwareProfile())
+        slow = simulate(flowset, replace(cfg, fast_forward=False), HardwareProfile())
+        assert (slow.released, slow.delivered, slow.drained) == (66, 65, False)
+        assert (fast.released, fast.delivered, fast.drained) == (66, 65, False)
+        assert fast.digest == slow.digest
 
 
 class TestProtocolRules:
