@@ -14,8 +14,6 @@ from .analysis import (
     FlowResult,
     FlowsetResult,
     analyze,
-    basic_latency,
-    loop_latency,
     parse_profile,
     profile_name,
 )
@@ -51,12 +49,10 @@ __all__ = [
     "SimOutcome",
     "Topology",
     "analyze",
-    "basic_latency",
     "generate_flowset",
     "generate_multi_ring",
     "hardware_from_config",
     "load_topology",
-    "loop_latency",
     "oracle_check",
     "parse_profile",
     "profile_name",

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from functools import cache
+from typing import Literal, NamedTuple
 
-from .traffic import Flow, Flowset, InterferenceSets
+from .traffic import Flow, FlowBase, Flowset, InterferenceSets, term_load
 
 
 class AnalysisError(ValueError):
@@ -50,9 +51,6 @@ class AnalysisConfig:
     maxloop: int = 0
     ipos_formula: IposFormula = "tight"
     iteration_cap: int = 1000
-    # Count the flow itself among the same-destination flows that bound its
-    # deflections (off: a flow's single en-route packet cannot deflect itself).
-    oldest_first_inclusive: bool = False
     # Study variant: drop the destination switch from the downstream buffering
     # sum, where ejection cannot in fact be delayed by a local injection.
     exclude_destination_buffer: bool = False
@@ -160,68 +158,6 @@ class AnalysisRecord:
     bound_traces: dict[int, list[int]] = field(default_factory=dict)
     busy_traces: list[list[int]] = field(default_factory=list)
 
-    def note_bound(self, flow_id: int, value: int) -> None:
-        self.bound_traces.setdefault(flow_id, []).append(value)
-
-
-def basic_latency(flowset: Flowset, flow: Flow) -> int:
-    """Contention-free source-to-destination latency: path switches + payload."""
-    return flowset.index.route[flow.id][1] + 1 + flow.length - 1
-
-
-def loop_latency(flowset: Flowset, flow: Flow) -> int:
-    """Contention-free latency of one full circle of the flow's ring."""
-    return flowset.topology.ring(flow.ring).size + flow.length
-
-
-def ring_capacity(flowset: Flowset, ring_id: int) -> int:
-    """Packet-buffer size of every switch of the ring: the override when set,
-    otherwise the largest packet assigned to the ring (1 when unused)."""
-    ring = flowset.topology.ring(ring_id)
-    # Each flow's source switch bounds the flow's own payload, so the largest
-    # backlog bound plus one is the largest packet of the ring.
-    largest = max(flowset.index.buffer_bounds[ring_id]) + 1
-    if ring.buffer_capacity is not None:
-        if largest > ring.buffer_capacity:
-            raise AnalysisError(
-                f"ring {ring_id}: buffer capacity {ring.buffer_capacity} cannot hold "
-                f"a {largest}-flit packet"
-            )
-        return ring.buffer_capacity
-    return largest
-
-
-def resolve_maxloop(flowset: Flowset, flow: Flow, config: AnalysisConfig) -> int:
-    """Deflection bound per flow: zero without ejection sharing; the configured
-    constant; or the number of other flows targeting the same core, each of
-    which can win the Oldest-First arbitration once."""
-    if config.ejection == "independent":
-        return 0
-    if config.maxloop_mode == "fixed":
-        return config.maxloop
-    others = len(flowset.index.on_dst[flow.dst]) - 1
-    return others + 1 if config.oldest_first_inclusive else others
-
-
-def post_injection_interference(flowset: Flowset, flow: Flow,
-                                config: AnalysisConfig, maxloop: int) -> int:
-    """Downstream buffering bound, plus one whole-ring bound per deflection.
-
-    The tight variant sums each downstream switch's own backlog bound; the
-    coarse variant charges the full buffer capacity per switch. The
-    destination switch is included unless the study flag drops it.
-    """
-    start, downstream = flowset.index.route[flow.id]
-    bounds = flowset.index.buffer_bounds[flow.ring]
-    size = len(bounds)
-    if config.exclude_destination_buffer:
-        downstream -= 1
-    if config.ipos_formula == "coarse":
-        capacity = ring_capacity(flowset, flow.ring)
-        return downstream * capacity + maxloop * size * capacity
-    direct = sum(bounds[(start + d) % size] for d in range(1, downstream + 1))
-    return direct + maxloop * sum(bounds)
-
 
 def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
                  trace: list | None = None) -> int | None:
@@ -251,71 +187,72 @@ def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
             return None
 
 
-class _FlowContext:
-    """Static per-flow data shared by every pass of an analysis run."""
+class _FlowContext(NamedTuple):
+    """A flow's bound terms under one configuration, on top of its
+    config-independent base from the flowset index."""
 
-    __slots__ = ("flow", "no_load", "loop", "maxloop", "post", "fixed",
-                 "budget", "in_sum", "terms", "in_core", "diverges")
-
-    def __init__(self, flowset: Flowset, flow: Flow, config: AnalysisConfig,
-                 maxloops: dict[int, int]):
-        index = flowset.index
-        by_id = index.flows
-        sets = index.interference[flow.id]
-        self.flow = flow
-        self.no_load = basic_latency(flowset, flow)
-        self.loop = loop_latency(flowset, flow)
-        self.maxloop = maxloops[flow.id]
-        self.post = post_injection_interference(flowset, flow, config, self.maxloop)
-        self.fixed = self.no_load + self.loop * self.maxloop + self.post
-        self.budget = flow.deadline - self.fixed
-        self.in_sum = sum(by_id[j].length for j in sets.in_ring)
-        self.in_core = tuple(g.id for g in index.on_core[flow.src] if g.id != flow.id)
-        # Busy-period ceiling terms: one per upstream interferer, plus
-        # maxloop_j replica terms per flow of the ring (the flow itself
-        # included) when ejection sharing makes deflections possible.
-        copies = dict.fromkeys(sets.up, 1)
-        if config.ejection == "shared":
-            for g in index.on_ring[flow.ring]:
-                if maxloops[g.id]:
-                    copies[g.id] = copies.get(g.id, 0) + maxloops[g.id]
-        self.terms = tuple(
-            (by_id[j].period, by_id[j].length, by_id[j].jitter, j, n)
-            for j, n in sorted(copies.items())
-        )
-        # The load sum(L * n / T) reaches 1 exactly when num >= den.
-        num, den = 0, 1
-        for period, length, _, _, n in self.terms:
-            num = num * period + length * n * den
-            den *= period
-        self.diverges = num >= den
+    flow: Flow
+    base: FlowBase
+    maxloop: int
+    post: int
+    fixed: int          # C + C_loop * maxloop + I_pos
+    budget: int         # what I_pre may take before the deadline is missed
+    terms: tuple        # busy-period terms: the ring's replicas, then up
+    diverges: bool      # the terms' load sum(L * n / T) reaches 1
 
 
-class _Contexts:
-    """Flow contexts drawn from a generator the first time an iteration
-    reaches them and kept for later passes, so a pass that stops at a
-    failing flow never builds the contexts of the flows after it."""
+def _contexts(flowset: Flowset, config: AnalysisConfig):
+    """The flow contexts under the configuration, as a function of the flow
+    id that builds each context on first use: a pass that stops at a failing
+    flow never builds the contexts of the flows after it.
 
-    def __init__(self, pending):
-        self._pending = pending
-        self._built: list[_FlowContext] = []
+    ``maxloop`` is zero without ejection sharing, the configured constant, or
+    under Oldest-First the number of other flows to the same core, each of
+    which can win the arbitration once. ``I_pos`` charges each downstream
+    switch its backlog bound (tight) or the buffer capacity (coarse), plus
+    one whole-ring bound per deflection.
+    """
+    index = flowset.index
+    if config.ejection == "shared" and config.maxloop_mode == "oldest_first":
+        maxloops = {fid: len(index.on_dst[f.dst]) - 1 for fid, f in index.flows.items()}
+    else:  # the configured constant, which is 0 under independent ejection
+        maxloops = dict.fromkeys(index.flows, config.maxloop)
+    # Every flow of a ring that may deflect enters the busy period of each
+    # flow of the ring (itself included) as maxloop_j replicas, in addition
+    # to its upstream term.
+    replicas = {}
+    for ring_id, members in index.on_ring.items():
+        terms = tuple((g.period, g.length, g.jitter, g.id, maxloops[g.id])
+                      for g in members if maxloops[g.id])
+        replicas[ring_id] = (terms, term_load(terms))
+    # Reading the capacities rejects an undersized override before any flow
+    # can fail.
+    capacity = index.capacity if config.ipos_formula == "coarse" else None
+    exclude = config.exclude_destination_buffer
 
-    def __iter__(self):
-        yield from self._built
-        for ctx in self._pending:
-            self._built.append(ctx)
-            yield ctx
+    @cache
+    def context(fid: int) -> _FlowContext:
+        flow = index.flows[fid]
+        base = index.bases[fid]
+        maxloop = maxloops[fid]
+        if capacity is None:
+            post = base.down_backlog + maxloop * index.ring_backlog[flow.ring]
+            if exclude:
+                post -= base.dst_backlog
+        else:
+            downstream = index.route[fid][1]
+            if exclude:
+                downstream -= 1
+            size = base.loop - flow.length
+            post = (downstream + maxloop * size) * capacity[flow.ring]
+        fixed = base.no_load + base.loop * maxloop + post
+        terms, (num, den) = replicas[flow.ring]
+        up_num, up_den = base.up_load
+        return _FlowContext(flow, base, maxloop, post, fixed, flow.deadline - fixed,
+                            terms + base.up_terms,
+                            num * up_den + up_num * den >= den * up_den)
 
-
-def _build_context(flowset: Flowset, config: AnalysisConfig) -> _Contexts:
-    """The flows' contexts in flow-id order, each built on first use."""
-    if config.ipos_formula == "coarse":
-        # Reject an undersized buffer override before any flow can fail.
-        for ring_id in flowset.index.on_ring:
-            ring_capacity(flowset, ring_id)
-    flows = flowset.index.flows.values()
-    maxloops = {f.id: resolve_maxloop(flowset, f, config) for f in flows}
-    return _Contexts(_FlowContext(flowset, f, config, maxloops) for f in flows)
+    return context
 
 
 def _busy(ctx: _FlowContext, base: int, jk: dict[int, int],
@@ -344,54 +281,56 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     """
     if not flowset.flows:
         return FlowsetResult("schedulable", {}, 0)
-    contexts = _build_context(flowset, config)
+    index = flowset.index
+    context = _contexts(flowset, config)
+    flows = index.flows
     shared = config.injection == "shared"
-    lengths = {f.id: f.length for f in flowset.flows}
 
     if config.jitter_method == "simplified":
-        jk = {f.id: f.deadline - basic_latency(flowset, f) for f in flowset.flows}
-        outcome = _run_pass(contexts, jk, dict.fromkeys(lengths, 0), lengths, shared,
+        jk = {fid: f.deadline - index.bases[fid].no_load for fid, f in flows.items()}
+        outcome = _run_pass(context, flows, jk, dict.fromkeys(flows, 0), shared,
                             record, update_jk=False)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, 1, failing_flow=outcome)
         rows, _ = outcome
-        return FlowsetResult("schedulable", _freeze(contexts, rows, jk), 1)
+        return FlowsetResult("schedulable", _freeze(context, flows, rows, jk), 1)
 
-    jk = dict.fromkeys(lengths, 0)
-    bounds = dict.fromkeys(lengths, 0)
+    jk = dict.fromkeys(flows, 0)
+    bounds = dict.fromkeys(flows, 0)
     rows: dict[int, tuple[int, int, int]] = {}
     for iteration in range(1, config.iteration_cap + 1):
-        outcome = _run_pass(contexts, jk, bounds, lengths, shared, record,
+        outcome = _run_pass(context, flows, jk, bounds, shared, record,
                             update_jk=True)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
         rows, changed = outcome
         if not changed:
-            return FlowsetResult("schedulable", _freeze(contexts, rows, jk), iteration)
+            return FlowsetResult("schedulable", _freeze(context, flows, rows, jk), iteration)
     return FlowsetResult("iteration_cap_exceeded", {}, config.iteration_cap)
 
 
-def _run_pass(contexts, jk, bounds, lengths, shared, record, update_jk):
-    """One pass over all flows; returns the failing flow id, or (rows, changed)."""
+def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
+    """One pass over the flows, by id in id order; returns the failing flow
+    id, or (rows, changed)."""
     changed = False
     rows: dict[int, tuple[int, int, int]] = {}
     idle: dict[int, int] = {}
     if shared:
-        for ctx in contexts:
+        for ctx in map(context, flows):
             value = _busy(ctx, 1, jk, record)
             if value is None:
                 return ctx.flow.id
             idle[ctx.flow.id] = value
-    for ctx in contexts:
+    for ctx in map(context, flows):
         fid = ctx.flow.id
         if shared:
-            queue = sum(lengths[j] + idle[j] for j in ctx.in_core)
+            queue = sum(flows[j].length + idle[j] for j in ctx.base.in_core)
             pre = idle[fid] + queue
             rows[fid] = (idle[fid], queue, pre)
             if pre > ctx.budget:
                 return fid
         else:
-            value = _busy(ctx, 1 + ctx.in_sum, jk, record)
+            value = _busy(ctx, 1 + ctx.base.in_sum, jk, record)
             if value is None:
                 return fid
             rows[fid] = (0, 0, value)
@@ -400,7 +339,7 @@ def _run_pass(contexts, jk, bounds, lengths, shared, record, update_jk):
         if bound > ctx.flow.deadline:
             return fid
         if record is not None:
-            record.note_bound(fid, bound)
+            record.bound_traces.setdefault(fid, []).append(bound)
         if bound != bounds[fid]:
             if bound < bounds[fid]:
                 raise InvariantError(
@@ -408,20 +347,20 @@ def _run_pass(contexts, jk, bounds, lengths, shared, record, update_jk):
             changed = True
             bounds[fid] = bound
             if update_jk:
-                jk[fid] = bound - ctx.no_load
+                jk[fid] = bound - ctx.base.no_load
     return rows, changed
 
 
-def _freeze(contexts, rows, jk) -> dict[int, FlowResult]:
+def _freeze(context, flows, rows, jk) -> dict[int, FlowResult]:
     out = {}
-    for ctx in contexts:
+    for ctx in map(context, flows):
         fid = ctx.flow.id
         pre_idle, pre_queue, pre = rows[fid]
         bound = ctx.fixed + pre
         out[fid] = FlowResult(
             flow=fid,
-            no_load=ctx.no_load,
-            loop=ctx.loop,
+            no_load=ctx.base.no_load,
+            loop=ctx.base.loop,
             maxloop=ctx.maxloop,
             pre_idle=pre_idle,
             pre_queue=pre_queue,

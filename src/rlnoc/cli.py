@@ -71,12 +71,13 @@ def _at_least(low: int):
 
 
 _count = _at_least(1)
+_side = _at_least(2)
 
 
 def _grid(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        return _side(w), _side(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
 
@@ -91,16 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("topo", help="generate, validate or export a topology")
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--width", type=_side, default=4)
+    p.add_argument("--height", type=_side, default=4)
     p.add_argument("--load", metavar="FILE", help="load a topology file instead of generating")
     p.add_argument("--validate", action="store_true", help="re-check all invariants")
     p.add_argument("--out", metavar="FILE", help="write the topology document")
 
     p = sub.add_parser("gen", help="generate a random flowset file")
     p.add_argument("--flows", type=_at_least(0), required=True)
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--width", type=_side, default=4)
+    p.add_argument("--height", type=_side, default=4)
     p.add_argument("--packets", type=_int_pair, default=(16, 48), metavar="LO:HI")
     p.add_argument("--periods", type=_int_pair, default=None, metavar="LO:HI",
                    help="period range in cycles (default 1000:100000)")

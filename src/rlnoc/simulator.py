@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .analysis import AnalysisConfig, FlowsetResult, ring_capacity
+from .analysis import AnalysisConfig, FlowsetResult
 from .seeds import derive_seed
 from .traffic import Flowset
 
@@ -137,6 +137,14 @@ class _RingState:
 
 
 def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
+    """Every release of the run as (cycle, flow id), in time order.
+
+    Sporadic releases and ``release_offsets`` schedules all fall before the
+    horizon. A periodic release is ``offset + n*T + U[0,J]`` for every
+    ``offset + n*T`` below the horizon, so its jitter can put it at or after
+    the horizon (but before horizon + J); with drain on, such a packet is
+    simulated like any other.
+    """
     out: list[tuple[int, int]] = []
     for f in flowset.flows:
         rng = random.Random(derive_seed(cfg.seed, "rel", f.id))
@@ -181,7 +189,7 @@ class _Engine:
         self.idx_mask = (1 << self.idx_bits) - 1
 
         self.rings: dict[int, _RingState] = {
-            ring.id: _RingState(ring.id, ring.size, ring_capacity(flowset, ring.id))
+            ring.id: _RingState(ring.id, ring.size, flowset.index.capacity[ring.id])
             for ring in topo.rings
         }
         # Ids of the rings whose fb, pb or inj is non-empty.

@@ -292,9 +292,3 @@ def load_topology(doc: dict) -> Topology:
 def load_topology_file(path_str: str) -> Topology:
     with open(path_str, "r", encoding="utf-8") as handle:
         return load_topology(json.load(handle))
-
-
-def save_topology_file(topology: Topology, path_str: str) -> None:
-    with open(path_str, "w", encoding="utf-8") as handle:
-        json.dump(topology_to_doc(topology), handle, indent=2)
-        handle.write("\n")

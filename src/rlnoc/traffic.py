@@ -15,6 +15,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .topology import (
     Coord,
@@ -91,13 +92,40 @@ class InterferenceSets:
     upind: frozenset[int]
 
 
+class FlowBase(NamedTuple):
+    """Config-independent terms of one flow's latency bound."""
+
+    no_load: int                # C: contention-free traversal, hops + length
+    loop: int                   # C_loop: one full circle, ring size + length
+    up: frozenset[int]          # thru-traffic at the injection switch
+    in_ring: frozenset[int]     # other flows injected at its switch into its ring
+    up_terms: tuple             # busy-period terms (T, L, J, id, 1) of up, in id order
+    up_load: tuple[int, int]    # sum of L / T over up, as an exact fraction
+    in_sum: int                 # total length of in_ring
+    in_core: tuple[int, ...]    # other flows of its source core, in id order
+    down_backlog: int           # backlog bounds of the downstream switches, summed
+    dst_backlog: int            # the destination switch's share of down_backlog
+
+
+def term_load(terms) -> tuple[int, int]:
+    """Exact sum of L * n / T over busy-period terms (T, L, J, id, n), as a
+    fraction (numerator, denominator)."""
+    num, den = 0, 1
+    for period, length, _, _, n in terms:
+        num = num * period + length * n * den
+        den *= period
+    return num, den
+
+
 class FlowsetIndex:
     """Config-independent lookups shared by the analyses and simulations of
     one flowset: flows by id (in id order), by ring, by source core and by
     destination core; each flow's route, ``(start, hops)``: its source
     position on its ring and its hop count; each ring's worst backlog per
-    switch position (the largest payload, length - 1, injected there); and
-    the interference table, built on first use."""
+    switch position (the largest payload, length - 1, injected there) and
+    their total; each flow's config-independent bound terms (``bases``); and,
+    built on first use, each ring's packet-buffer capacity and the
+    interference table."""
 
     def __init__(self, flowset: Flowset):
         topo = flowset.topology
@@ -110,15 +138,59 @@ class FlowsetIndex:
         self.on_dst: dict[Coord, list[Flow]] = {}
         self.route: dict[int, tuple[int, int]] = {}
         self.buffer_bounds = {ring.id: [0] * ring.size for ring in topo.rings}
+        # Flows passing each (ring, position) switch between their endpoints.
+        thru_at: dict[tuple[int, int], list[Flow]] = {}
         for f in self.flows.values():
             ring = topo.ring(f.ring)
-            start = ring.position(f.src)
-            self.route[f.id] = (start, ring.hops(f.src, f.dst))
+            start, hops = ring.position(f.src), ring.hops(f.src, f.dst)
+            self.route[f.id] = (start, hops)
             self.on_ring.setdefault(f.ring, []).append(f)
             self.on_core.setdefault(f.src, []).append(f)
             self.on_dst.setdefault(f.dst, []).append(f)
             bounds = self.buffer_bounds[f.ring]
             bounds[start] = max(bounds[start], f.length - 1)
+            for d in range(1, hops):
+                thru_at.setdefault((f.ring, (start + d) % ring.size), []).append(f)
+        self.ring_backlog = {rid: sum(b) for rid, b in self.buffer_bounds.items()}
+        # Each ring's bounds twice over, so a path is a slice without wrapping.
+        doubled = {rid: b * 2 for rid, b in self.buffer_bounds.items()}
+        self.bases: dict[int, FlowBase] = {}
+        for f in self.flows.values():
+            start, hops = self.route[f.id]
+            up = thru_at.get((f.ring, start), [])
+            in_ring = [g for g in self.on_core[f.src] if g.ring == f.ring and g is not f]
+            up_terms = tuple((g.period, g.length, g.jitter, g.id, 1) for g in up)
+            self.bases[f.id] = FlowBase(
+                no_load=hops + f.length,
+                loop=len(self.buffer_bounds[f.ring]) + f.length,
+                up=frozenset(g.id for g in up),
+                in_ring=frozenset(g.id for g in in_ring),
+                up_terms=up_terms,
+                up_load=term_load(up_terms),
+                in_sum=sum(g.length for g in in_ring),
+                in_core=tuple(g.id for g in self.on_core[f.src] if g is not f),
+                down_backlog=sum(doubled[f.ring][start + 1:start + hops + 1]),
+                dst_backlog=doubled[f.ring][start + hops],
+            )
+
+    @cached_property
+    def capacity(self) -> dict[int, int]:
+        """Packet-buffer size of every switch of each ring: the override when
+        set, otherwise the largest packet assigned to the ring (1 when
+        unused). Raises ``TrafficError`` for an override too small for a
+        packet of its ring."""
+        out = {}
+        for ring in self._flowset().topology.rings:
+            # Each flow's source switch bounds the flow's own payload, so the
+            # largest backlog bound plus one is the largest packet of the ring.
+            largest = max(self.buffer_bounds[ring.id]) + 1
+            if ring.buffer_capacity is not None and largest > ring.buffer_capacity:
+                raise TrafficError(
+                    f"ring {ring.id}: buffer capacity {ring.buffer_capacity} cannot "
+                    f"hold a {largest}-flit packet")
+            out[ring.id] = (largest if ring.buffer_capacity is None
+                            else ring.buffer_capacity)
+        return out
 
     @cached_property
     def interference(self) -> dict[int, InterferenceSets]:
@@ -185,41 +257,28 @@ def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) 
 
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
-    """Interference sets for every flow of the flowset in one pass."""
+    """Interference sets for every flow of the flowset: ``up`` and ``in_ring``
+    from the index, ``down`` and ``upind`` derived here."""
     index = flowset.index
-    up_map: dict[int, frozenset[int]] = {}
+    bases = index.bases
     down_map: dict[int, frozenset[int]] = {}
-    in_ring_map: dict[int, frozenset[int]] = {}
     # Ring links occupied by each flow, as a bitmask over link positions
     # (link p runs from switch p to switch p+1).
     masks: dict[int, int] = {}
-
     for ring_id, members in index.on_ring.items():
-        size = flowset.topology.ring(ring_id).size
-        thru_at: dict[int, set[int]] = {}
-        in_at: dict[int, set[int]] = {}
+        size = len(index.buffer_bounds[ring_id])
+        inner: dict[int, int] = {}  # switches strictly between the endpoints
         for f in members:
             start, hops = index.route[f.id]
-            in_at.setdefault(start, set()).add(f.id)
-            mask = 1 << start
-            for d in range(1, hops):
-                pos = (start + d) % size
-                thru_at.setdefault(pos, set()).add(f.id)
-                mask |= 1 << pos
-            masks[f.id] = mask
+            inner[f.id] = sum(1 << ((start + d) % size) for d in range(1, hops))
+            masks[f.id] = inner[f.id] | 1 << start
         for f in members:
-            start, hops = index.route[f.id]
-            up = frozenset(thru_at.get(start, ()))
-            down = set()
-            for d in range(1, hops):
-                down |= in_at.get((start + d) % size, set())
+            down = {g.id for g in members if inner[f.id] >> index.route[g.id][0] & 1}
             # A wrapping flow can both cross the injection switch and inject
             # downstream; it is classified as upstream interference, keeping
             # the four classes mutually exclusive. No bound consumes the down
             # set, so the precedence is free of analytical consequences.
-            up_map[f.id] = up
-            down_map[f.id] = frozenset(down - {f.id} - up)
-            in_ring_map[f.id] = frozenset(in_at[start] - {f.id})
+            down_map[f.id] = frozenset(down - bases[f.id].up)
 
     # Upstream indirect interference: one level of indirection only. A flow
     # qualifies when it delays some member of up (as upstream or injection
@@ -227,17 +286,17 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     # link (source or destination switch) with the flow under analysis.
     table: dict[int, InterferenceSets] = {}
     for f in index.flows.values():
+        base = bases[f.id]
         upind = set()
-        for j in up_map[f.id]:
-            for k in up_map[j] | in_ring_map[j]:
+        for j in base.up:
+            for k in bases[j].up | bases[j].in_ring:
                 if k == f.id or k in upind:
                     continue
                 g = index.flows[k]
                 if masks[k] & masks[f.id] == 0 and g.src != f.src and g.dst != f.dst:
                     upind.add(k)
-        table[f.id] = InterferenceSets(up=up_map[f.id], down=down_map[f.id],
-                                       in_ring=in_ring_map[f.id],
-                                       upind=frozenset(upind))
+        table[f.id] = InterferenceSets(up=base.up, down=down_map[f.id],
+                                       in_ring=base.in_ring, upind=frozenset(upind))
     return table
 
 

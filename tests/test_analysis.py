@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,20 +10,21 @@ from rlnoc.analysis import (
     AnalysisRecord,
     InvariantError,
     analyze,
-    basic_latency,
-    loop_latency,
     parse_profile,
-    post_injection_interference,
     profile_name,
-    resolve_maxloop,
     results_to_csv,
-    ring_capacity,
-    _build_context,
     _busy,
+    _contexts,
     _fixed_point,
 )
-from rlnoc.topology import generate_multi_ring
-from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset, interference_table
+from rlnoc.topology import build_topology, generate_multi_ring
+from rlnoc.traffic import (
+    BenchmarkParams,
+    Flowset,
+    TrafficError,
+    generate_flowset,
+    interference_table,
+)
 
 
 def single_up_flowset(topology, up_period=100, up_length=5, length=2):
@@ -33,14 +35,16 @@ def single_up_flowset(topology, up_period=100, up_length=5, length=2):
 
 
 def flow_context(flowset, config, fid):
-    return next(ctx for ctx in _build_context(flowset, config) if ctx.flow.id == fid)
+    """The flow's per-config context, built whether or not the flowset is
+    schedulable."""
+    return _contexts(flowset, config)(fid)
 
 
 def injection_busy(flowset, config, fid, jk):
     """Busy period of the flow's injection switch output port, co-injected
     packets included (independent injection). None: deadline missed."""
     ctx = flow_context(flowset, config, fid)
-    return _busy(ctx, 1 + ctx.in_sum, jk, None)
+    return _busy(ctx, 1 + ctx.base.in_sum, jk, None)
 
 
 def idle_wait(flowset, config, fid, jk):
@@ -62,23 +66,23 @@ class TestNoLoadLatencies:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (2, 0), (0, 0), length=4),
                                 make_flow(2, (2, 0), (2, 1), length=1))
-        long_way, adjacent = flowset.flows
-        assert basic_latency(flowset, long_way) == 5 + 4 - 1
-        assert basic_latency(flowset, adjacent) == 2 + 1 - 1
-        assert loop_latency(flowset, long_way) == 6 + 4
-        assert loop_latency(flowset, adjacent) == 6 + 1
+        results = analyze(flowset, parse_profile("0D_IU_SI")).results
+        assert (results[1].no_load, results[1].loop) == (5 + 4 - 1, 6 + 4)
+        assert (results[2].no_load, results[2].loop) == (2 + 1 - 1, 6 + 1)
 
     def test_loop_latency_ignores_endpoints(self, six_ring_topology):
         a = build_flowset(six_ring_topology, make_flow(1, (0, 0), (1, 0), length=4))
         b = build_flowset(six_ring_topology, make_flow(1, (1, 0), (0, 0), length=4))
-        assert loop_latency(a, a.flows[0]) == loop_latency(b, b.flows[0])
+        config = parse_profile("0D_IU_SI")
+        assert analyze(a, config).results[1].loop == analyze(b, config).results[1].loop
 
     def test_no_load_below_loop_when_path_shorter_than_circuit(self):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=40, seed=3))
         for f in flowset.flows:
             ring = flowset.topology.ring(f.ring)
+            base = flowset.index.bases[f.id]
             if ring.hops(f.src, f.dst) + 1 < ring.size + 1:
-                assert basic_latency(flowset, f) < loop_latency(flowset, f)
+                assert base.no_load < base.loop
 
 
 class TestBufferBounds:
@@ -96,24 +100,25 @@ class TestBufferBounds:
     def test_bound_below_ring_capacity(self):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=9))
         for ring in flowset.topology.rings:
-            cap = ring_capacity(flowset, ring.id)
+            cap = flowset.index.capacity[ring.id]
             assert len(flowset.index.buffer_bounds[ring.id]) == ring.size
             for bound in flowset.index.buffer_bounds[ring.id]:
                 assert bound <= cap - 1
 
     def test_capacity_override_validated(self, six_ring_topology):
-        from dataclasses import replace
         small = replace(six_ring_topology.rings[0], buffer_capacity=4)
-        from rlnoc.topology import build_topology
         topo = build_topology(3, 2, [small])
         flowset = build_flowset(topo, make_flow(1, (0, 0), (1, 0), length=8))
-        with pytest.raises(AnalysisError):
-            ring_capacity(flowset, 0)
+        with pytest.raises(TrafficError, match="cannot hold a 8-flit packet"):
+            flowset.index.capacity
+        with pytest.raises(TrafficError):
+            analyze(flowset, parse_profile("0D_IU_SI", ipos_formula="coarse"))
+        # The tight formula reads no capacity.
+        assert analyze(flowset, parse_profile("0D_IU_SI")).schedulable
 
 
 def post_interference(flowset, flow, config):
-    return post_injection_interference(flowset, flow, config,
-                                       resolve_maxloop(flowset, flow, config))
+    return flow_context(flowset, config, flow.id).post
 
 
 class TestPostInjectionInterference:
@@ -149,7 +154,7 @@ class TestPostInjectionInterference:
     def test_deflections_add_whole_ring_bound(self, five_flow_fixture):
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=2)
         flow = five_flow_fixture.index.flows[3]
-        base = post_injection_interference(five_flow_fixture, flow, cfg, 0)
+        base = post_interference(five_flow_fixture, flow, AnalysisConfig())
         ring_sum = sum(five_flow_fixture.index.buffer_bounds[0])
         assert ring_sum > 0
         assert (post_interference(five_flow_fixture, flow, cfg)
@@ -256,16 +261,18 @@ class TestQueueWait:
                                        length=rng.randint(1, 12),
                                        jitter=rng.randint(0, 50)))
             flowset = build_flowset(six_ring_topology, *flows)
-            contexts = list(_build_context(flowset, config))
+            context = _contexts(flowset, config)
+            contexts = [context(f.id) for f in flowset.flows]
             jk = {f.id: 0 for f in flowset.flows}
             idle = {ctx.flow.id: _busy(ctx, 1, jk, None) for ctx in contexts}
             if any(v is None for v in idle.values()):
                 continue
             for ctx in contexts:
-                basic = _busy(ctx, 1 + ctx.in_sum, jk, None)
+                basic = _busy(ctx, 1 + ctx.base.in_sum, jk, None)
                 if basic is None:
                     continue
-                queue = sum(flowset.index.flows[j].length + idle[j] for j in ctx.in_core)
+                queue = sum(flowset.index.flows[j].length + idle[j]
+                            for j in ctx.base.in_core)
                 assert idle[ctx.flow.id] + queue >= basic, (trial, ctx.flow.id)
                 checked += 1
         assert checked > 1000
@@ -273,26 +280,24 @@ class TestQueueWait:
 
 class TestResolveMaxloop:
     def test_independent_ejection_never_deflects(self, five_flow_fixture):
-        cfg = AnalysisConfig(ejection="independent")
-        for f in five_flow_fixture.flows:
-            assert resolve_maxloop(five_flow_fixture, f, cfg) == 0
+        result = analyze(five_flow_fixture, AnalysisConfig(ejection="independent"))
+        assert result.schedulable
+        assert all(r.maxloop == 0 for r in result.results.values())
 
     def test_oldest_first_counts_other_same_destination_flows(self, six_ring_topology):
         flows = [make_flow(1, (0, 0), (2, 1)), make_flow(2, (1, 0), (2, 1)),
                  make_flow(3, (0, 1), (2, 1)), make_flow(4, (2, 1), (0, 0))]
         flowset = build_flowset(six_ring_topology, *flows)
-        cfg = AnalysisConfig(ejection="shared", maxloop_mode="oldest_first")
-        for fid in (1, 2, 3):
-            assert resolve_maxloop(flowset, flowset.index.flows[fid], cfg) == 2
-        assert resolve_maxloop(flowset, flowset.index.flows[4], cfg) == 0
-        inclusive = AnalysisConfig(ejection="shared", maxloop_mode="oldest_first",
-                                   oldest_first_inclusive=True)
-        assert resolve_maxloop(flowset, flowset.index.flows[1], inclusive) == 3
+        result = analyze(flowset, AnalysisConfig(ejection="shared",
+                                                 maxloop_mode="oldest_first"))
+        assert result.schedulable
+        assert {fid: r.maxloop for fid, r in result.results.items()} == {
+            1: 2, 2: 2, 3: 2, 4: 0}
 
     def test_fixed_bound_applies_to_every_flow(self, five_flow_fixture):
         cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=3)
         for f in five_flow_fixture.flows:
-            assert resolve_maxloop(five_flow_fixture, f, cfg) == 3
+            assert flow_context(five_flow_fixture, cfg, f.id).maxloop == 3
 
 
 class TestProfiles:

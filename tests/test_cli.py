@@ -150,6 +150,19 @@ def test_malformed_flowset_exits_three(tmp_path, capsys, command, name):
     assert message in err
 
 
+def test_undersized_buffer_capacity_exits_three(tmp_path, capsys):
+    # Only the commands that read buffer capacities reject the file: the
+    # tight analysis charges per-switch backlog bounds instead.
+    flowset_file = tmp_path / "small_buffer.json"
+    flowset_file.write_text(json.dumps(_topology_doc(ring={"buffer_capacity": 2})))
+    out = str(tmp_path / "out.csv")
+    assert run(["analyze", "--flowset", str(flowset_file), "--out", out]) == 0
+    for argv in (["analyze", "--ipos", "coarse"], ["simulate"]):
+        assert run(argv + ["--flowset", str(flowset_file), "--out", out]) == 3, argv
+        err = capsys.readouterr().err
+        assert err == "error: ring 0: buffer capacity 2 cannot hold a 4-flit packet\n"
+
+
 def test_packets_longer_than_1024_flits_run_end_to_end(tmp_path):
     doc = {"width": 2, "height": 2, "flows": [
         {"id": 1, "T": 100_000, "D": 100_000, "L": 1500, "J": 0,
@@ -196,7 +209,12 @@ def test_bad_flags_exit_two(tmp_path):
                  ["verify", "--flowset", "flows.json", "--horizon", "-5"],
                  ["simulate", "--flowset", "flows.json", "--horizon", "0"],
                  ["gen", "--flows", "-1"],
-                 ["sweep", "--flows", "-1"]):
+                 ["sweep", "--flows", "-1"],
+                 # Grid sides below 2 admit no multi-ring topology.
+                 ["topo", "--width", "0"],
+                 ["gen", "--flows", "3", "--width", "1"],
+                 ["sweep", "--grids", "1x4"],
+                 ["flowstats", "--mode", "shares", "--grid", "1x3"]):
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2, argv

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
-from rlnoc.analysis import analyze, basic_latency, parse_profile
+from rlnoc.analysis import analyze, parse_profile
 from rlnoc.simulator import (
     HardwareProfile,
     SimConfig,
@@ -13,6 +13,7 @@ from rlnoc.simulator import (
     oracle_check,
     outcome_to_csv,
     simulate,
+    _release_schedule,
 )
 from rlnoc.topology import generate_multi_ring, select_ring
 from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset
@@ -31,10 +32,10 @@ class TestCalibration:
         out = simulate(flowset, SimConfig(seed=5, horizon=50_000, release=release),
                        SHARED)
         stats = out.per_flow[1]
-        expect = basic_latency(flowset, flowset.flows[0]) - 1
+        expect = flowset.index.bases[1].no_load - 1
         assert stats.max_latency == expect
         assert stats.mean_latency == expect
-        assert stats.max_latency <= basic_latency(flowset, flowset.flows[0]) + 1
+        assert stats.max_latency <= flowset.index.bases[1].no_load + 1
 
     def test_stepped_cycles_count_only_simulated_cycles(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology,
@@ -63,7 +64,8 @@ class TestCalibration:
         assert fast.stepped_cycles == 0
         assert fast.digest == slow.digest
         for flow in flowset.flows:
-            assert fast.per_flow[flow.id].max_latency == basic_latency(flowset, flow) - 1
+            no_load = flowset.index.bases[flow.id].no_load
+            assert fast.per_flow[flow.id].max_latency == no_load - 1
 
     def test_shared_injection_queue_is_stepped(self, six_ring_topology):
         # The second packet queues behind the first, still injecting, at the
@@ -86,7 +88,7 @@ class TestCalibration:
             flowset = Flowset((make_flow(1, src, dst, period=2_000, length=17,
                                          ring=ring),), topo)
             out = simulate(flowset, SimConfig(seed=seed, horizon=30_000), INDEPENDENT)
-            assert out.per_flow[1].max_latency == basic_latency(flowset, flowset.flows[0]) - 1
+            assert out.per_flow[1].max_latency == flowset.index.bases[1].no_load - 1
 
 
 class TestDeterminism:
@@ -192,6 +194,24 @@ class TestConservation:
         assert (slow.released, slow.delivered, slow.drained) == (66, 65, False)
         assert (fast.released, fast.delivered, fast.drained) == (66, 65, False)
         assert fast.digest == slow.digest
+
+
+class TestReleaseSchedule:
+    def test_periodic_jitter_can_release_after_the_horizon(self):
+        # Only offset + n*T is kept below the horizon; the jitter added to it
+        # can carry the release past, and with drain on the packet runs.
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=23))
+        jitter = {f.id: f.jitter for f in flowset.flows}
+        late = []
+        for seed in range(5):
+            periodic = SimConfig(seed=seed, horizon=20_000, release="periodic")
+            releases = _release_schedule(flowset, periodic)
+            late.append(sum(t >= 20_000 for t, _ in releases))
+            assert all(t < 20_000 + jitter[fid] for t, fid in releases)
+            assert simulate(flowset, periodic, SHARED).released == len(releases)
+            sporadic = replace(periodic, release="sporadic")
+            assert all(t < 20_000 for t, _ in _release_schedule(flowset, sporadic))
+        assert late == [1, 4, 3, 5, 1]
 
 
 class TestProtocolRules:
@@ -319,7 +339,7 @@ class TestProtocolRules:
         out = simulate(flowset, cfg, SHARED)
         assert out.released == out.delivered == 1
         assert out.flits_injected == out.flits_ejected == 1030
-        assert out.per_flow[1].max_latency == basic_latency(flowset, flowset.flows[0]) - 1
+        assert out.per_flow[1].max_latency == flowset.index.bases[1].no_load - 1
         ejected = [e[4] for e in out.trace if e[0] == "eject"]
         assert ejected == list(range(1030))
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,47 @@ class TestFlowsetIndex:
                 ring = flowset.topology.ring(f.ring)
                 assert flowset.index.route[f.id] == (ring.position(f.src),
                                                      ring.hops(f.src, f.dst))
+
+    @pytest.mark.parametrize("grid", [(4, 4), (5, 5)])
+    def test_bases_match_plain_recomputation(self, grid):
+        def path(g):
+            ring = flowset.topology.ring(g.ring)
+            start = ring.position(g.src)
+            return [ring.switches[(start + d) % ring.size]
+                    for d in range(ring.hops(g.src, g.dst) + 1)]
+
+        for seed in range(4):
+            flowset = generate_flowset(BenchmarkParams(
+                flows_per_set=80, width=grid[0], height=grid[1], seed=seed))
+            index = flowset.index
+            for ring in flowset.topology.rings:
+                bounds = [max((g.length - 1 for g in flowset.flows
+                               if g.ring == ring.id and g.src == switch), default=0)
+                          for switch in ring.switches]
+                assert index.buffer_bounds[ring.id] == bounds
+                assert index.ring_backlog[ring.id] == sum(bounds)
+            for f in flowset.flows:
+                ring = flowset.topology.ring(f.ring)
+                bounds = index.buffer_bounds[f.ring]
+                mates = sorted((g for g in flowset.flows
+                                if g.ring == f.ring and g.id != f.id), key=lambda g: g.id)
+                up = [g for g in mates if f.src in path(g)[1:-1]]
+                in_ring = [g for g in mates if g.src == f.src]
+                base = index.bases[f.id]
+                assert base.no_load == ring.hops(f.src, f.dst) + f.length
+                assert base.loop == ring.size + f.length
+                assert base.up == {g.id for g in up}
+                assert base.in_ring == {g.id for g in in_ring}
+                assert base.up_terms == tuple((g.period, g.length, g.jitter, g.id, 1)
+                                              for g in up)
+                assert (Fraction(*base.up_load)
+                        == sum((Fraction(g.length, g.period) for g in up), Fraction(0)))
+                assert base.in_sum == sum(g.length for g in in_ring)
+                assert base.in_core == tuple(sorted(
+                    g.id for g in flowset.flows if g.src == f.src and g.id != f.id))
+                assert base.down_backlog == sum(bounds[ring.position(c)]
+                                                for c in path(f)[1:])
+                assert base.dst_backlog == bounds[ring.position(f.dst)]
 
     def test_flows_in_id_order_whatever_the_listing(self):
         flowset = shuffled(generate_flowset(BenchmarkParams(flows_per_set=40, seed=2)))
