@@ -408,7 +408,6 @@ class TestDominance:
                 assert base.results[fid].bound <= defl.results[fid].bound
 
     def test_bounds_grow_with_interferer_jitter_and_length(self, five_flow_fixture):
-        from dataclasses import replace
         config = parse_profile("0D_IU_SI")
         base = analyze(five_flow_fixture, config)
         flows = {f.id: f for f in five_flow_fixture.flows}
