@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Literal, NamedTuple
 
+from .topology import _is_int
 from .traffic import Flow, FlowBase, Flowset, InterferenceSets, term_load
 
 
@@ -34,21 +35,24 @@ class InvariantError(AnalysisError):
 
 
 Injection = Literal["independent", "shared"]
-Ejection = Literal["independent", "shared"]
 JitterMethod = Literal["simplified", "iterative"]
-MaxloopMode = Literal["fixed", "oldest_first"]
 IposFormula = Literal["tight", "coarse"]
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Configuration switches selecting the model variant to analyse."""
+    """Configuration switches selecting the model variant to analyse.
+
+    ``maxloop`` selects the ejection links and with them the deflection
+    bound: 0 for independent links (no deflection), k >= 1 for links shared
+    by at most k flows (k deflections), or ``"oldest_first"`` for one
+    Oldest-First link per core (as many deflections as other flows to the
+    same core).
+    """
 
     injection: Injection = "shared"
-    ejection: Ejection = "independent"
     jitter_method: JitterMethod = "iterative"
-    maxloop_mode: MaxloopMode = "fixed"
-    maxloop: int = 0
+    maxloop: int | Literal["oldest_first"] = 0
     ipos_formula: IposFormula = "tight"
     iteration_cap: int = 1000
     # Study variant: drop the destination switch from the downstream buffering
@@ -58,24 +62,20 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.injection not in ("independent", "shared"):
             raise AnalysisError(f"bad injection mode {self.injection!r}")
-        if self.ejection not in ("independent", "shared"):
-            raise AnalysisError(f"bad ejection mode {self.ejection!r}")
         if self.jitter_method not in ("simplified", "iterative"):
             raise AnalysisError(f"bad jitter method {self.jitter_method!r}")
-        if self.maxloop_mode not in ("fixed", "oldest_first"):
-            raise AnalysisError(f"bad maxloop mode {self.maxloop_mode!r}")
-        if self.maxloop < 0 or self.iteration_cap < 1:
-            raise AnalysisError("maxloop and iteration_cap must be non-negative / positive")
-        if self.ejection == "independent" and self.maxloop != 0:
-            raise AnalysisError("independent ejection implies maxloop = 0")
-        if self.ejection == "shared" and self.maxloop_mode == "fixed" and self.maxloop < 1:
-            raise AnalysisError("shared ejection with a fixed bound requires maxloop >= 1")
+        if not (self.maxloop == "oldest_first"
+                or _is_int(self.maxloop) and self.maxloop >= 0):
+            raise AnalysisError(f"maxloop must be an integer >= 0 or 'oldest_first', "
+                                f"got {self.maxloop!r}")
+        if not _is_int(self.iteration_cap) or self.iteration_cap < 1:
+            raise AnalysisError(f"iteration_cap must be an integer >= 1, "
+                                f"got {self.iteration_cap!r}")
         if self.ipos_formula not in ("tight", "coarse"):
             raise AnalysisError(f"bad ipos formula {self.ipos_formula!r}")
 
 
-_PROFILE_RE = re.compile(r"^(\d+)D_(NI|IU)_(II|SI)$")
-_PROFILE_OF_RE = re.compile(r"^OF_(NI|IU)_(II|SI)$")
+_PROFILE_RE = re.compile(r"(\d+D|OF)_(NI|IU)_(II|SI)")
 
 
 def parse_profile(name: str, **overrides) -> AnalysisConfig:
@@ -86,35 +86,23 @@ def parse_profile(name: str, **overrides) -> AnalysisConfig:
     Oldest-First arbitration. NI/IU select the non-iterative or iterative
     indirect-jitter method; II/SI select independent or shared injection.
     """
-    m = _PROFILE_RE.match(name)
-    if m:
-        k = int(m.group(1))
-        cfg = AnalysisConfig(
-            injection="independent" if m.group(3) == "II" else "shared",
-            ejection="independent" if k == 0 else "shared",
-            jitter_method="simplified" if m.group(2) == "NI" else "iterative",
-            maxloop_mode="fixed",
-            maxloop=k,
-        )
-        return replace(cfg, **overrides) if overrides else cfg
-    m = _PROFILE_OF_RE.match(name)
-    if m:
-        cfg = AnalysisConfig(
-            injection="independent" if m.group(2) == "II" else "shared",
-            ejection="shared",
-            jitter_method="simplified" if m.group(1) == "NI" else "iterative",
-            maxloop_mode="oldest_first",
-        )
-        return replace(cfg, **overrides) if overrides else cfg
-    raise AnalysisError(f"unknown configuration profile {name!r}")
+    m = _PROFILE_RE.fullmatch(name)
+    if m is None:
+        raise AnalysisError(f"unknown configuration profile {name!r}")
+    ejection, jitter, injection = m.groups()
+    cfg = AnalysisConfig(
+        injection="independent" if injection == "II" else "shared",
+        jitter_method="simplified" if jitter == "NI" else "iterative",
+        maxloop="oldest_first" if ejection == "OF" else int(ejection[:-1]),
+    )
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def profile_name(config: AnalysisConfig) -> str:
+    ejection = "OF" if config.maxloop == "oldest_first" else f"{config.maxloop}D"
     jit = "NI" if config.jitter_method == "simplified" else "IU"
     inj = "II" if config.injection == "independent" else "SI"
-    if config.ejection == "shared" and config.maxloop_mode == "oldest_first":
-        return f"OF_{jit}_{inj}"
-    return f"{config.maxloop}D_{jit}_{inj}"
+    return f"{ejection}_{jit}_{inj}"
 
 
 @dataclass(frozen=True)
@@ -206,16 +194,16 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     id that builds each context on first use: a pass that stops at a failing
     flow never builds the contexts of the flows after it.
 
-    ``maxloop`` is zero without ejection sharing, the configured constant, or
-    under Oldest-First the number of other flows to the same core, each of
+    ``maxloop`` is the configured constant, zero under independent ejection,
+    or under Oldest-First the number of other flows to the same core, each of
     which can win the arbitration once. ``I_pos`` charges each downstream
     switch its backlog bound (tight) or the buffer capacity (coarse), plus
     one whole-ring bound per deflection.
     """
     index = flowset.index
-    if config.ejection == "shared" and config.maxloop_mode == "oldest_first":
+    if config.maxloop == "oldest_first":
         maxloops = {fid: len(index.on_dst[f.dst]) - 1 for fid, f in index.flows.items()}
-    else:  # the configured constant, which is 0 under independent ejection
+    else:
         maxloops = dict.fromkeys(index.flows, config.maxloop)
     # Every flow of a ring that may deflect enters the busy period of each
     # flow of the ring (itself included) as maxloop_j replicas, in addition
@@ -285,22 +273,14 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     context = _contexts(flowset, config)
     flows = index.flows
     shared = config.injection == "shared"
-
-    if config.jitter_method == "simplified":
-        jk = {fid: f.deadline - index.bases[fid].no_load for fid, f in flows.items()}
-        outcome = _run_pass(context, flows, jk, dict.fromkeys(flows, 0), shared,
-                            record, update_jk=False)
-        if isinstance(outcome, int):
-            return FlowsetResult("unschedulable", {}, 1, failing_flow=outcome)
-        rows, _ = outcome
-        return FlowsetResult("schedulable", _freeze(context, flows, rows, jk), 1)
-
-    jk = dict.fromkeys(flows, 0)
+    # Under the simplified method the jitter never changes, so its first
+    # pass is its last.
+    iterative = config.jitter_method == "iterative"
+    jk = {fid: 0 if iterative else f.deadline - index.bases[fid].no_load
+          for fid, f in flows.items()}
     bounds = dict.fromkeys(flows, 0)
-    rows: dict[int, tuple[int, int, int]] = {}
     for iteration in range(1, config.iteration_cap + 1):
-        outcome = _run_pass(context, flows, jk, bounds, shared, record,
-                            update_jk=True)
+        outcome = _run_pass(context, flows, jk, bounds, shared, record, iterative)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
         rows, changed = outcome
@@ -311,7 +291,8 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
 
 def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
     """One pass over the flows, by id in id order; returns the failing flow
-    id, or (rows, changed)."""
+    id, or (rows, changed), where changed says whether a bound changed and
+    was fed back into the jitter."""
     changed = False
     rows: dict[int, tuple[int, int, int]] = {}
     idle: dict[int, int] = {}
@@ -344,9 +325,9 @@ def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
             if bound < bounds[fid]:
                 raise InvariantError(
                     f"flow {fid}: bound decreased from {bounds[fid]} to {bound}")
-            changed = True
             bounds[fid] = bound
             if update_jk:
+                changed = True
                 jk[fid] = bound - ctx.base.no_load
     return rows, changed
 

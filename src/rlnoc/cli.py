@@ -220,7 +220,7 @@ def _cmd_analyze(args) -> int:
     flowset = _load_flowset(args)
     config = analysis.parse_profile(args.config, ipos_formula=args.ipos)
     result = analysis.analyze(flowset, config)
-    diagnostics = flowset.index.interference if args.diagnostics else None
+    diagnostics = traffic.interference_table(flowset) if args.diagnostics else None
     _write(_out_path(args.out),
            analysis.results_to_csv(result, config, diagnostics=diagnostics))
     if not result.schedulable:

@@ -79,9 +79,9 @@ def hardware_from_config(config: AnalysisConfig) -> HardwareProfile:
     sharing keeps the modelled bound structural. The Oldest-First mode keeps
     the single shared link whose deflections the flow-count analysis targets.
     """
-    if config.ejection == "independent":
+    if config.maxloop == 0:
         return HardwareProfile(config.injection, "independent")
-    if config.maxloop_mode == "oldest_first":
+    if config.maxloop == "oldest_first":
         return HardwareProfile(config.injection, "shared", None)
     return HardwareProfile(config.injection, "shared", config.maxloop)
 
@@ -218,7 +218,6 @@ class _Engine:
                                     hops, f.length, qkey, ekey, f.id)
 
         self.queues: dict[tuple, deque] = {}
-        self.busy_queues: set[tuple] = set()
         self.ebusy: dict[tuple, list] = {}
 
         # Packet registry, indexed by packet id in release order; pkt_info
@@ -229,11 +228,8 @@ class _Engine:
         self.pkt_delivery: list[int] = []
 
         self.flow_stats: dict[int, list] = {f.id: [0, 0, 0, 0] for f in flowset.flows}
-        self.released = 0
-        self.delivered = 0
         self.flits_injected = 0
         self.flits_ejected = 0
-        self.deflection_events = 0
         self.trace: list = []
         self.fast = cfg.fast_forward and not cfg.collect_trace
         self.stepped_cycles = 0
@@ -248,7 +244,6 @@ class _Engine:
         self.pkt_release.append(release)
         self.pkt_deflections.append(0)
         self.pkt_delivery.append(-1)
-        self.released += 1
         self.queues.setdefault(info[5], deque()).append(pkt)
         if self.cfg.collect_trace:
             self.trace.append(("release", release, pkt, flow_id))
@@ -264,7 +259,6 @@ class _Engine:
         if self.pkt_deflections[pkt] > stats[3]:
             stats[3] = self.pkt_deflections[pkt]
         self.pkt_delivery[pkt] = cycle
-        self.delivered += 1
         if self.cfg.collect_trace:
             self.trace.append(("deliver", cycle, pkt, latency))
 
@@ -320,7 +314,9 @@ class _Engine:
             if len(queue) > 1:
                 return None
             info = pkt_info[queue[0]]
-            h = t - rings[info[0]].inj[info[1]][1] if qkey in self.busy_queues else t
+            # A queue head whose port is injecting is the packet it injects.
+            state = rings[info[0]].inj.get(info[1])
+            h = t if state is None else t - state[1]
             worms[queue[0]] = (h + info[3], h)
         # A busy ring with an empty packet buffer holds flits in its flit
         # buffers, which must all be one packet's. A packet not queued has
@@ -358,11 +354,9 @@ class _Engine:
                        for i in range(gone, sent)}
             if h is not None and sent < length:
                 ring.inj = {src: [pkt, sent, qkey]}
-                self.busy_queues.add(qkey)
             elif h is not None:
                 ring.inj = {}
-                self.busy_queues.discard(qkey)
-                del self.queues[qkey]
+                self._dequeue(qkey)
             self.ebusy.pop(ekey, None)
             if 0 < gone < length:
                 self.ebusy[ekey] = [pkt, gone]
@@ -455,21 +449,14 @@ class _Engine:
             new_fb: dict[int, int] = {}
             positions = emitted[rid] = set(ring.inj) | set(ring.pb) | set(ring_thru)
             for pos in sorted(positions):
-                nxt = (pos + 1) % ring.size
                 if pos in ring.inj:
                     state = ring.inj[pos]
-                    pkt, idx, qkey = state[0], state[1], state[2]
-                    new_fb[nxt] = (pkt << bits) | idx
+                    pkt, idx = state[0], state[1]
+                    flit = (pkt << bits) | idx
                     self.flits_injected += 1
-                    if trace is not None:
-                        trace.append(("out", t, rid, pos, pkt, idx))
                     if idx + 1 == pkt_info[pkt][4]:
                         del ring.inj[pos]
-                        self.busy_queues.discard(qkey)
-                        queue = self.queues[qkey]
-                        queue.popleft()
-                        if not queue:
-                            del self.queues[qkey]
+                        self._dequeue(state[2])
                     else:
                         state[1] = idx + 1
                     if pos in ring_thru:
@@ -477,18 +464,15 @@ class _Engine:
                 elif pos in ring.pb:
                     buf = ring.pb[pos]
                     flit = buf.popleft()
-                    new_fb[nxt] = flit
-                    if trace is not None:
-                        trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
                     if pos in ring_thru:
                         buf.append(ring_thru.pop(pos))
                     if not buf:
                         del ring.pb[pos]
                 else:
                     flit = ring_thru.pop(pos)
-                    new_fb[nxt] = flit
-                    if trace is not None:
-                        trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
+                new_fb[(pos + 1) % ring.size] = flit
+                if trace is not None:
+                    trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
             if ring_thru:
                 raise ProtocolViolation("a flit was left behind in a flit buffer")
             ring.fb = new_fb
@@ -498,8 +482,6 @@ class _Engine:
         # Fresh header injections: head of each idle queue, provided the
         # ring's flit buffer was empty this cycle and its packet buffer is.
         for qkey in sorted(self.queues):
-            if qkey in self.busy_queues:
-                continue
             pkt = self.queues[qkey][0]
             info = pkt_info[pkt]
             rid, pos, length = info[0], info[1], info[4]
@@ -507,7 +489,8 @@ class _Engine:
             # Blocked whenever the output port carried ring traffic this
             # cycle: a thru or deflected flit, a packet buffer that was
             # draining at cycle start (even if it emptied this cycle), or an
-            # ongoing payload injection (even one that finished this cycle).
+            # ongoing payload injection (even one that finished this cycle),
+            # which is also how a head that is still injecting is skipped.
             if pos in emitted.get(rid, ()):
                 continue
             nxt = (pos + 1) % ring.size
@@ -520,13 +503,17 @@ class _Engine:
                 trace.append(("inject", t, pkt, rid, pos))
                 trace.append(("out", t, rid, pos, pkt, 0))
             if length == 1:
-                queue = self.queues[qkey]
-                queue.popleft()
-                if not queue:
-                    del self.queues[qkey]
+                self._dequeue(qkey)
             else:
                 ring.inj[pos] = [pkt, 1, qkey]
-                self.busy_queues.add(qkey)
+
+    def _dequeue(self, qkey: tuple) -> None:
+        """Drop a queue's head, whose last flit has left, and the queue once
+        it is empty."""
+        queue = self.queues[qkey]
+        queue.popleft()
+        if not queue:
+            del self.queues[qkey]
 
     def _buffer(self, ring: _RingState, pos: int, flit: int) -> None:
         buf = ring.pb.get(pos)
@@ -552,7 +539,6 @@ class _Engine:
 
     def _deflect(self, rid: int, pos: int, pkt: int, t: int, thru, trace) -> None:
         self.pkt_deflections[pkt] += 1
-        self.deflection_events += 1
         if self.pkt_info[pkt][4] > 1:
             self.rings[rid].defl[pos] = pkt
         thru.setdefault(rid, {})[pos] = pkt << self.idx_bits
@@ -579,11 +565,11 @@ class _Engine:
         digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
         return SimOutcome(
             per_flow=per_flow,
-            released=self.released,
-            delivered=self.delivered,
+            released=len(self.pkt_info),
+            delivered=sum(stats.packets for stats in per_flow.values()),
             flits_injected=self.flits_injected,
             flits_ejected=self.flits_ejected,
-            deflections=self.deflection_events,
+            deflections=sum(self.pkt_deflections),
             drained=drained,
             digest=digest,
             stepped_cycles=self.stepped_cycles,

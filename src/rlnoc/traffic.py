@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -124,14 +123,10 @@ class FlowsetIndex:
     position on its ring and its hop count; each ring's worst backlog per
     switch position (the largest payload, length - 1, injected there) and
     their total; each flow's config-independent bound terms (``bases``); and,
-    built on first use, each ring's packet-buffer capacity and the
-    interference table."""
+    built on first use, each ring's packet-buffer capacity."""
 
     def __init__(self, flowset: Flowset):
-        topo = flowset.topology
-        # Weak: a cycle through Flowset.index would keep dropped flowsets
-        # alive until the garbage collector's next full pass.
-        self._flowset = weakref.ref(flowset)
+        self.topology = topo = flowset.topology
         self.flows = {f.id: f for f in sorted(flowset.flows, key=lambda f: f.id)}
         self.on_ring: dict[int, list[Flow]] = {}
         self.on_core: dict[Coord, list[Flow]] = {}
@@ -180,7 +175,7 @@ class FlowsetIndex:
         unused). Raises ``TrafficError`` for an override too small for a
         packet of its ring."""
         out = {}
-        for ring in self._flowset().topology.rings:
+        for ring in self.topology.rings:
             # Each flow's source switch bounds the flow's own payload, so the
             # largest backlog bound plus one is the largest packet of the ring.
             largest = max(self.buffer_bounds[ring.id]) + 1
@@ -191,10 +186,6 @@ class FlowsetIndex:
             out[ring.id] = (largest if ring.buffer_capacity is None
                             else ring.buffer_capacity)
         return out
-
-    @cached_property
-    def interference(self) -> dict[int, InterferenceSets]:
-        return interference_table(self._flowset())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
 from rlnoc.analysis import (
@@ -152,7 +155,7 @@ class TestPostInjectionInterference:
                     <= post_interference(five_flow_fixture, f, default))
 
     def test_deflections_add_whole_ring_bound(self, five_flow_fixture):
-        cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=2)
+        cfg = AnalysisConfig(maxloop=2)
         flow = five_flow_fixture.index.flows[3]
         base = post_interference(five_flow_fixture, flow, AnalysisConfig())
         ring_sum = sum(five_flow_fixture.index.buffer_bounds[0])
@@ -209,8 +212,7 @@ class TestBusyPeriods:
         # Oldest-First with no two flows sharing a destination: shared
         # ejection, yet every deflection bound is zero.
         flowset = single_up_flowset(six_ring_topology)
-        cfg = AnalysisConfig(injection="independent", ejection="shared",
-                             maxloop_mode="oldest_first")
+        cfg = AnalysisConfig(injection="independent", maxloop="oldest_first")
         jk = {1: 0, 2: 0}
         assert (injection_busy(flowset, cfg, 1, jk)
                 == injection_busy(flowset, parse_profile("0D_IU_II"), 1, jk))
@@ -280,7 +282,7 @@ class TestQueueWait:
 
 class TestResolveMaxloop:
     def test_independent_ejection_never_deflects(self, five_flow_fixture):
-        result = analyze(five_flow_fixture, AnalysisConfig(ejection="independent"))
+        result = analyze(five_flow_fixture, AnalysisConfig(maxloop=0))
         assert result.schedulable
         assert all(r.maxloop == 0 for r in result.results.values())
 
@@ -288,14 +290,13 @@ class TestResolveMaxloop:
         flows = [make_flow(1, (0, 0), (2, 1)), make_flow(2, (1, 0), (2, 1)),
                  make_flow(3, (0, 1), (2, 1)), make_flow(4, (2, 1), (0, 0))]
         flowset = build_flowset(six_ring_topology, *flows)
-        result = analyze(flowset, AnalysisConfig(ejection="shared",
-                                                 maxloop_mode="oldest_first"))
+        result = analyze(flowset, AnalysisConfig(maxloop="oldest_first"))
         assert result.schedulable
         assert {fid: r.maxloop for fid, r in result.results.items()} == {
             1: 2, 2: 2, 3: 2, 4: 0}
 
     def test_fixed_bound_applies_to_every_flow(self, five_flow_fixture):
-        cfg = AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=3)
+        cfg = AnalysisConfig(maxloop=3)
         for f in five_flow_fixture.flows:
             assert flow_context(five_flow_fixture, cfg, f.id).maxloop == 3
 
@@ -303,7 +304,8 @@ class TestResolveMaxloop:
 class TestProfiles:
     @pytest.mark.parametrize("name", ["0D_NI_II", "0D_IU_II", "0D_NI_SI",
                                       "0D_IU_SI", "1D_IU_SI", "2D_IU_SI",
-                                      "3D_IU_SI", "OF_IU_SI", "OF_NI_II"])
+                                      "3D_IU_SI", "12D_NI_II", "OF_IU_SI",
+                                      "OF_NI_II"])
     def test_roundtrip(self, name):
         assert profile_name(parse_profile(name)) == name
 
@@ -312,12 +314,12 @@ class TestProfiles:
             parse_profile("4X_IU_SI")
 
     def test_config_validation(self):
-        with pytest.raises(AnalysisError):
-            AnalysisConfig(ejection="independent", maxloop=1)
-        with pytest.raises(AnalysisError):
-            AnalysisConfig(ejection="shared", maxloop_mode="fixed", maxloop=0)
-        with pytest.raises(AnalysisError):
-            AnalysisConfig(injection="both")
+        for fields in ({"maxloop": True}, {"maxloop": False}, {"maxloop": -1},
+                       {"maxloop": 1.0}, {"maxloop": "fixed"}, {"maxloop": "OF"},
+                       {"iteration_cap": True}, {"iteration_cap": 0},
+                       {"injection": "both"}):
+            with pytest.raises(AnalysisError):
+                AnalysisConfig(**fields)
 
 
 class TestAnalyze:
@@ -443,6 +445,56 @@ class TestDominance:
             for fid in iterative.results:
                 assert (iterative.results[fid].bound
                         <= simplified.results[fid].bound)
+
+
+# Every ejection (0D, 1D, 2D, OF) and injection (II, SI) variant, as the
+# simplified (NI) and iterative (IU) profile names.
+VARIANTS = [(f"{ej}_NI_{inj}", f"{ej}_IU_{inj}")
+            for ej, inj in itertools.product(("0D", "1D", "2D", "OF"), ("II", "SI"))]
+
+
+@st.composite
+def small_benchmarks(draw):
+    """Benchmark parameters for a few flows on a 2x2 to 4x4 grid, with
+    periods short enough that some flowsets are unschedulable."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    shortest = draw(st.sampled_from([30, 100, 300]))
+    return BenchmarkParams(flows_per_set=draw(st.integers(1, 8)), width=width,
+                           height=height, packet_range=(1, 32),
+                           period_range=(shortest, 4 * shortest),
+                           seed=draw(st.integers(0, 2**16)))
+
+
+class TestJitterLoopProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks())
+    def test_iterative_dominates_simplified(self, params):
+        flowset = generate_flowset(params)
+        for simplified_name, iterative_name in VARIANTS:
+            simplified = analyze(flowset, parse_profile(simplified_name))
+            if not simplified.schedulable:
+                continue
+            iterative = analyze(flowset, parse_profile(iterative_name))
+            assert iterative.schedulable, iterative_name
+            for fid, r in iterative.results.items():
+                assert r.bound <= simplified.results[fid].bound, (iterative_name, fid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks(), extra=st.integers(1, 4))
+    def test_adding_flows_keeps_verdicts_and_grows_bounds(self, params, extra):
+        topology = generate_multi_ring(params.width, params.height)
+        small = generate_flowset(params, topology)
+        large = generate_flowset(
+            replace(params, flows_per_set=params.flows_per_set + extra), topology)
+        assert large.flows[:len(small.flows)] == small.flows
+        for name in itertools.chain.from_iterable(VARIANTS):
+            config = parse_profile(name)
+            before, after = analyze(small, config), analyze(large, config)
+            if before.verdict == "unschedulable":
+                assert after.verdict == "unschedulable", name
+            if before.schedulable and after.schedulable:
+                for fid, r in before.results.items():
+                    assert after.results[fid].bound >= r.bound, (name, fid)
 
 
 def test_results_csv_shape(five_flow_fixture):

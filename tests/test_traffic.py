@@ -43,12 +43,6 @@ class TestFiveFlowScenario:
             assert sets.in_ring == frozenset(in_ring), fid
             assert sets.upind == frozenset(upind), fid
 
-    def test_single_flow_api_matches_table(self, five_flow_fixture):
-        # Per-flow lookups go through the flowset's cached index.
-        table = interference_table(five_flow_fixture)
-        for flow in five_flow_fixture.flows:
-            assert five_flow_fixture.index.interference[flow.id] == table[flow.id]
-
     def test_in_core_and_ring_all(self, five_flow_fixture):
         index = five_flow_fixture.index
         on_core = {core: [f.id for f in flows] for core, flows in index.on_core.items()}
@@ -143,7 +137,7 @@ class TestFlowsetIndex:
         for flows, seed in itertools.product((30, 60), range(4)):
             in_order = generate_flowset(BenchmarkParams(flows_per_set=flows, seed=seed))
             csvs = [results_to_csv(analyze(fs, config), config,
-                                   diagnostics=fs.index.interference)
+                                   diagnostics=interference_table(fs))
                     for fs in (in_order, shuffled(in_order, seed))]
             assert csvs[0] == csvs[1]
 
