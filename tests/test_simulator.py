@@ -80,6 +80,23 @@ class TestCalibration:
         assert 0 < fast.stepped_cycles < slow.stepped_cycles
         assert fast.digest == slow.digest
 
+    def test_closed_form_resumes_after_contention(self, six_ring_topology):
+        # The same shared queue, but only the release at 2003 queues behind
+        # another packet; the releases before and after it run alone. The
+        # engine steps from 2003 until the first packet is delivered at 2013
+        # (the second shares its ring), then hands the second back as a
+        # closed-form worm.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
+                                make_flow(2, (0, 0), (1, 1), period=10_000, length=12))
+        cfg = SimConfig(seed=0, horizon=6_000, release="periodic",
+                        release_offsets={1: 0, 2: 2_003})
+        fast = simulate(flowset, cfg, SHARED)
+        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        assert fast.digest == slow.digest
+        assert (fast.released, slow.stepped_cycles) == (7, 98)
+        assert fast.stepped_cycles == 11
+
     def test_every_topology_and_path_shape(self):
         topo = generate_multi_ring(4, 4)
         for seed, (src, dst) in enumerate([((0, 0), (3, 3)), ((2, 1), (2, 0)),
