@@ -25,15 +25,16 @@ A flit sent on a link during cycle t is processed by the downstream switch in
 cycle t+1, so in an empty network the last flit of a packet crosses the
 ejection link hops + length - 1 cycles after release.
 
-Because utilisation is typically low, the engine steps cycle by cycle only
-while packets can interact. While every packet is an uncontended worm (no
-packet-buffer or deflection state, no queue holding two packets, and packets
-pairwise on different rings and ejection links), its flits cross the ejection
-link on consecutive cycles from a header cycle fixed by its progress so far.
-The engine then jumps in closed form to the next release or past the last
-delivery, bit for bit like stepping (tests compare the two modes). Without
-drain, a run stops at the horizon in both modes. A stepped cycle visits only
-the rings that hold traffic, so idle rings cost nothing.
+Because utilisation is typically low, the engine's resting state is closed
+form. A packet alone in the network is a worm: its header leaves the source
+at cycle h, crosses the ejection link at e = h + hops, and flit i follows
+at e + i. While no two packets share a ring, an ejection link or a queue one
+of them still holds, the engine keeps only (e, h) per packet and moves from
+release to release. It builds ring state only when a release clashes with a
+live worm (or at the horizon without drain), steps while packets can
+interact, and hands them back as worms once they cannot. This is bit for bit
+like stepping every cycle (tests compare the two modes). A stepped cycle
+visits only the rings that hold traffic, so idle rings cost nothing.
 """
 
 from __future__ import annotations
@@ -236,17 +237,16 @@ class _Engine:
 
     # -- packet bookkeeping -------------------------------------------------
 
-    def _release(self, flow_id: int, release: int) -> None:
-        """Register a new packet of the flow and append it to its queue."""
+    def _register(self, flow_id: int, release: int) -> int:
+        """Register a new packet of the flow and return its id."""
         pkt = len(self.pkt_info)
-        info = self.flow_info[flow_id]
-        self.pkt_info.append(info)
+        self.pkt_info.append(self.flow_info[flow_id])
         self.pkt_release.append(release)
         self.pkt_deflections.append(0)
         self.pkt_delivery.append(-1)
-        self.queues.setdefault(info[5], deque()).append(pkt)
         if self.cfg.collect_trace:
             self.trace.append(("release", release, pkt, flow_id))
+        return pkt
 
     def _deliver(self, pkt: int, cycle: int) -> None:
         flow_id = self.pkt_info[pkt][7]
@@ -272,8 +272,11 @@ class _Engine:
         # Without drain the run stops at the start of the horizon cycle.
         stop = None if self.cfg.drain else self.cfg.horizon
         guard = 2 * self.cfg.horizon + 10_000_000
+        # Closed form: packet id -> (e, h) for every packet in flight, with
+        # no ring state (see the module docstring). None while stepping.
+        worms: dict[int, tuple] | None = {} if self.fast else None
         while True:
-            if not (self.queues or self.ebusy or self.busy_rings):
+            if worms is not None or not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
                 t = releases[ptr][0]
@@ -281,46 +284,94 @@ class _Engine:
                 break
             if t > guard:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
-            while ptr < n_rel and releases[ptr][0] == t:
-                self._release(releases[ptr][1], t)
-                ptr += 1
-            if self.fast:
-                # Jittered periodic releases may fall after the horizon.
-                target = releases[ptr][0] if ptr < n_rel else stop
-                reached = self._jump(t, target if stop is None else min(target, stop))
-                if reached is not None:
-                    t = reached
+            if worms is not None:
+                self._settle(worms, t)
+                while (ptr < n_rel and releases[ptr][0] == t
+                       and self._admit(worms, releases[ptr][1], t)):
+                    ptr += 1
+                if ptr == n_rel or releases[ptr][0] != t:
                     continue
+                self._materialise(worms, t)
+                worms = None
+            while ptr < n_rel and releases[ptr][0] == t:
+                pkt = self._register(releases[ptr][1], t)
+                self.queues.setdefault(self.pkt_info[pkt][5], deque()).append(pkt)
+                ptr += 1
             self._cycle(t)
             self.stepped_cycles += 1
             t += 1
+            if self.fast:
+                worms = self._handover(t)
+        if worms:
+            # With drain every worm is delivered; without, the rest stay put.
+            self._settle(worms, stop)
+            self._materialise(worms, stop)
         return self._finish()
 
-    def _jump(self, t: int, target: int | None) -> int | None:
-        """Advance from the start of cycle t to that of target in one step.
+    # -- closed form ----------------------------------------------------------
 
-        Applies when every packet in the network is an uncontended worm (see
-        the module docstring): its header crosses the ejection link at some
-        cycle e and flit i follows at e + i. Packets that finish before
-        target are delivered and the rest are rebuilt as they stand at
-        target; a target of None means just after the last finish. Returns
-        the cycle reached, or None when packets could interact.
-        """
+    def _settle(self, worms: dict, t: int | None) -> None:
+        """Deliver the worms whose last flit crosses the ejection link before
+        cycle t, or all of them when t is None."""
+        pkt_info = self.pkt_info
+        for pkt in [p for p, (e, _) in worms.items()
+                    if t is None or e + pkt_info[p][4] <= t]:
+            length = pkt_info[pkt][4]
+            self.flits_injected += length
+            self.flits_ejected += length
+            self._deliver(pkt, worms.pop(pkt)[0] + length - 1)
+
+    def _admit(self, worms: dict, flow_id: int, t: int) -> bool:
+        """Add a packet released at t as a worm, unless it clashes with a live
+        one: same ring, same ejection link, or a queue the other still holds."""
+        rid, _, _, hops, _, qkey, ekey, _ = self.flow_info[flow_id]
+        for pkt, (_, h) in worms.items():
+            info = self.pkt_info[pkt]
+            if (info[0] == rid or info[6] == ekey
+                    or (info[5] == qkey and h is not None and t < h + info[4])):
+                return False
+        worms[self._register(flow_id, t)] = (t + hops, t)
+        return True
+
+    def _materialise(self, worms: dict, t: int) -> None:
+        """Build the ring state of the live worms as it stands at the start of
+        cycle t, counting the flits they have sent and ejected by then."""
+        bits = self.idx_bits
+        for pkt, (e, h) in worms.items():
+            rid, src, dst, _, length, qkey, ekey, _ = self.pkt_info[pkt]
+            ring = self.rings[rid]
+            sent = length if h is None else min(length, t - h)
+            gone = max(0, t - e)
+            self.flits_injected += sent
+            self.flits_ejected += gone
+            # At t, flit i is e + i - t switches short of dst.
+            ring.fb = {(dst + t - e - i) % ring.size: (pkt << bits) | i
+                       for i in range(gone, sent)}
+            if sent < length:
+                self.queues[qkey] = deque([pkt])
+                if sent:
+                    ring.inj = {src: [pkt, sent, qkey]}
+            if gone:
+                self.ebusy[ekey] = [pkt, gone]
+            if ring.fb:
+                self.busy_rings.add(rid)
+
+    def _handover(self, t: int) -> dict[int, tuple] | None:
+        """At the start of cycle t, return the packets as worms and clear the
+        ring state, or None while packets can interact. The flit counters drop
+        what stepping counted; worms count when delivered or materialised."""
         rings, pkt_info, bits = self.rings, self.pkt_info, self.idx_bits
-        # Per packet: e, and the cycle its header leaves (or left) the source
-        # port, or None once its tail has left too.
         worms: dict[int, tuple] = {}
-        for qkey, queue in self.queues.items():
+        # A queue head injects from h (its header at t if not yet injecting);
+        # a packet out of its queue has h = None and e set by any of its
+        # flits. A busy ring's flits must all be one packet's.
+        for queue in self.queues.values():
             if len(queue) > 1:
                 return None
             info = pkt_info[queue[0]]
-            # A queue head whose port is injecting is the packet it injects.
             state = rings[info[0]].inj.get(info[1])
             h = t if state is None else t - state[1]
             worms[queue[0]] = (h + info[3], h)
-        # A busy ring with an empty packet buffer holds flits in its flit
-        # buffers, which must all be one packet's. A packet not queued has
-        # left its source entirely.
         for rid in self.busy_rings:
             ring = rings[rid]
             if ring.pb or ring.defl:
@@ -335,36 +386,17 @@ class _Engine:
         if n > 1 and (len({pkt_info[p][0] for p in worms}) < n
                       or len({pkt_info[p][6] for p in worms}) < n):
             return None
-        if self.ebusy and any(busy[0] not in worms for busy in self.ebusy.values()):
+        if any(busy[0] not in worms for busy in self.ebusy.values()):
             return None
-
-        if target is None:
-            target = max(e + pkt_info[p][4] for p, (e, _) in worms.items())
         for pkt, (e, h) in worms.items():
-            rid, src, dst, _, length, qkey, ekey, _ = pkt_info[pkt]
-            ring = rings[rid]
-            sent = length if h is None else min(length, target - h)
-            gone = min(length, max(0, target - e))
-            self.flits_injected += sent - (length if h is None else t - h)
-            self.flits_ejected += gone - max(0, t - e)
-            if gone == length:
-                self._deliver(pkt, e + length - 1)
-            # At target, flit i is e + i - target switches short of dst.
-            ring.fb = {(dst + target - e - i) % ring.size: (pkt << bits) | i
-                       for i in range(gone, sent)}
-            if h is not None and sent < length:
-                ring.inj = {src: [pkt, sent, qkey]}
-            elif h is not None:
-                ring.inj = {}
-                self._dequeue(qkey)
-            self.ebusy.pop(ekey, None)
-            if 0 < gone < length:
-                self.ebusy[ekey] = [pkt, gone]
-            if ring.fb or ring.inj:
-                self.busy_rings.add(rid)
-            else:
-                self.busy_rings.discard(rid)
-        return target
+            self.flits_injected -= pkt_info[pkt][4] if h is None else t - h
+            self.flits_ejected -= max(0, t - e)
+        for rid in self.busy_rings:
+            rings[rid].fb, rings[rid].inj = {}, {}
+        self.queues.clear()
+        self.ebusy.clear()
+        self.busy_rings.clear()
+        return worms
 
     # -- one cycle ------------------------------------------------------------
 
@@ -516,9 +548,7 @@ class _Engine:
             del self.queues[qkey]
 
     def _buffer(self, ring: _RingState, pos: int, flit: int) -> None:
-        buf = ring.pb.get(pos)
-        if buf is None:
-            buf = ring.pb[pos] = deque()
+        buf = ring.pb.setdefault(pos, deque())
         buf.append(flit)
         if len(buf) > ring.capacity:
             raise ProtocolViolation(
