@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -39,22 +40,33 @@ def _write(path_str: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _parse_pair(text: str, kind=int) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+def _range(kind, low, high=math.inf):
+    """Argument type: a finite LO:HI with low <= LO <= HI <= high."""
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+        try:
+            lo, hi = kind(parts[0]), kind(parts[1])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        # NaN fails every comparison, so it is rejected here too.
+        if not (low <= lo <= hi <= high and math.isfinite(hi)):
+            bounds = f"{low} <= LO <= HI" + ("" if high == math.inf else f" <= {high}")
+            raise argparse.ArgumentTypeError(f"expected {bounds}, got {text!r}")
+        return lo, hi
+    return parse
+
+
+def _positive(text: str) -> float:
+    """Argument type: a finite number above 0."""
     try:
-        return kind(parts[0]), kind(parts[1])
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-
-
-def _int_pair(text: str) -> tuple[int, int]:
-    return _parse_pair(text, int)
-
-
-def _float_pair(text: str) -> tuple[float, float]:
-    return _parse_pair(text, float)
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
 
 
 def _at_least(low: int):
@@ -72,6 +84,7 @@ def _at_least(low: int):
 
 _count = _at_least(1)
 _side = _at_least(2)
+_count_range = _range(int, 1)
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -102,13 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_at_least(0), required=True)
     p.add_argument("--width", type=_side, default=4)
     p.add_argument("--height", type=_side, default=4)
-    p.add_argument("--packets", type=_int_pair, default=(16, 48), metavar="LO:HI")
-    p.add_argument("--periods", type=_int_pair, default=None, metavar="LO:HI",
+    p.add_argument("--packets", type=_count_range, default=(16, 48), metavar="LO:HI")
+    p.add_argument("--periods", type=_count_range, default=None, metavar="LO:HI",
                    help="period range in cycles (default 1000:100000)")
-    p.add_argument("--periods-us", type=_float_pair, default=None, metavar="LO:HI",
+    p.add_argument("--periods-us", type=_range(float, 0.0), default=None, metavar="LO:HI",
                    help="period range in microseconds, converted at --clock-ghz")
-    p.add_argument("--clock-ghz", type=float, default=1.0)
-    p.add_argument("--jitter", type=_float_pair, default=(0.0, 0.5), metavar="LO:HI",
+    p.add_argument("--clock-ghz", type=_positive, default=1.0)
+    p.add_argument("--jitter", type=_range(float, 0.0, 1.0), default=(0.0, 0.5),
+                   metavar="LO:HI",
                    help="release jitter as a fraction of the period")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embed-topology", action="store_true")
@@ -148,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("fast", "full"), default="fast")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grids", type=_grid, nargs="+", default=None, metavar="WxH")
-    p.add_argument("--packets", type=_int_pair, nargs="+", default=None, metavar="LO:HI")
+    p.add_argument("--packets", type=_count_range, nargs="+", default=None, metavar="LO:HI")
     p.add_argument("--flows", type=_at_least(0), nargs="+", default=None)
     p.add_argument("--flowsets", type=_count, default=None, help="flowsets per point")
     p.add_argument("--configs", nargs="+", default=None)
@@ -163,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_count, nargs="+", default=(25, 50, 75, 100))
     p.add_argument("--flowsets", type=_count, default=1, help="flowsets per point")
     p.add_argument("--grid", type=_grid, default=(4, 4), metavar="WxH")
-    p.add_argument("--packets", type=_int_pair, default=(16, 48), metavar="LO:HI")
+    p.add_argument("--packets", type=_count_range, default=(16, 48), metavar="LO:HI")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--attempts", type=_count, default=200)
     p.add_argument("--out", metavar="FILE")
@@ -196,12 +210,15 @@ def _cmd_topo(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.periods is not None and args.periods_us is not None:
-        print("use either --periods or --periods-us, not both", file=sys.stderr)
+        print("error: use either --periods or --periods-us, not both", file=sys.stderr)
         return 2
     if args.periods_us is not None:
-        cycles_per_us = 1000.0 * args.clock_ghz
-        periods = (int(args.periods_us[0] * cycles_per_us),
-                   int(args.periods_us[1] * cycles_per_us))
+        lo, hi = (us * 1000.0 * args.clock_ghz for us in args.periods_us)
+        if not 1 <= lo <= hi < math.inf:
+            print("error: --periods-us at --clock-ghz must convert to a finite "
+                  "period range of at least 1 cycle", file=sys.stderr)
+            return 2
+        periods = (int(lo), int(hi))
     else:
         periods = args.periods or (1_000, 100_000)
     params = traffic.BenchmarkParams(
@@ -301,7 +318,7 @@ def _cmd_flowstats(args) -> int:
     search_config = config
     if args.mode == "diff":
         if not args.config_better:
-            print("diff mode needs --config-better", file=sys.stderr)
+            print("error: diff mode needs --config-better", file=sys.stderr)
             return 2
         better = analysis.parse_profile(args.config_better)
     for flows in args.flows:

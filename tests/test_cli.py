@@ -189,13 +189,14 @@ def test_packets_longer_than_1024_flits_run_end_to_end(tmp_path):
     assert "violation" not in report and report.endswith("checked 2 runs: ok\n")
 
 
-def test_bad_flags_exit_two(tmp_path):
+def test_bad_flags_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run(["analyze", "--no-such-flag"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
+    capsys.readouterr()
     # Counts below 1, horizons below 1 and negative flow counts are usage
     # errors, not empty, vacuous or default runs.
     for argv in (["flowstats", "--mode", "shares", "--flowsets", "0"],
@@ -214,10 +215,29 @@ def test_bad_flags_exit_two(tmp_path):
                  ["topo", "--width", "0"],
                  ["gen", "--flows", "3", "--width", "1"],
                  ["sweep", "--grids", "1x4"],
-                 ["flowstats", "--mode", "shares", "--grid", "1x3"]):
+                 ["flowstats", "--mode", "shares", "--grid", "1x3"],
+                 # Empty, reversed, out-of-range or non-finite ranges.
+                 ["gen", "--flows", "3", "--clock-ghz", "nan", "--periods-us", "1:2"],
+                 ["gen", "--flows", "3", "--clock-ghz", "inf", "--periods-us", "1:2"],
+                 ["gen", "--flows", "3", "--periods-us", "nan:2"],
+                 ["gen", "--flows", "3", "--packets", "0:5"],
+                 ["gen", "--flows", "3", "--packets", "48:16"],
+                 ["gen", "--flows", "3", "--periods", "0:10"],
+                 ["gen", "--flows", "3", "--periods", "100:10"],
+                 ["gen", "--flows", "3", "--jitter", "0.6:0.2"],
+                 ["gen", "--flows", "3", "--clock-ghz", "-1"],
+                 ["sweep", "--packets", "0:4"],
+                 ["flowstats", "--mode", "shares", "--packets", "9:3"]):
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2, argv
+        assert capsys.readouterr().err.count("error:") == 1, argv
+    # Checked after parsing: the microsecond range is below one cycle at the
+    # clock, or a name is listed twice and would be counted twice.
+    for argv in (["gen", "--flows", "3", "--periods-us", "0.0001:2"],
+                 ["sweep", "--configs", "0D_IU_SI", "0D_IU_SI"]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.count("error:") == 1, argv
     # An empty flowset is still a legal request.
     assert run(["gen", "--flows", "0", "--out", str(tmp_path / "empty.json")]) == 0
 
