@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import AnalysisConfig, FlowsetResult, analyze, parse_profile
+from .analysis import AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile
 from .seeds import derive_seed
 from .traffic import BenchmarkParams, Flowset, generate_flowset
 from .topology import generate_multi_ring
@@ -64,7 +64,13 @@ def point_seed(spec: SweepSpec, grid: tuple[int, int],
 
 
 def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
-    """Schedulability ratio per (grid, packet range, flows, config) point."""
+    """Schedulability ratio per (grid, packet range, flows, config) point.
+
+    Raises AnalysisError for an unknown or repeated configuration name.
+    """
+    repeated = sorted({name for name in spec.configs if spec.configs.count(name) > 1})
+    if repeated:
+        raise AnalysisError(f"configuration listed twice in sweep: {', '.join(repeated)}")
     rows: list[SweepRow] = []
     configs = [(name, parse_profile(name)) for name in spec.configs]
     for grid in spec.grids:

@@ -3,7 +3,7 @@ import random
 import numpy
 import pytest
 
-from rlnoc.analysis import parse_profile
+from rlnoc.analysis import AnalysisError, parse_profile
 from rlnoc.harness import (
     BoxStats,
     NoSchedulableFlowsetError,
@@ -82,6 +82,14 @@ class TestSweep:
                          configs=("0D_IU_SI", "3D_NI_SI"), master_seed=2)
         for row in sweep_schedulability(spec):
             assert row.ratio == 100.0
+
+    def test_repeated_config_rejected(self):
+        # Verdicts are counted per name, so a name listed twice would be
+        # counted twice per flowset and read as a ratio of 200%.
+        spec = SweepSpec(flows_schedule=(20,), flowsets_per_point=2,
+                         configs=("0D_IU_SI", "0D_IU_SI"))
+        with pytest.raises(AnalysisError, match="0D_IU_SI"):
+            sweep_schedulability(spec)
 
     def test_csv_shape(self, small_sweep):
         text = sweep_to_csv(small_sweep, SMALL_SPEC)
