@@ -303,7 +303,7 @@ class _Engine:
             if self.fast:
                 worms = self._handover(t)
         if worms:
-            # With drain every worm is delivered; without, the rest stay put.
+            # With drain all are delivered; without, the rest stay in flight.
             self._settle(worms, stop)
             self._materialise(worms, stop)
         return self._finish()
@@ -353,7 +353,7 @@ class _Engine:
                     ring.inj = {src: [pkt, sent, qkey]}
             if gone:
                 self.ebusy[ekey] = [pkt, gone]
-            if ring.fb:
+            if ring.fb or ring.inj:
                 self.busy_rings.add(rid)
 
     def _handover(self, t: int) -> dict[int, tuple] | None:
