@@ -496,6 +496,24 @@ class TestJitterLoopProperties:
                 for fid, r in before.results.items():
                     assert after.results[fid].bound >= r.bound, (name, fid)
 
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks())
+    def test_more_deflections_keep_verdicts_and_grow_bounds(self, params):
+        # A larger deflection bound only adds replica terms and circuits, so
+        # on one flowset kD unschedulable implies k'D unschedulable, k < k'.
+        flowset = generate_flowset(params)
+        for jitter, injection in itertools.product(("NI", "IU"), ("II", "SI")):
+            results = [analyze(flowset, parse_profile(f"{k}D_{jitter}_{injection}"))
+                       for k in range(4)]
+            for k, before in enumerate(results):
+                for after in results[k + 1:]:
+                    name = f"{k}D_{jitter}_{injection}"
+                    if before.verdict == "unschedulable":
+                        assert after.verdict == "unschedulable", name
+                    if before.schedulable and after.schedulable:
+                        for fid, r in before.results.items():
+                            assert after.results[fid].bound >= r.bound, (name, fid)
+
 
 def test_results_csv_shape(five_flow_fixture):
     config = parse_profile("0D_IU_SI")
