@@ -66,38 +66,89 @@ def point_seed(spec: SweepSpec, grid: tuple[int, int],
 def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     """Schedulability ratio per (grid, packet range, flows, config) point.
 
-    Raises AnalysisError for an unknown or repeated configuration name.
+    Each flowset index is generated once, at the largest flow count, and
+    every smaller point analyses a prefix of it. Flow counts are visited in
+    ascending order, and an analysis is skipped once its verdict is known:
+    a configuration found unschedulable stays unschedulable on every longer
+    prefix, because adding flows only adds interference, and so does each
+    configuration that it dominates (`_settled_by`). Only an
+    ``unschedulable`` verdict settles anything; a larger flowset may still
+    converge where ``iteration_cap_exceeded`` was reported.
+
+    Raises AnalysisError for an unknown or repeated configuration name, a
+    negative flow count, or fewer than one flowset per point.
     """
     repeated = sorted({name for name in spec.configs if spec.configs.count(name) > 1})
     if repeated:
         raise AnalysisError(f"configuration listed twice in sweep: {', '.join(repeated)}")
+    if spec.flowsets_per_point < 1:
+        raise AnalysisError(f"flowsets_per_point must be >= 1, got {spec.flowsets_per_point}")
+    if any(flows < 0 for flows in spec.flows_schedule):
+        raise AnalysisError(f"flow counts must be >= 0, got {min(spec.flows_schedule)}")
     rows: list[SweepRow] = []
     configs = [(name, parse_profile(name)) for name in spec.configs]
+    settled_by = _settled_by(configs)
+    counts = sorted(set(spec.flows_schedule))
+    largest = max(counts, default=0)
     for grid in spec.grids:
         topology = generate_multi_ring(*grid)
         grid_label = f"{grid[0]}x{grid[1]}"
         for packets in spec.packet_ranges:
-            for flows in spec.flows_schedule:
-                verdicts = {name: 0 for name, _ in configs}
-                for index in range(spec.flowsets_per_point):
-                    params = BenchmarkParams(
-                        flows_per_set=flows,
-                        width=grid[0],
-                        height=grid[1],
-                        packet_range=packets,
-                        period_range=spec.period_range,
-                        jitter_fraction_range=spec.jitter_fraction_range,
-                        seed=point_seed(spec, grid, packets, index),
-                    )
-                    flowset = generate_flowset(params, topology)
+            verdicts = {flows: dict.fromkeys(spec.configs, 0) for flows in counts}
+            for index in range(spec.flowsets_per_point):
+                params = BenchmarkParams(
+                    flows_per_set=largest,
+                    width=grid[0],
+                    height=grid[1],
+                    packet_range=packets,
+                    period_range=spec.period_range,
+                    jitter_fraction_range=spec.jitter_fraction_range,
+                    seed=point_seed(spec, grid, packets, index),
+                )
+                full = generate_flowset(params, topology)
+                # Configurations known to be unschedulable on this index.
+                dead: set[str] = set()
+                for flows in counts:
+                    if len(dead) == len(configs):
+                        break
+                    flowset = (full if flows == largest
+                               else Flowset(full.flows[:flows], topology))
                     for name, config in configs:
-                        if analyze(flowset, config).schedulable:
-                            verdicts[name] += 1
+                        if name in dead:
+                            continue
+                        verdict = analyze(flowset, config).verdict
+                        if verdict == "schedulable":
+                            verdicts[flows][name] += 1
+                        elif verdict == "unschedulable":
+                            dead |= settled_by[name]
+            for flows in spec.flows_schedule:
                 for name, _ in configs:
-                    ratio = 100.0 * verdicts[name] / spec.flowsets_per_point
+                    ratio = 100.0 * verdicts[flows][name] / spec.flowsets_per_point
                     rows.append(SweepRow(grid_label, packets[0], packets[1],
                                          flows, name, ratio))
     return rows
+
+
+def _settled_by(configs) -> dict[str, frozenset[str]]:
+    """For each configuration name, the listed names whose verdict on the
+    same flowset is certain to be ``unschedulable`` once that configuration's
+    is: its own, and those of the configurations it dominates.
+
+    ``a`` dominates ``b`` when they differ at most in that ``b`` has an
+    integer deflection bound no smaller than ``a``'s, and in that ``b`` uses
+    the simplified jitter method where ``a`` iterates. Either difference only
+    adds interference. Oldest-First bounds take no part, and a simplified
+    verdict never settles an iterative one.
+    """
+    def dominates(a: AnalysisConfig, b: AnalysisConfig) -> bool:
+        return (isinstance(a.maxloop, int) and isinstance(b.maxloop, int)
+                and b.maxloop >= a.maxloop
+                and (a.jitter_method == "iterative" or b.jitter_method == "simplified")
+                and replace(a, maxloop=0, jitter_method="iterative")
+                == replace(b, maxloop=0, jitter_method="iterative"))
+
+    return {name: frozenset({name} | {other for other, b in configs if dominates(a, b)})
+            for name, a in configs}
 
 
 SWEEP_HEADER = "grid,packet_min,packet_max,flows,config,ratio"

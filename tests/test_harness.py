@@ -1,12 +1,17 @@
+import itertools
 import random
+from dataclasses import replace
 
 import numpy
 import pytest
 
-from rlnoc.analysis import AnalysisError, parse_profile
+from rlnoc import harness
+from rlnoc.analysis import AnalysisError, FlowsetResult, analyze, parse_profile, profile_name
 from rlnoc.harness import (
+    FAST_PROFILE,
     BoxStats,
     NoSchedulableFlowsetError,
+    SweepRow,
     SweepSpec,
     box_stats,
     component_share_stats,
@@ -17,6 +22,7 @@ from rlnoc.harness import (
     sweep_schedulability,
     sweep_to_csv,
 )
+from rlnoc.topology import generate_multi_ring
 from rlnoc.traffic import BenchmarkParams, generate_flowset
 
 SMALL_SPEC = SweepSpec(
@@ -28,10 +34,56 @@ SMALL_SPEC = SweepSpec(
     master_seed=13,
 )
 
+# Every {0D,1D,2D,OF} x {NI,IU} x {II,SI} profile on a 3x3 grid, at loads
+# where all but the independent-ejection, independent-injection profiles
+# see both verdicts.
+PROFILES_SPEC = SweepSpec(
+    grids=((3, 3),),
+    packet_ranges=((16, 48),),
+    flows_schedule=(10, 25, 40, 60),
+    flowsets_per_point=6,
+    configs=tuple(f"{ej}_{jit}_{inj}" for ej, jit, inj in itertools.product(
+        ("0D", "1D", "2D", "OF"), ("NI", "IU"), ("II", "SI"))),
+    master_seed=5,
+)
+
 
 @pytest.fixture(scope="module")
 def small_sweep():
     return sweep_schedulability(SMALL_SPEC)
+
+
+def plain_sweep(spec):
+    """The sweep without pruning: one generated flowset and one analysis per
+    (flowset index, flow count, configuration), rows in schedule order. The
+    reference for `sweep_schedulability`."""
+    rows = []
+    configs = [(name, parse_profile(name)) for name in spec.configs]
+    for grid in spec.grids:
+        topology = generate_multi_ring(*grid)
+        grid_label = f"{grid[0]}x{grid[1]}"
+        for packets in spec.packet_ranges:
+            for flows in spec.flows_schedule:
+                verdicts = {name: 0 for name, _ in configs}
+                for index in range(spec.flowsets_per_point):
+                    params = BenchmarkParams(
+                        flows_per_set=flows,
+                        width=grid[0],
+                        height=grid[1],
+                        packet_range=packets,
+                        period_range=spec.period_range,
+                        jitter_fraction_range=spec.jitter_fraction_range,
+                        seed=point_seed(spec, grid, packets, index),
+                    )
+                    flowset = generate_flowset(params, topology)
+                    for name, config in configs:
+                        if analyze(flowset, config).schedulable:
+                            verdicts[name] += 1
+                for name, _ in configs:
+                    ratio = 100.0 * verdicts[name] / spec.flowsets_per_point
+                    rows.append(SweepRow(grid_label, packets[0], packets[1],
+                                         flows, name, ratio))
+    return rows
 
 
 def ratio(rows, flows, config):
@@ -56,7 +108,6 @@ class TestSweep:
                 flows_per_set=flows, width=4, height=4,
                 packet_range=spec.packet_ranges[0],
                 seed=point_seed(spec, (4, 4), spec.packet_ranges[0], index))
-            from rlnoc.analysis import analyze
             if analyze(generate_flowset(params), config).schedulable:
                 count += 1
         assert ratio(small_sweep, flows, "0D_IU_SI") == 100.0 * count / spec.flowsets_per_point
@@ -91,6 +142,18 @@ class TestSweep:
         with pytest.raises(AnalysisError, match="0D_IU_SI"):
             sweep_schedulability(spec)
 
+    @pytest.mark.parametrize("flowsets", [0, -1])
+    def test_fewer_than_one_flowset_rejected(self, flowsets):
+        # The ratio divides by the flowset count.
+        spec = SweepSpec(flows_schedule=(20,), flowsets_per_point=flowsets)
+        with pytest.raises(AnalysisError, match="flowsets_per_point"):
+            sweep_schedulability(spec)
+
+    def test_negative_flow_count_rejected(self):
+        spec = SweepSpec(flows_schedule=(20, -5), flowsets_per_point=2)
+        with pytest.raises(AnalysisError, match="-5"):
+            sweep_schedulability(spec)
+
     def test_csv_shape(self, small_sweep):
         text = sweep_to_csv(small_sweep, SMALL_SPEC)
         lines = text.strip().split("\n")
@@ -100,6 +163,59 @@ class TestSweep:
         cells = lines[2].split(",")
         assert cells[0] == "4x4" and cells[4] in SMALL_SPEC.configs
         assert float(cells[5]) == ratio(small_sweep, int(cells[3]), cells[4])
+
+
+def counting_analyze(monkeypatch, verdict_for=None):
+    """Replace the sweep's `analyze` with one that records the profile name
+    of every call, and optionally rewrites each result through
+    ``verdict_for(name, result)``; returns the list of names."""
+    calls = []
+
+    def counted(flowset, config):
+        name = profile_name(config)
+        calls.append(name)
+        result = analyze(flowset, config)
+        return verdict_for(name, result) if verdict_for else result
+
+    monkeypatch.setattr(harness, "analyze", counted)
+    return calls
+
+
+class TestPruning:
+    @pytest.mark.parametrize("spec", [
+        FAST_PROFILE,
+        SMALL_SPEC,
+        replace(SMALL_SPEC, flows_schedule=(60, 20, 0, 60)),
+        PROFILES_SPEC,
+    ], ids=["fast", "small", "unsorted_repeated_zero", "profiles_3x3"])
+    def test_csv_matches_plain_loop_with_fewer_analyses(self, spec, monkeypatch):
+        calls = counting_analyze(monkeypatch)
+        pruned = sweep_to_csv(sweep_schedulability(spec), spec)
+        assert pruned == sweep_to_csv(plain_sweep(spec), spec)
+        plain_calls = (len(spec.grids) * len(spec.packet_ranges) * len(spec.flows_schedule)
+                       * spec.flowsets_per_point * len(spec.configs))
+        assert len(calls) < plain_calls
+
+    def test_iteration_cap_verdict_settles_nothing(self, monkeypatch):
+        # 1D_IU_SI dominates the other two, and neither of them dominates it.
+        # Reported as iteration_cap_exceeded wherever it is unschedulable, it
+        # must be analysed at every point and settle no other configuration.
+        spec = replace(PROFILES_SPEC, configs=("1D_IU_SI", "2D_IU_SI", "1D_NI_SI"))
+        capped = []
+
+        def cap(name, result):
+            if name == "1D_IU_SI" and result.verdict == "unschedulable":
+                capped.append(name)
+                return FlowsetResult("iteration_cap_exceeded", {}, 1000)
+            return result
+
+        calls = counting_analyze(monkeypatch, cap)
+        pruned = sweep_to_csv(sweep_schedulability(spec), spec)
+        assert capped
+        assert pruned == sweep_to_csv(plain_sweep(spec), spec)
+        points = spec.flowsets_per_point * len(spec.flows_schedule)
+        assert calls.count("1D_IU_SI") == points
+        assert calls.count("2D_IU_SI") < points
 
 
 class TestFindSchedulable:
