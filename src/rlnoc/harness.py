@@ -111,8 +111,7 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
                 for flows in counts:
                     if len(dead) == len(configs):
                         break
-                    flowset = (full if flows == largest
-                               else Flowset(full.flows[:flows], topology))
+                    flowset = Flowset(full.flows[:flows], topology)
                     for name, config in configs:
                         if name in dead:
                             continue

@@ -1,8 +1,10 @@
 import pytest
 
 from rlnoc import data_path
-from rlnoc.topology import Coord, load_topology_file
-from rlnoc.traffic import Flow, Flowset, load_flowset_file
+from rlnoc.analysis import analyze, parse_profile
+from rlnoc.harness import SweepRow, point_seed
+from rlnoc.topology import Coord, generate_multi_ring, load_topology_file
+from rlnoc.traffic import BenchmarkParams, Flow, Flowset, generate_flowset, load_flowset_file
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,36 @@ def build_flowset(topology, *flows):
 @pytest.fixture
 def flowset_factory():
     return build_flowset
+
+
+def plain_sweep(spec):
+    """The sweep without pruning: one generated flowset and one analysis per
+    (flowset index, flow count, configuration), rows in schedule order. The
+    reference for `sweep_schedulability`."""
+    rows = []
+    configs = [(name, parse_profile(name)) for name in spec.configs]
+    for grid in spec.grids:
+        topology = generate_multi_ring(*grid)
+        grid_label = f"{grid[0]}x{grid[1]}"
+        for packets in spec.packet_ranges:
+            for flows in spec.flows_schedule:
+                verdicts = {name: 0 for name, _ in configs}
+                for index in range(spec.flowsets_per_point):
+                    params = BenchmarkParams(
+                        flows_per_set=flows,
+                        width=grid[0],
+                        height=grid[1],
+                        packet_range=packets,
+                        period_range=spec.period_range,
+                        jitter_fraction_range=spec.jitter_fraction_range,
+                        seed=point_seed(spec, grid, packets, index),
+                    )
+                    flowset = generate_flowset(params, topology)
+                    for name, config in configs:
+                        if analyze(flowset, config).schedulable:
+                            verdicts[name] += 1
+                for name, _ in configs:
+                    ratio = 100.0 * verdicts[name] / spec.flowsets_per_point
+                    rows.append(SweepRow(grid_label, packets[0], packets[1],
+                                         flows, name, ratio))
+    return rows

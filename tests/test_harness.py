@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy
 import pytest
 
+from conftest import plain_sweep
 from rlnoc import harness
 from rlnoc.analysis import AnalysisError, FlowsetResult, analyze, parse_profile, profile_name
 from rlnoc.harness import (
     FAST_PROFILE,
     BoxStats,
     NoSchedulableFlowsetError,
-    SweepRow,
     SweepSpec,
     box_stats,
     component_share_stats,
@@ -22,7 +22,6 @@ from rlnoc.harness import (
     sweep_schedulability,
     sweep_to_csv,
 )
-from rlnoc.topology import generate_multi_ring
 from rlnoc.traffic import BenchmarkParams, generate_flowset
 
 SMALL_SPEC = SweepSpec(
@@ -51,39 +50,6 @@ PROFILES_SPEC = SweepSpec(
 @pytest.fixture(scope="module")
 def small_sweep():
     return sweep_schedulability(SMALL_SPEC)
-
-
-def plain_sweep(spec):
-    """The sweep without pruning: one generated flowset and one analysis per
-    (flowset index, flow count, configuration), rows in schedule order. The
-    reference for `sweep_schedulability`."""
-    rows = []
-    configs = [(name, parse_profile(name)) for name in spec.configs]
-    for grid in spec.grids:
-        topology = generate_multi_ring(*grid)
-        grid_label = f"{grid[0]}x{grid[1]}"
-        for packets in spec.packet_ranges:
-            for flows in spec.flows_schedule:
-                verdicts = {name: 0 for name, _ in configs}
-                for index in range(spec.flowsets_per_point):
-                    params = BenchmarkParams(
-                        flows_per_set=flows,
-                        width=grid[0],
-                        height=grid[1],
-                        packet_range=packets,
-                        period_range=spec.period_range,
-                        jitter_fraction_range=spec.jitter_fraction_range,
-                        seed=point_seed(spec, grid, packets, index),
-                    )
-                    flowset = generate_flowset(params, topology)
-                    for name, config in configs:
-                        if analyze(flowset, config).schedulable:
-                            verdicts[name] += 1
-                for name, _ in configs:
-                    ratio = 100.0 * verdicts[name] / spec.flowsets_per_point
-                    rows.append(SweepRow(grid_label, packets[0], packets[1],
-                                         flows, name, ratio))
-    return rows
 
 
 def ratio(rows, flows, config):
