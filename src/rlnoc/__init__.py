@@ -17,11 +17,6 @@ from .analysis import (
     parse_profile,
     profile_name,
 )
-
-
-def data_path(name: str) -> str:
-    """Filesystem path of a bundled fixture file (topologies, flowsets)."""
-    return str(_resources.files(__name__).joinpath("data", name))
 from .simulator import (
     HardwareProfile,
     SimConfig,
@@ -32,6 +27,12 @@ from .simulator import (
 )
 from .topology import Coord, Ring, Topology, generate_multi_ring, load_topology
 from .traffic import BenchmarkParams, Flow, Flowset, generate_flowset
+
+
+def data_path(name: str) -> str:
+    """Filesystem path of a bundled fixture file (topologies, flowsets)."""
+    return str(_resources.files(__name__).joinpath("data", name))
+
 
 __all__ = [
     "AnalysisConfig",

@@ -37,6 +37,16 @@ class InvariantError(AnalysisError):
 Injection = Literal["independent", "shared"]
 JitterMethod = Literal["simplified", "iterative"]
 IposFormula = Literal["tight", "coarse"]
+MaxLoop = int | Literal["oldest_first"]
+
+
+def _check_platform(injection, maxloop) -> None:
+    """Reject an injection mode or ``maxloop`` outside the model's vocabulary."""
+    if injection not in ("independent", "shared"):
+        raise AnalysisError(f"bad injection mode {injection!r}")
+    if not (maxloop == "oldest_first" or _is_int(maxloop) and maxloop >= 0):
+        raise AnalysisError(f"maxloop must be an integer >= 0 or 'oldest_first', "
+                            f"got {maxloop!r}")
 
 
 @dataclass(frozen=True)
@@ -52,22 +62,14 @@ class AnalysisConfig:
 
     injection: Injection = "shared"
     jitter_method: JitterMethod = "iterative"
-    maxloop: int | Literal["oldest_first"] = 0
+    maxloop: MaxLoop = 0
     ipos_formula: IposFormula = "tight"
     iteration_cap: int = 1000
-    # Study variant: drop the destination switch from the downstream buffering
-    # sum, where ejection cannot in fact be delayed by a local injection.
-    exclude_destination_buffer: bool = False
 
     def __post_init__(self):
-        if self.injection not in ("independent", "shared"):
-            raise AnalysisError(f"bad injection mode {self.injection!r}")
+        _check_platform(self.injection, self.maxloop)
         if self.jitter_method not in ("simplified", "iterative"):
             raise AnalysisError(f"bad jitter method {self.jitter_method!r}")
-        if not (self.maxloop == "oldest_first"
-                or _is_int(self.maxloop) and self.maxloop >= 0):
-            raise AnalysisError(f"maxloop must be an integer >= 0 or 'oldest_first', "
-                                f"got {self.maxloop!r}")
         if not _is_int(self.iteration_cap) or self.iteration_cap < 1:
             raise AnalysisError(f"iteration_cap must be an integer >= 1, "
                                 f"got {self.iteration_cap!r}")
@@ -216,7 +218,6 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     # Reading the capacities rejects an undersized override before any flow
     # can fail.
     capacity = index.capacity if config.ipos_formula == "coarse" else None
-    exclude = config.exclude_destination_buffer
 
     @cache
     def context(fid: int) -> _FlowContext:
@@ -225,14 +226,9 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
         maxloop = maxloops[fid]
         if capacity is None:
             post = base.down_backlog + maxloop * index.ring_backlog[flow.ring]
-            if exclude:
-                post -= base.dst_backlog
         else:
-            downstream = index.route[fid][1]
-            if exclude:
-                downstream -= 1
             size = base.loop - flow.length
-            post = (downstream + maxloop * size) * capacity[flow.ring]
+            post = (index.route[fid][1] + maxloop * size) * capacity[flow.ring]
         fixed = base.no_load + base.loop * maxloop + post
         terms, (num, den) = replicas[flow.ring]
         up_num, up_den = base.up_load

@@ -31,10 +31,10 @@ at cycle h, crosses the ejection link at e = h + hops, and flit i follows
 at e + i. While no two packets share a ring, an ejection link or a queue one
 of them still holds, the engine keeps only (e, h) per packet and moves from
 release to release. It builds ring state only when a release clashes with a
-live worm (or at the horizon without drain), steps while packets can
-interact, and hands them back as worms once they cannot. This is bit for bit
-like stepping every cycle (tests compare the two modes). A stepped cycle
-visits only the rings that hold traffic, so idle rings cost nothing.
+live worm, steps while packets can interact, and hands them back as worms
+once they cannot. This is bit for bit like stepping every cycle (tests
+compare the two modes). A stepped cycle visits only the rings that hold
+traffic, so idle rings cost nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .analysis import AnalysisConfig, FlowsetResult
+from .analysis import AnalysisConfig, FlowsetResult, Injection, MaxLoop, _check_platform
 from .seeds import derive_seed
 from .traffic import Flowset
 
@@ -56,17 +56,16 @@ class ProtocolViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Link-sharing layout of the simulated platform.
+    """Link-sharing layout of the simulated platform, in ``AnalysisConfig``'s
+    terms: ``maxloop`` 0 gives each ring its own ejection link at each core,
+    k >= 1 deals each core's flows round-robin over just enough shared links
+    that none serves more than k flows, and ``"oldest_first"`` one per core."""
 
-    ``partition_limit`` only applies to shared ejection: flows addressed to a
-    core are split round-robin over just enough ejection links that no link
-    serves more than the limit, realising the multiple-ejection-link
-    trade-off. ``None`` means a single link per core.
-    """
+    injection: Injection = "shared"
+    maxloop: MaxLoop = 0
 
-    injection: Literal["independent", "shared"] = "shared"
-    ejection: Literal["independent", "shared"] = "independent"
-    partition_limit: int | None = None
+    def __post_init__(self):
+        _check_platform(self.injection, self.maxloop)
 
 
 def hardware_from_config(config: AnalysisConfig) -> HardwareProfile:
@@ -80,11 +79,7 @@ def hardware_from_config(config: AnalysisConfig) -> HardwareProfile:
     sharing keeps the modelled bound structural. The Oldest-First mode keeps
     the single shared link whose deflections the flow-count analysis targets.
     """
-    if config.maxloop == 0:
-        return HardwareProfile(config.injection, "independent")
-    if config.maxloop == "oldest_first":
-        return HardwareProfile(config.injection, "shared", None)
-    return HardwareProfile(config.injection, "shared", config.maxloop)
+    return HardwareProfile(config.injection, config.maxloop)
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class SimConfig:
     seed: int = 0
     horizon: int = 1_000_000
     release: Literal["periodic", "sporadic"] = "sporadic"
-    drain: bool = True
     fast_forward: bool = True
     collect_trace: bool = False
     # Exact first-release offsets per flow id; switches the periodic driver to
@@ -143,8 +137,8 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     Sporadic releases and ``release_offsets`` schedules all fall before the
     horizon. A periodic release is ``offset + n*T + U[0,J]`` for every
     ``offset + n*T`` below the horizon, so its jitter can put it at or after
-    the horizon (but before horizon + J); with drain on, such a packet is
-    simulated like any other.
+    the horizon (but before horizon + J); such a packet is simulated like any
+    other.
     """
     out: list[tuple[int, int]] = []
     for f in flowset.flows:
@@ -170,8 +164,8 @@ def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcom
     """Run one deterministic simulation and collect per-flow statistics.
 
     Observed latency of a packet is the cycle its last flit crosses the
-    ejection link minus its release cycle. With drain enabled the run
-    continues past the horizon until every released packet is delivered.
+    ejection link minus its release cycle. The run continues past the horizon
+    until every released packet is delivered.
     """
     return _Engine(flowset, cfg, hw).run()
 
@@ -203,10 +197,10 @@ class _Engine:
         # Under shared ejection, each core's flows, in id order, are dealt
         # round-robin over its ejection links.
         elinks: dict[int, tuple] = {}
-        if hw.ejection == "shared":
-            limit = hw.partition_limit
+        if hw.maxloop:
             for dst, flows in index.on_dst.items():
-                n_links = 1 if limit is None else -(-len(flows) // limit)
+                n_links = (1 if hw.maxloop == "oldest_first"
+                           else -(-len(flows) // hw.maxloop))
                 for i, f in enumerate(flows):
                     elinks[f.id] = (dst.row * width + dst.col, i % n_links)
         for f in index.flows.values():
@@ -214,7 +208,7 @@ class _Engine:
             core_src = f.src.row * width + f.src.col
             core_dst = f.dst.row * width + f.dst.col
             qkey = (core_src,) if hw.injection == "shared" else (core_src, f.ring)
-            ekey = elinks[f.id] if hw.ejection == "shared" else (core_dst, f.ring)
+            ekey = elinks[f.id] if hw.maxloop else (core_dst, f.ring)
             self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
                                     hops, f.length, qkey, ekey, f.id)
 
@@ -269,8 +263,6 @@ class _Engine:
         n_rel = len(releases)
         ptr = 0
         t = 0
-        # Without drain the run stops at the start of the horizon cycle.
-        stop = None if self.cfg.drain else self.cfg.horizon
         guard = 2 * self.cfg.horizon + 10_000_000
         # Closed form: packet id -> (e, h) for every packet in flight, with
         # no ring state (see the module docstring). None while stepping.
@@ -280,8 +272,6 @@ class _Engine:
                 if ptr >= n_rel:
                     break
                 t = releases[ptr][0]
-            if stop is not None and t >= stop:
-                break
             if t > guard:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
             if worms is not None:
@@ -303,9 +293,7 @@ class _Engine:
             if self.fast:
                 worms = self._handover(t)
         if worms:
-            # With drain all are delivered; without, the rest stay in flight.
-            self._settle(worms, stop)
-            self._materialise(worms, stop)
+            self._settle(worms, None)
         return self._finish()
 
     # -- closed form ----------------------------------------------------------
@@ -577,7 +565,7 @@ class _Engine:
 
     def _finish(self) -> SimOutcome:
         drained = not (self.queues or self.ebusy or self.busy_rings)
-        if self.cfg.drain and not drained:
+        if not drained:
             raise ProtocolViolation("network failed to drain after the last release")
         per_flow = {}
         for fid in sorted(self.flow_stats):
@@ -651,7 +639,8 @@ def oracle_check(flowset: Flowset, analysis: FlowsetResult,
 def outcome_to_csv(outcome: SimOutcome, cfg: SimConfig, hw: HardwareProfile) -> str:
     lines = [
         "# seed={} horizon={} release={} injection={} ejection={} drained={}".format(
-            cfg.seed, cfg.horizon, cfg.release, hw.injection, hw.ejection,
+            cfg.seed, cfg.horizon, cfg.release, hw.injection,
+            "shared" if hw.maxloop else "independent",
             "true" if outcome.drained else "false")
     ]
     lines.append("flow,packets,max_latency,mean_latency,max_deflections")

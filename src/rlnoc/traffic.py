@@ -63,7 +63,10 @@ class Flowset:
                 raise TrafficError(f"flow {f.id}: negative or zero timing parameter")
             if f.src == f.dst:
                 raise TrafficError(f"flow {f.id}: source equals destination")
-            ring = self.topology.ring(f.ring)
+            try:
+                ring = self.topology.ring(f.ring)
+            except KeyError:
+                raise TrafficError(f"flow {f.id}: topology has no ring {f.ring}") from None
             if f.src not in ring or f.dst not in ring:
                 raise TrafficError(f"flow {f.id}: ring {f.ring} does not contain both endpoints")
 
@@ -96,14 +99,11 @@ class FlowBase(NamedTuple):
 
     no_load: int                # C: contention-free traversal, hops + length
     loop: int                   # C_loop: one full circle, ring size + length
-    up: frozenset[int]          # thru-traffic at the injection switch
-    in_ring: frozenset[int]     # other flows injected at its switch into its ring
-    up_terms: tuple             # busy-period terms (T, L, J, id, 1) of up, in id order
-    up_load: tuple[int, int]    # sum of L / T over up, as an exact fraction
-    in_sum: int                 # total length of in_ring
+    up_terms: tuple             # (T, L, J, id, 1) per thru-flow at its switch, in id order
+    up_load: tuple[int, int]    # sum of L / T over up_terms, as an exact fraction
+    in_sum: int                 # total length of the others its switch injects into its ring
     in_core: tuple[int, ...]    # other flows of its source core, in id order
     down_backlog: int           # backlog bounds of the downstream switches, summed
-    dst_backlog: int            # the destination switch's share of down_backlog
 
 
 def term_load(terms) -> tuple[int, int]:
@@ -153,19 +153,16 @@ class FlowsetIndex:
         for f in self.flows.values():
             start, hops = self.route[f.id]
             up = thru_at.get((f.ring, start), [])
-            in_ring = [g for g in self.on_core[f.src] if g.ring == f.ring and g is not f]
             up_terms = tuple((g.period, g.length, g.jitter, g.id, 1) for g in up)
             self.bases[f.id] = FlowBase(
                 no_load=hops + f.length,
                 loop=len(self.buffer_bounds[f.ring]) + f.length,
-                up=frozenset(g.id for g in up),
-                in_ring=frozenset(g.id for g in in_ring),
                 up_terms=up_terms,
                 up_load=term_load(up_terms),
-                in_sum=sum(g.length for g in in_ring),
+                in_sum=sum(g.length for g in self.on_core[f.src]
+                           if g.ring == f.ring and g is not f),
                 in_core=tuple(g.id for g in self.on_core[f.src] if g is not f),
                 down_backlog=sum(doubled[f.ring][start + 1:start + hops + 1]),
-                dst_backlog=doubled[f.ring][start + hops],
             )
 
     @cached_property
@@ -248,10 +245,14 @@ def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) 
 
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
-    """Interference sets for every flow of the flowset: ``up`` and ``in_ring``
-    from the index, ``down`` and ``upind`` derived here."""
+    """Interference sets for every flow of the flowset: ``up`` from the ids of
+    its busy-period terms, ``in_ring`` from its source core's flows."""
     index = flowset.index
-    bases = index.bases
+    up = {fid: frozenset(term[3] for term in base.up_terms)
+          for fid, base in index.bases.items()}
+    in_ring = {f.id: frozenset(g.id for g in index.on_core[f.src]
+                               if g.ring == f.ring and g is not f)
+               for f in index.flows.values()}
     down_map: dict[int, frozenset[int]] = {}
     # Ring links occupied by each flow, as a bitmask over link positions
     # (link p runs from switch p to switch p+1).
@@ -269,7 +270,7 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
             # downstream; it is classified as upstream interference, keeping
             # the four classes mutually exclusive. No bound consumes the down
             # set, so the precedence is free of analytical consequences.
-            down_map[f.id] = frozenset(down - bases[f.id].up)
+            down_map[f.id] = frozenset(down - up[f.id])
 
     # Upstream indirect interference: one level of indirection only. A flow
     # qualifies when it delays some member of up (as upstream or injection
@@ -277,17 +278,16 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     # link (source or destination switch) with the flow under analysis.
     table: dict[int, InterferenceSets] = {}
     for f in index.flows.values():
-        base = bases[f.id]
         upind = set()
-        for j in base.up:
-            for k in bases[j].up | bases[j].in_ring:
+        for j in up[f.id]:
+            for k in up[j] | in_ring[j]:
                 if k == f.id or k in upind:
                     continue
                 g = index.flows[k]
                 if masks[k] & masks[f.id] == 0 and g.src != f.src and g.dst != f.dst:
                     upind.add(k)
-        table[f.id] = InterferenceSets(up=base.up, down=down_map[f.id],
-                                       in_ring=base.in_ring, upind=frozenset(upind))
+        table[f.id] = InterferenceSets(up=up[f.id], down=down_map[f.id],
+                                       in_ring=in_ring[f.id], upind=frozenset(upind))
     return table
 
 

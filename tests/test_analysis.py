@@ -147,13 +147,6 @@ class TestPostInjectionInterference:
                 assert (post_interference(flowset, f, tight)
                         <= post_interference(flowset, f, coarse))
 
-    def test_destination_exclusion_variant_is_tighter(self, five_flow_fixture):
-        default = AnalysisConfig()
-        variant = AnalysisConfig(exclude_destination_buffer=True)
-        for f in five_flow_fixture.flows:
-            assert (post_interference(five_flow_fixture, f, variant)
-                    <= post_interference(five_flow_fixture, f, default))
-
     def test_deflections_add_whole_ring_bound(self, five_flow_fixture):
         cfg = AnalysisConfig(maxloop=2)
         flow = five_flow_fixture.index.flows[3]

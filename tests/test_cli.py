@@ -74,6 +74,20 @@ def test_analyze_unschedulable_exits_one(tmp_path):
     assert "verdict=unschedulable" in result_file.read_text()
 
 
+def test_failing_flow_zero_is_named(tmp_path, capsys):
+    doc = {"width": 4, "height": 4, "flows": [
+        {"id": 0, "T": 10, "D": 10, "L": 40, "J": 0, "src": [0, 0], "dst": [1, 0]}]}
+    flowset_file = tmp_path / "zero.json"
+    flowset_file.write_text(json.dumps(doc))
+    assert run(["analyze", "--flowset", str(flowset_file),
+                "--out", str(tmp_path / "result.csv")]) == 1
+    assert capsys.readouterr().err == "verdict: unschedulable (flow 0)\n"
+    report_file = tmp_path / "report.txt"
+    assert run(["verify", "--flowset", str(flowset_file),
+                "--out", str(report_file)]) == 1
+    assert report_file.read_text().splitlines()[1] == "verdict unschedulable flow 0"
+
+
 def test_missing_file_exits_three(capsys):
     assert run(["analyze", "--flowset", "/nonexistent/flows.json"]) == 3
     assert run(["topo", "--load", "/nonexistent/topo.json"]) == 3

@@ -20,18 +20,17 @@ CONFIGS = tuple(parse_profile(name) for name in FULL_PROFILE.configs) + (
     parse_profile("OF_IU_SI"),
     parse_profile("OF_NI_II"),
     parse_profile("1D_IU_SI", ipos_formula="coarse"),
-    parse_profile("0D_IU_SI", exclude_destination_buffer=True),
 )
 PACKET_RANGES = ((16, 48), (1, 4))
 SEEDS = (11, 12)
 
 GOLDEN_RESULTS = {
-    ((4, 4), 20): "6865d36477d179a49df132f7d9c24873a4a3fd8304bb7ff647a383de10fee8de",
-    ((4, 4), 100): "9e7a5659ff986b49f01f07a4b7c43db635fe217fbd400a7a35d7e5992a520676",
-    ((4, 4), 400): "d9aeccea903b9ab73062d9d0f4e3fb24c6e5f04b79ae75b28eac3811c579f963",
-    ((5, 5), 20): "8f24274d76980f574d45b44f0c951a24969d79018d499d82af6f6c8c71a9c117",
-    ((5, 5), 100): "c08987744b733a1a5aa82afcd2bda02f37ee6985a1b75792dd59ab8a441a08f1",
-    ((5, 5), 400): "f0002433016dcc57889471de5372bbeb34fc84f9886b1f5edf3937eddb4cdef3",
+    ((4, 4), 20): "634576b8a0126c6990029f167c4553aed11e83f887e8b884700965f498c6c8a4",
+    ((4, 4), 100): "8643334562842bd7d4f4fc56d1aedd59804767a03136475f84873b18ac4b61b1",
+    ((4, 4), 400): "a4f8d47284abacdc5a4e6514ac54c3db0d493be69a794449e102fbd174ab332b",
+    ((5, 5), 20): "3a29467606a81d6cfd21ba04bed97d90e6a3be064c581975aa30ace54d631414",
+    ((5, 5), 100): "d248ede003b549ddab0af61ff77253f0735f3dc579d2e48fa26d56b5600523f3",
+    ((5, 5), 400): "82735eb1fb06bc69c1a400e4f22713aa9ccf9c01b2fc7ca2a9b8adc9eb59652d",
 }
 
 GOLDEN_SWEEP = "841f2ecfbd8bdf2aff4a30e42cc91196f4e986aed1ec942481f48916725c08f3"

@@ -38,14 +38,14 @@ GOLDEN_CAMPAIGN = {
     ("OF_IU_SI", 40, "sporadic"): "774f13d1fb64c892c49c1067ba9e20885088644bbaead6cf6b832d1487e2cd9f",
 }
 
-# ejection-link partition limit (None: one shared link per core)
+# flows per shared ejection link (None: one Oldest-First link per core)
 # -> (deflections, digest)
 GOLDEN_DENSE = {
     None: (61, "fd2330b524970272a88d508ca4c2b6e47478bb08b1504d82fcde323ecc2b2335"),
     2: (12, "9bef6eac429e9314a673c64386f869ede59ef7813152e23ab261d576d452f1d8"),
 }
 
-# ejection-link partition limit -> sha256 of repr(outcome.trace)
+# flows per shared ejection link -> sha256 of repr(outcome.trace)
 GOLDEN_DENSE_TRACE = {
     None: "0c8ba117dadfaaddd1a0390f9309374c20bd60748463934a9db920dfb027d185",
     2: "1e4b927ef704320b1f1c31fa2a5b8171346b64331840c47fd5396022bcc2747d",
@@ -64,12 +64,13 @@ def campaign_outcome(name, flows, release, fast_forward=True):
     return outcome
 
 
-def dense_outcome(partition_limit, fast_forward, collect_trace=False):
+def dense_outcome(flows_per_link, fast_forward, collect_trace=False):
     flowset = generate_flowset(BenchmarkParams(
         flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
     cfg = SimConfig(seed=3, horizon=3_000, fast_forward=fast_forward,
                     collect_trace=collect_trace)
-    return simulate(flowset, cfg, HardwareProfile("shared", "shared", partition_limit))
+    hw = HardwareProfile("shared", flows_per_link or "oldest_first")
+    return simulate(flowset, cfg, hw)
 
 
 @pytest.mark.parametrize("name,flows,release", sorted(GOLDEN_CAMPAIGN))
@@ -86,15 +87,15 @@ def test_campaign_digest_stepping_every_cycle():
 
 
 @pytest.mark.parametrize("fast_forward", (True, False))
-@pytest.mark.parametrize("partition_limit", (None, 2))
-def test_dense_shared_ejection_digest(partition_limit, fast_forward):
-    outcome = dense_outcome(partition_limit, fast_forward)
-    assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[partition_limit]
+@pytest.mark.parametrize("flows_per_link", (None, 2))
+def test_dense_shared_ejection_digest(flows_per_link, fast_forward):
+    outcome = dense_outcome(flows_per_link, fast_forward)
+    assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[flows_per_link]
 
 
-@pytest.mark.parametrize("partition_limit", (None, 2))
-def test_dense_shared_ejection_trace(partition_limit):
-    outcome = dense_outcome(partition_limit, fast_forward=True, collect_trace=True)
-    assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[partition_limit]
+@pytest.mark.parametrize("flows_per_link", (None, 2))
+def test_dense_shared_ejection_trace(flows_per_link):
+    outcome = dense_outcome(flows_per_link, fast_forward=True, collect_trace=True)
+    assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[flows_per_link]
     trace_digest = hashlib.sha256(repr(outcome.trace).encode("ascii")).hexdigest()
-    assert trace_digest == GOLDEN_DENSE_TRACE[partition_limit]
+    assert trace_digest == GOLDEN_DENSE_TRACE[flows_per_link]

@@ -18,8 +18,8 @@ from rlnoc.simulator import (
 from rlnoc.topology import generate_multi_ring, select_ring
 from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset
 
-SHARED = HardwareProfile(injection="shared", ejection="shared")
-INDEPENDENT = HardwareProfile(injection="independent", ejection="independent")
+SHARED = HardwareProfile(injection="shared", maxloop="oldest_first")
+INDEPENDENT = HardwareProfile(injection="independent", maxloop=0)
 
 
 class TestCalibration:
@@ -135,10 +135,9 @@ class TestDeterminism:
         assert fast.deflections == slow.deflections
 
 
-LAYOUTS = [HardwareProfile(injection, ejection, limit)
+LAYOUTS = [HardwareProfile(injection, maxloop)
            for injection in ("independent", "shared")
-           for ejection in ("independent", "shared")
-           for limit in ((None,) if ejection == "independent" else (None, 1, 2))]
+           for maxloop in (0, 1, 2, "oldest_first")]
 
 
 @st.composite
@@ -166,10 +165,9 @@ class TestFastForwardProperty:
     @settings(max_examples=150, deadline=None)
     @given(flowset=small_flowsets(), hw=st.sampled_from(LAYOUTS),
            seed=st.integers(0, 2**16), horizon=st.integers(100, 2_000),
-           release=st.sampled_from(("periodic", "sporadic")), drain=st.booleans())
-    def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release,
-                                          drain):
-        cfg = SimConfig(seed=seed, horizon=horizon, release=release, drain=drain)
+           release=st.sampled_from(("periodic", "sporadic")))
+    def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release):
+        cfg = SimConfig(seed=seed, horizon=horizon, release=release)
         fast = simulate(flowset, cfg, hw)
         slow = simulate(flowset, replace(cfg, fast_forward=False), hw)
         assert fast.digest == slow.digest
@@ -184,7 +182,7 @@ class TestFastForwardProperty:
 
 class TestConservation:
     @pytest.mark.parametrize("hw", [SHARED, INDEPENDENT,
-                                    HardwareProfile("shared", "shared", 2)])
+                                    HardwareProfile("shared", 2)])
     def test_every_flit_is_delivered_exactly_once(self, hw):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=4,
                                                    period_range=(500, 5_000)))
@@ -195,28 +193,11 @@ class TestConservation:
         total_packets = sum(s.packets for s in out.per_flow.values())
         assert total_packets == out.released
 
-    def test_without_drain_the_run_stops_at_the_horizon(self):
-        flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=4))
-        out = simulate(flowset, SimConfig(seed=9, horizon=50_000, drain=False),
-                       SHARED)
-        assert out.delivered <= out.released
-
-    def test_without_drain_fast_forward_also_stops_at_the_horizon(self):
-        # A packet released shortly before the horizon finishes after it, so
-        # it stays in flight whether the run steps or jumps.
-        flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=23))
-        cfg = SimConfig(seed=23, horizon=50_000, drain=False)
-        fast = simulate(flowset, cfg, HardwareProfile())
-        slow = simulate(flowset, replace(cfg, fast_forward=False), HardwareProfile())
-        assert (slow.released, slow.delivered, slow.drained) == (66, 65, False)
-        assert (fast.released, fast.delivered, fast.drained) == (66, 65, False)
-        assert fast.digest == slow.digest
-
 
 class TestReleaseSchedule:
     def test_periodic_jitter_can_release_after_the_horizon(self):
         # Only offset + n*T is kept below the horizon; the jitter added to it
-        # can carry the release past, and with drain on the packet runs.
+        # can carry the release past, and the packet still runs.
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=23))
         jitter = {f.id: f.jitter for f in flowset.flows}
         late = []
@@ -314,7 +295,7 @@ class TestProtocolRules:
             flowset = generate_flowset(BenchmarkParams(flows_per_set=40, seed=seed,
                                                        period_range=(500, 5_000)))
             out = simulate(flowset, SimConfig(seed=seed, horizon=100_000),
-                           HardwareProfile("shared", "independent"))
+                           HardwareProfile("shared", 0))
             assert out.deflections == 0
 
     def test_per_flow_ejection_links_never_deflect(self):
@@ -325,7 +306,7 @@ class TestProtocolRules:
                       for f in flows)
         flowset = Flowset(flows, topo)
         out = simulate(flowset, SimConfig(seed=3, horizon=150_000),
-                       HardwareProfile("shared", "shared", partition_limit=1))
+                       HardwareProfile("shared", maxloop=1))
         assert out.deflections == 0
 
     def test_long_packets_can_outlast_a_loop_on_a_shared_link(self):
@@ -437,12 +418,34 @@ class TestOracle:
 class TestHardwareMapping:
     def test_profiles(self):
         independent = parse_profile("0D_IU_II")
-        assert hardware_from_config(independent) == HardwareProfile(
-            "independent", "independent", None)
+        assert hardware_from_config(independent) == HardwareProfile("independent", 0)
         fixed = parse_profile("2D_IU_SI")
-        assert hardware_from_config(fixed) == HardwareProfile("shared", "shared", 2)
+        assert hardware_from_config(fixed) == HardwareProfile("shared", 2)
         oldest = parse_profile("OF_IU_SI")
-        assert hardware_from_config(oldest) == HardwareProfile("shared", "shared", None)
+        assert hardware_from_config(oldest) == HardwareProfile("shared", "oldest_first")
+
+    @pytest.mark.parametrize("name,header", [
+        ("0D_IU_II", "injection=independent ejection=independent"),
+        ("2D_IU_SI", "injection=shared ejection=shared"),
+        ("OF_IU_SI", "injection=shared ejection=shared"),
+    ])
+    def test_csv_header_names_the_links(self, name, header):
+        # The header keeps its injection/ejection wording whatever the
+        # profile's own encoding.
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=5, seed=1))
+        cfg = SimConfig(seed=2, horizon=30_000)
+        hw = hardware_from_config(parse_profile(name))
+        first = outcome_to_csv(simulate(flowset, cfg, hw), cfg, hw).split("\n")[0]
+        assert first == (f"# seed=2 horizon=30000 release=sporadic {header} "
+                         f"drained=true")
+
+    @pytest.mark.parametrize("fields", [
+        {"injection": "bogus"}, {"maxloop": "bogus"}, {"maxloop": -1},
+        {"maxloop": 1.5}, {"maxloop": True}, {"maxloop": None},
+    ])
+    def test_rejects_values_outside_the_analysis_vocabulary(self, fields):
+        with pytest.raises(ValueError):
+            HardwareProfile(**fields)
 
 
 def test_outcome_csv_shape():

@@ -90,6 +90,7 @@ class TestFlowsetIndex:
             flowset = generate_flowset(BenchmarkParams(
                 flows_per_set=80, width=grid[0], height=grid[1], seed=seed))
             index = flowset.index
+            table = interference_table(flowset)
             for ring in flowset.topology.rings:
                 bounds = [max((g.length - 1 for g in flowset.flows
                                if g.ring == ring.id and g.src == switch), default=0)
@@ -106,8 +107,8 @@ class TestFlowsetIndex:
                 base = index.bases[f.id]
                 assert base.no_load == ring.hops(f.src, f.dst) + f.length
                 assert base.loop == ring.size + f.length
-                assert base.up == {g.id for g in up}
-                assert base.in_ring == {g.id for g in in_ring}
+                assert table[f.id].up == {g.id for g in up}
+                assert table[f.id].in_ring == {g.id for g in in_ring}
                 assert base.up_terms == tuple((g.period, g.length, g.jitter, g.id, 1)
                                               for g in up)
                 assert (Fraction(*base.up_load)
@@ -117,7 +118,6 @@ class TestFlowsetIndex:
                     g.id for g in flowset.flows if g.src == f.src and g.id != f.id))
                 assert base.down_backlog == sum(bounds[ring.position(c)]
                                                 for c in path(f)[1:])
-                assert base.dst_backlog == bounds[ring.position(f.dst)]
 
     def test_flows_in_id_order_whatever_the_listing(self):
         flowset = shuffled(generate_flowset(BenchmarkParams(flows_per_set=40, seed=2)))
@@ -147,7 +147,7 @@ class TestFlowsetIndex:
         in_order = generate_flowset(BenchmarkParams(
             flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
         cfg = SimConfig(seed=3, horizon=3_000)
-        hw = HardwareProfile("shared", "shared", partition_limit=2)
+        hw = HardwareProfile("shared", maxloop=2)
         outcomes = [simulate(fs, cfg, hw) for fs in (in_order, shuffled(in_order))]
         assert outcomes[0].deflections > 0
         assert outcomes[0].digest == outcomes[1].digest
@@ -277,6 +277,10 @@ class TestFlowsetValidation:
     def test_ring_must_contain_endpoints(self, ten_ring_fixture):
         with pytest.raises(TrafficError):
             build_flowset(ten_ring_fixture, make_flow(1, (0, 0), (0, 3), ring=0))
+
+    def test_unknown_ring_rejected_naming_flow_and_ring(self, six_ring_topology):
+        with pytest.raises(TrafficError, match=r"flow 7: topology has no ring 99"):
+            build_flowset(six_ring_topology, make_flow(7, (0, 0), (1, 0), ring=99))
 
 
 class TestFlowsetFiles:
