@@ -39,6 +39,8 @@ JitterMethod = Literal["simplified", "iterative"]
 IposFormula = Literal["tight", "coarse"]
 MaxLoop = int | Literal["oldest_first"]
 
+ITERATION_CAP = 1000  # safety limit on passes; past it: ``iteration_cap_exceeded``
+
 
 def _check_platform(injection, maxloop) -> None:
     """Reject an injection mode or ``maxloop`` outside the model's vocabulary."""
@@ -64,15 +66,11 @@ class AnalysisConfig:
     jitter_method: JitterMethod = "iterative"
     maxloop: MaxLoop = 0
     ipos_formula: IposFormula = "tight"
-    iteration_cap: int = 1000
 
     def __post_init__(self):
         _check_platform(self.injection, self.maxloop)
         if self.jitter_method not in ("simplified", "iterative"):
             raise AnalysisError(f"bad jitter method {self.jitter_method!r}")
-        if not _is_int(self.iteration_cap) or self.iteration_cap < 1:
-            raise AnalysisError(f"iteration_cap must be an integer >= 1, "
-                                f"got {self.iteration_cap!r}")
         if self.ipos_formula not in ("tight", "coarse"):
             raise AnalysisError(f"bad ipos formula {self.ipos_formula!r}")
 
@@ -275,14 +273,14 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     jk = {fid: 0 if iterative else f.deadline - index.bases[fid].no_load
           for fid, f in flows.items()}
     bounds = dict.fromkeys(flows, 0)
-    for iteration in range(1, config.iteration_cap + 1):
+    for iteration in range(1, ITERATION_CAP + 1):
         outcome = _run_pass(context, flows, jk, bounds, shared, record, iterative)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
         rows, changed = outcome
         if not changed:
             return FlowsetResult("schedulable", _freeze(context, flows, rows, jk), iteration)
-    return FlowsetResult("iteration_cap_exceeded", {}, config.iteration_cap)
+    return FlowsetResult("iteration_cap_exceeded", {}, ITERATION_CAP)
 
 
 def _run_pass(context, flows, jk, bounds, shared, record, update_jk):

@@ -28,8 +28,6 @@ class SweepSpec:
     flowsets_per_point: int = 25
     configs: tuple[str, ...] = ("0D_IU_II", "0D_IU_SI")
     master_seed: int = 1
-    period_range: tuple[int, int] = (1_000, 100_000)
-    jitter_fraction_range: tuple[float, float] = (0.0, 0.5)
 
 
 FAST_PROFILE = SweepSpec()
@@ -101,8 +99,6 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
                     width=grid[0],
                     height=grid[1],
                     packet_range=packets,
-                    period_range=spec.period_range,
-                    jitter_fraction_range=spec.jitter_fraction_range,
                     seed=point_seed(spec, grid, packets, index),
                 )
                 full = generate_flowset(params, topology)
@@ -153,11 +149,9 @@ def _settled_by(configs) -> dict[str, frozenset[str]]:
 SWEEP_HEADER = "grid,packet_min,packet_max,flows,config,ratio"
 
 
-def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec | None = None) -> str:
-    lines = []
-    if spec is not None:
-        lines.append(f"# master_seed={spec.master_seed} flowsets_per_point={spec.flowsets_per_point}")
-    lines.append(SWEEP_HEADER)
+def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec) -> str:
+    lines = [f"# master_seed={spec.master_seed} flowsets_per_point={spec.flowsets_per_point}",
+             SWEEP_HEADER]
     for row in rows:
         lines.append(f"{row.grid},{row.packet_min},{row.packet_max},{row.flows},"
                      f"{row.config},{row.ratio!r}")

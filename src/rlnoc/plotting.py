@@ -56,8 +56,6 @@ def _fmt(value: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -159,7 +157,7 @@ def _render_boxes(rows) -> str:
         points.setdefault(metric, []).append((_number(flows, lineno), values))
     xs = [x for pts in points.values() for x, _ in pts]
     ys = [v for pts in points.values() for _, vals in pts for v in vals]
-    pad = (max(xs) - min(xs)) * 0.08 + 1.0 if xs else 1.0
+    pad = (max(xs) - min(xs)) * 0.08 + 1.0 if xs else 0.0
     canvas = _Canvas(min(xs, default=0.0) - pad, max(xs, default=1.0) + pad,
                      min(ys, default=0.0), max(ys, default=1.0),
                      "flows per flowset", "value")
@@ -197,14 +195,9 @@ def render_plot(csv_text: str, kind: str) -> str:
     if kind == "lines":
         if header != SWEEP_HEADER.split(","):
             raise PlotError(f"lines plot needs the sweep schema {SWEEP_HEADER!r}")
-        if not rows:
-            return _Canvas(0.0, 1.0, 0.0, 100.0, "flows per flowset",
-                           "schedulability ratio (%)").finish()
         return _render_lines(rows)
     if kind == "boxwhisker":
         if header != STATS_HEADER.split(","):
             raise PlotError(f"boxwhisker plot needs the stats schema {STATS_HEADER!r}")
-        if not rows:
-            return _Canvas(0.0, 1.0, 0.0, 1.0, "flows per flowset", "value").finish()
         return _render_boxes(rows)
     raise PlotError(f"unknown plot kind {kind!r}")

@@ -45,8 +45,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .analysis import AnalysisConfig, FlowsetResult, Injection, MaxLoop, _check_platform
+from .analysis import (AnalysisConfig, AnalysisError, FlowsetResult, Injection, MaxLoop,
+                       _check_platform)
 from .seeds import derive_seed
+from .topology import _is_int
 from .traffic import Flowset
 
 
@@ -89,9 +91,21 @@ class SimConfig:
     release: Literal["periodic", "sporadic"] = "sporadic"
     fast_forward: bool = True
     collect_trace: bool = False
-    # Exact first-release offsets per flow id; switches the periodic driver to
-    # a jitter-free schedule for constructed scenarios.
+    # Fixed first-release offsets of the listed flows under the periodic
+    # driver; the other flows draw theirs.
     release_offsets: dict[int, int] | None = None
+
+    def __post_init__(self):
+        if self.release not in ("periodic", "sporadic"):
+            raise AnalysisError(f"bad release model {self.release!r}")
+        if not _is_int(self.horizon) or self.horizon < 1:
+            raise AnalysisError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not _is_int(self.seed):
+            raise AnalysisError(f"seed must be an integer, got {self.seed!r}")
+        if self.release_offsets is not None and self.release != "periodic":
+            raise AnalysisError("release_offsets needs the periodic release model")
+        if not all(_is_int(o) and o >= 0 for o in (self.release_offsets or {}).values()):
+            raise AnalysisError(f"release offsets must be integers >= 0: {self.release_offsets!r}")
 
 
 @dataclass(frozen=True)
@@ -134,19 +148,17 @@ class _RingState:
 def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
     """Every release of the run as (cycle, flow id), in time order.
 
-    Sporadic releases and ``release_offsets`` schedules all fall before the
-    horizon. A periodic release is ``offset + n*T + U[0,J]`` for every
-    ``offset + n*T`` below the horizon, so its jitter can put it at or after
-    the horizon (but before horizon + J); such a packet is simulated like any
-    other.
+    Sporadic releases all fall before the horizon. A periodic release is
+    ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon;
+    a listed offset replaces the drawn one, which is drawn anyway so jitter
+    is unchanged. Jitter can put a release at or after the horizon (but
+    before horizon + J); such a packet is simulated like any other.
     """
     out: list[tuple[int, int]] = []
     for f in flowset.flows:
         rng = random.Random(derive_seed(cfg.seed, "rel", f.id))
-        if cfg.release_offsets is not None:
-            times = list(range(cfg.release_offsets.get(f.id, 0), cfg.horizon, f.period))
-        elif cfg.release == "periodic":
-            offset = rng.randrange(f.period)
+        if cfg.release == "periodic":
+            offset = (cfg.release_offsets or {}).get(f.id, rng.randrange(f.period))
             times = sorted(base + rng.randrange(f.jitter + 1)
                            for base in range(offset, cfg.horizon, f.period))
         else:
@@ -163,10 +175,13 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
 def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcome:
     """Run one deterministic simulation and collect per-flow statistics.
 
-    Observed latency of a packet is the cycle its last flit crosses the
-    ejection link minus its release cycle. The run continues past the horizon
-    until every released packet is delivered.
+    Observed latency is the cycle a packet's last flit crosses the ejection
+    link minus its release cycle. The run goes past the horizon until every
+    released packet is delivered. Offsets naming no flow raise AnalysisError.
     """
+    unknown = sorted(set(cfg.release_offsets or ()) - flowset.index.flows.keys())
+    if unknown:
+        raise AnalysisError(f"release_offsets name no flow: {unknown}")
     return _Engine(flowset, cfg, hw).run()
 
 

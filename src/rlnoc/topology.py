@@ -42,7 +42,7 @@ class AdjacencyError(TopologyError):
 
 
 class ConnectivityError(TopologyError):
-    """Some ordered core pair shares no ring."""
+    """A core is on no ring, or some ordered core pair shares none."""
 
 
 class SchemaError(TopologyError):
@@ -105,11 +105,6 @@ class Topology:
         except KeyError:
             raise KeyError(f"no ring with id {ring_id}") from None
 
-    def cores(self) -> Iterable[Coord]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield Coord(col, row)
-
 
 def select_ring(topology: Topology, src, dst) -> int:
     """Routing-table lookup: hop-minimal ring for the pair, lowest id on ties."""
@@ -124,6 +119,10 @@ def _build_routing(width: int, height: int, rings: tuple[Ring, ...]) -> dict:
     for ring in rings:
         for coord in ring.switches:
             membership.setdefault(coord, []).append(ring)
+    # Coverage first: a grid far larger than its rings fails at once.
+    for core in (Coord(c, r) for r in range(height) for c in range(width)):
+        if core not in membership:
+            raise ConnectivityError(f"core {tuple(core)} is on no ring")
     routing: dict[tuple[Coord, Coord], int] = {}
     cells = [Coord(c, r) for r in range(height) for c in range(width)]
     for src in cells:
@@ -131,7 +130,7 @@ def _build_routing(width: int, height: int, rings: tuple[Ring, ...]) -> dict:
             if src == dst:
                 continue
             best: tuple[int, int] | None = None
-            for ring in membership.get(src, ()):
+            for ring in membership[src]:
                 if dst in ring.switches:
                     cand = (ring.hops(src, dst), ring.id)
                     if best is None or cand < best:

@@ -63,8 +63,6 @@ def plain_sweep(spec):
                         width=grid[0],
                         height=grid[1],
                         packet_range=packets,
-                        period_range=spec.period_range,
-                        jitter_fraction_range=spec.jitter_fraction_range,
                         seed=point_seed(spec, grid, packets, index),
                     )
                     flowset = generate_flowset(params, topology)

@@ -25,7 +25,7 @@ from rlnoc.harness import (
 )
 from rlnoc.seeds import derive_seed
 from rlnoc.simulator import SimConfig, hardware_from_config, oracle_check, simulate
-from rlnoc.topology import generate_multi_ring, load_topology_file, validate
+from rlnoc.topology import Coord, generate_multi_ring, load_topology_file, validate
 from rlnoc.traffic import BenchmarkParams, generate_flowset, interference_table
 
 MASTER_SEED = 20260808
@@ -296,7 +296,7 @@ def test_criterion_8_topology_invariants():
             for ring in topo.rings:
                 for sw in ring.switches:
                     membership.setdefault(sw, set()).add(ring.id)
-            cells = list(topo.cores())
+            cells = [Coord(c, r) for r in range(height) for c in range(width)]
             for a in cells:
                 for b in cells:
                     if a != b:

@@ -20,7 +20,7 @@ from rlnoc.analysis import (
     _contexts,
     _fixed_point,
 )
-from rlnoc.topology import build_topology, generate_multi_ring
+from rlnoc.topology import Coord, build_topology, generate_multi_ring
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
@@ -246,7 +246,8 @@ class TestQueueWait:
         # the same flows, making the two formulations directly comparable.
         config = parse_profile("0D_IU_II")
         rng = random.Random(7)
-        cells = list(six_ring_topology.cores())
+        cells = [Coord(c, r) for r in range(six_ring_topology.height)
+                 for c in range(six_ring_topology.width)]
         checked = 0
         for trial in range(1000):
             flows = []
@@ -309,7 +310,6 @@ class TestProfiles:
     def test_config_validation(self):
         for fields in ({"maxloop": True}, {"maxloop": False}, {"maxloop": -1},
                        {"maxloop": 1.0}, {"maxloop": "fixed"}, {"maxloop": "OF"},
-                       {"iteration_cap": True}, {"iteration_cap": 0},
                        {"injection": "both"}):
             with pytest.raises(AnalysisError):
                 AnalysisConfig(**fields)
@@ -349,9 +349,9 @@ class TestAnalyze:
         assert result.results == {}
         assert result.failing_flow in {1, 2, 3}
 
-    def test_iteration_cap_verdict(self, five_flow_fixture):
-        config = parse_profile("0D_IU_II", iteration_cap=1)
-        result = analyze(five_flow_fixture, config)
+    def test_iteration_cap_verdict(self, five_flow_fixture, monkeypatch):
+        monkeypatch.setattr("rlnoc.analysis.ITERATION_CAP", 1)
+        result = analyze(five_flow_fixture, parse_profile("0D_IU_II"))
         assert result.verdict == "iteration_cap_exceeded"
 
     def test_empty_flowset_is_schedulable(self, six_ring_topology):

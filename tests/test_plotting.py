@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -22,6 +23,17 @@ def test_empty_sweep_renders_axes_only():
     assert svg.startswith("<svg")
     assert "<polyline" not in svg
     assert svg.count("<line") >= 2
+
+
+@pytest.mark.parametrize("header, kind, digest", [
+    (SWEEP_HEADER, "lines",
+     "f464e093622e608f806101490e4b9e99088fa5080eb8d066ed6a712520e70e43"),
+    (STATS_HEADER, "boxwhisker",
+     "63efd4c07a68191d8093982b55212ed376a638ab7c97818def0c22b7dbef38a6"),
+])
+def test_empty_plot_bytes_are_pinned(header, kind, digest):
+    svg = render_plot(header + "\n", kind)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
 def test_two_point_series_is_one_polyline_with_two_vertices():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
-from rlnoc.analysis import analyze, parse_profile
+from rlnoc.analysis import AnalysisError, analyze, parse_profile
 from rlnoc.simulator import (
     HardwareProfile,
     SimConfig,
@@ -210,6 +210,56 @@ class TestReleaseSchedule:
             sporadic = replace(periodic, release="sporadic")
             assert all(t < 20_000 for t, _ in _release_schedule(flowset, sporadic))
         assert late == [1, 4, 3, 5, 1]
+
+    def test_listed_offsets_fix_the_first_release_only(self, six_ring_topology):
+        # Flow 1 is listed and has jitter; flow 2 is not listed.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=300, jitter=40),
+                                make_flow(2, (0, 0), (1, 1), period=500))
+        drawn = SimConfig(seed=4, horizon=6_000, release="periodic")
+        listed = replace(drawn, release_offsets={1: 7})
+
+        def times(cfg, fid):
+            return [t for t, f in _release_schedule(flowset, cfg) if f == fid]
+
+        bases = range(7, 6_000, 300)
+        jitter = [t - base for t, base in zip(times(listed, 1), bases)]
+        assert len(jitter) == len(bases) and all(0 <= j <= 40 for j in jitter)
+        assert len(set(jitter)) > 1
+        # The drawn offset is replaced, not skipped: the jitter draws are the
+        # ones the unlisted run makes.
+        assert len({a - b for a, b in zip(times(listed, 1), times(drawn, 1))}) == 1
+        assert times(listed, 2) == times(drawn, 2)
+        assert times(drawn, 2)[0] != 0
+
+    def test_offsets_for_every_jitter_free_flow_give_exact_periods(self, six_ring_topology):
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=300),
+                                make_flow(2, (0, 0), (1, 1), period=500))
+        cfg = SimConfig(seed=4, horizon=6_000, release="periodic",
+                        release_offsets={1: 0, 2: 123})
+        releases = _release_schedule(flowset, cfg)
+        assert [t for t, f in releases if f == 1] == list(range(0, 6_000, 300))
+        assert [t for t, f in releases if f == 2] == list(range(123, 6_000, 500))
+
+
+class TestSimConfigValidation:
+    @pytest.mark.parametrize("fields", [
+        {"release": "bogus"}, {"horizon": -5}, {"horizon": 0}, {"horizon": True},
+        {"horizon": 1e6}, {"seed": 1.5}, {"seed": True},
+        {"release_offsets": {1: 0}},
+        {"release": "periodic", "release_offsets": {1: -1}},
+        {"release": "periodic", "release_offsets": {1: 2.0}},
+    ])
+    def test_rejects_bad_values(self, fields):
+        with pytest.raises(AnalysisError):
+            SimConfig(**fields)
+
+    def test_offsets_must_name_flows_of_the_flowset(self, six_ring_topology):
+        flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
+        cfg = SimConfig(horizon=1_000, release="periodic", release_offsets={1: 0, 9: 0})
+        with pytest.raises(AnalysisError, match=r"\[9\]"):
+            simulate(flowset, cfg, SHARED)
 
 
 class TestProtocolRules:

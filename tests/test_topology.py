@@ -22,7 +22,7 @@ from rlnoc.topology import (
 
 
 def all_pairs(topology):
-    cells = list(topology.cores())
+    cells = [Coord(c, r) for r in range(topology.height) for c in range(topology.width)]
     return [(a, b) for a in cells for b in cells if a != b]
 
 
@@ -150,6 +150,13 @@ class TestLoader:
             load_topology(doc)
         assert "(2, 0)" in str(err.value) or "(2, 1)" in str(err.value)
 
+    def test_uncovered_core_is_named_without_listing_the_grid(self):
+        # The first core on no ring, in row-major order, is reported.
+        doc = {"width": 1000, "height": 1000, "rings": [
+            {"id": 0, "switches": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}
+        with pytest.raises(ConnectivityError, match=r"^core \(2, 0\) is on no ring$"):
+            load_topology(doc)
+
     def test_unknown_fields_rejected(self):
         doc = {"width": 2, "height": 2, "rings": [
             {"id": 0, "switches": [[0, 0], [1, 0], [1, 1], [0, 1]]}], "colour": 1}
@@ -197,4 +204,4 @@ def test_generated_dimensions_grid(six_ring_topology):
     # The bundled six-switch ring spans the full 3x2 grid in ring order.
     ring = six_ring_topology.rings[0]
     assert ring.size == 6
-    assert set(ring.switches) == set(six_ring_topology.cores())
+    assert set(ring.switches) == {Coord(c, r) for r in range(2) for c in range(3)}
