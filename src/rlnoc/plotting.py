@@ -8,6 +8,8 @@ SVG 1.1 document, byte-identical for identical input.
 
 from __future__ import annotations
 
+import math
+
 from .harness import STATS_HEADER, SWEEP_HEADER
 
 _WIDTH, _HEIGHT = 720, 440
@@ -46,9 +48,11 @@ def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 def _number(cell: str, lineno: int) -> float:
     try:
-        return float(cell)
+        if math.isfinite(value := float(cell)):
+            return value
     except ValueError:
-        raise PlotError(f"not a number: {cell!r}", lineno) from None
+        pass
+    raise PlotError(f"not a finite number: {cell!r}", lineno)
 
 
 def _fmt(value: float) -> str:

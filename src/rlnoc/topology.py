@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Coord(NamedTuple):
@@ -88,12 +88,25 @@ class Ring:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable grid-plus-rings layout with a precomputed routing table."""
+    """Immutable grid-plus-rings layout. Construction checks every invariant
+    and derives the shortest-hop routing table, so every instance is valid."""
 
     width: int
     height: int
     rings: tuple[Ring, ...]
-    routing: dict[tuple[Coord, Coord], int] = field(repr=False)
+    routing: dict[tuple[Coord, Coord], int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rings = tuple(self.rings)
+        if self.width < 1 or self.height < 1:
+            raise InvalidDimensionError("grid dimensions must be positive")
+        ids = [ring.id for ring in rings]
+        if len(set(ids)) != len(ids):
+            raise SchemaError("ring ids must be unique")
+        for ring in rings:
+            _validate_ring(ring, self.width, self.height)
+        object.__setattr__(self, "rings", rings)
+        object.__setattr__(self, "routing", _build_routing(self.width, self.height, rings))
 
     @cached_property
     def _rings_by_id(self) -> dict[int, Ring]:
@@ -162,25 +175,6 @@ def _validate_ring(ring: Ring, width: int, height: int) -> None:
         raise SchemaError(f"ring {ring.id} buffer_capacity must be >= 1")
 
 
-def build_topology(width: int, height: int, rings: Iterable[Ring]) -> Topology:
-    """Validate all invariants and construct a topology with its routing table."""
-    rings = tuple(rings)
-    if width < 1 or height < 1:
-        raise InvalidDimensionError("grid dimensions must be positive")
-    ids = [ring.id for ring in rings]
-    if len(set(ids)) != len(ids):
-        raise SchemaError("ring ids must be unique")
-    for ring in rings:
-        _validate_ring(ring, width, height)
-    routing = _build_routing(width, height, rings)
-    return Topology(width, height, rings, routing)
-
-
-def validate(topology: Topology) -> None:
-    """Re-check every invariant of an already-built topology."""
-    build_topology(topology.width, topology.height, topology.rings)
-
-
 def _perimeter(c1: int, r1: int, c2: int, r2: int) -> tuple[Coord, ...]:
     """Clockwise rectangle border: needs c2 > c1 and r2 > r1."""
     top = [Coord(c, r1) for c in range(c1, c2 + 1)]
@@ -228,7 +222,7 @@ def generate_multi_ring(width: int, height: int) -> Topology:
             continue
         seen.add(key)
         rings.append(Ring(id=len(rings), switches=loop))
-    return build_topology(width, height, rings)
+    return Topology(width, height, rings)
 
 
 _TOP_FIELDS = {"width", "height", "rings"}
@@ -285,7 +279,7 @@ def load_topology(doc: dict) -> Topology:
         if capacity is not None and not _is_int(capacity):
             raise SchemaError(f"ring {entry['id']}: buffer_capacity must be an integer")
         rings.append(Ring(id=entry["id"], switches=tuple(switches), buffer_capacity=capacity))
-    return build_topology(doc["width"], doc["height"], rings)
+    return Topology(doc["width"], doc["height"], rings)
 
 
 def load_topology_file(path_str: str) -> Topology:

@@ -218,6 +218,9 @@ def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) 
     """
     if topology is None:
         topology = generate_multi_ring(params.width, params.height)
+    if (params.width, params.height) != (topology.width, topology.height):
+        raise TrafficError(f"params give a {params.width}x{params.height} grid, but "
+                           f"the topology is {topology.width}x{topology.height}")
     rng = random.Random(params.seed)
     cells = params.width * params.height
     flows = []
@@ -366,6 +369,10 @@ def load_flowset(doc: dict, topology: Topology | None = None) -> Flowset:
                 if not _is_int(doc.get(key)):
                     raise TrafficError(f"missing or non-integer field {key!r}")
             topology = generate_multi_ring(doc["width"], doc["height"])
+    for key in ("width", "height"):
+        if key in doc and not (_is_int(doc[key]) and doc[key] == getattr(topology, key)):
+            raise TrafficError(f"field {key!r} is {doc[key]!r}, but the "
+                               f"topology is {topology.width}x{topology.height}")
     entries = doc.get("flows", [])
     if not isinstance(entries, list):
         raise TrafficError(f"field 'flows' must be a list, got {entries!r}")

@@ -25,7 +25,7 @@ from rlnoc.harness import (
 )
 from rlnoc.seeds import derive_seed
 from rlnoc.simulator import SimConfig, hardware_from_config, oracle_check, simulate
-from rlnoc.topology import Coord, generate_multi_ring, load_topology_file, validate
+from rlnoc.topology import Coord, Topology, generate_multi_ring, load_topology_file
 from rlnoc.traffic import BenchmarkParams, generate_flowset, interference_table
 
 MASTER_SEED = 20260808
@@ -277,7 +277,7 @@ def test_criterion_7_simulator_protocol_invariants(campaign):
         hw = hardware_from_config(parse_profile(case.config_name))
         again = simulate(case.flowset, cfg, hw)
         assert again.digest == outcome.digest
-        slow = simulate(case.flowset, replace(cfg, fast_forward=False), hw)
+        slow = simulate(case.flowset, replace(cfg, collect_trace=True), hw)
         assert slow.digest == outcome.digest
     print(f"\ncriterion 7 PASS: conservation and quiescence on {runs} runs; "
           f"zero deflections in {deflection_free} independent-ejection runs; "
@@ -291,7 +291,7 @@ def test_criterion_8_topology_invariants():
     for width in range(2, 7):
         for height in range(2, 7):
             topo = generate_multi_ring(width, height)
-            validate(topo)
+            assert Topology(topo.width, topo.height, topo.rings) == topo
             membership = {}
             for ring in topo.rings:
                 for sw in ring.switches:
@@ -303,7 +303,7 @@ def test_criterion_8_topology_invariants():
                         assert membership[a] & membership[b], (width, height, a, b)
             checked += 1
     fixture = load_topology_file(data_path("grid4x4_ten_rings.json"))
-    validate(fixture)
+    assert Topology(fixture.width, fixture.height, fixture.rings) == fixture
     assert len(fixture.rings) == 10
     print(f"\ncriterion 8 PASS: {checked} generated grids (2..6 squared) fully "
           f"connected and neighbour-valid; the 4x4 reference fixture loads "

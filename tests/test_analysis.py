@@ -20,7 +20,7 @@ from rlnoc.analysis import (
     _contexts,
     _fixed_point,
 )
-from rlnoc.topology import Coord, build_topology, generate_multi_ring
+from rlnoc.topology import Coord, Topology, generate_multi_ring
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
@@ -110,7 +110,7 @@ class TestBufferBounds:
 
     def test_capacity_override_validated(self, six_ring_topology):
         small = replace(six_ring_topology.rings[0], buffer_capacity=4)
-        topo = build_topology(3, 2, [small])
+        topo = Topology(3, 2, (small,))
         flowset = build_flowset(topo, make_flow(1, (0, 0), (1, 0), length=8))
         with pytest.raises(TrafficError, match="cannot hold a 8-flit packet"):
             flowset.index.capacity

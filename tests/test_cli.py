@@ -149,6 +149,8 @@ MALFORMED_FLOWSETS = {
         "switch entries must be [col, row]"),
     "topology_bool_buffer_capacity": (_topology_doc(ring={"buffer_capacity": True}),
                                       "buffer_capacity must be an integer"),
+    "grid_contradicts_topology": ({**_topology_doc(), "width": 9, "height": 9},
+                                  "field 'width' is 9, but the topology is 3x2"),
 }
 
 
@@ -162,6 +164,30 @@ def test_malformed_flowset_exits_three(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("argv", [["analyze", "--flowset"], ["topo", "--load"],
+                                  ["plot", "--kind", "lines", "--csv"]],
+                         ids=["analyze", "topo", "plot"])
+def test_undecodable_file_exits_three(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(argv + [str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_plot_rejects_non_finite_cells(tmp_path, capsys, cell):
+    csv_file = tmp_path / "sweep.csv"
+    csv_file.write_text(f"grid,packet_min,packet_max,flows,config,ratio\n"
+                        f"4x4,16,48,20,0D_IU_SI,{cell}\n")
+    assert run(["plot", "--csv", str(csv_file), "--kind", "lines",
+                "--out", str(tmp_path / "sweep.svg")]) == 3
+    assert capsys.readouterr().err == f"error: row 2: not a finite number: '{cell}'\n"
+    assert not (tmp_path / "sweep.svg").exists()
 
 
 def test_undersized_buffer_capacity_exits_three(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """Golden digests of simulator outcomes.
 
 ``SimOutcome.digest`` hashes every packet's delivery cycle and deflection
-count. The other simulator tests compare fast-forward with stepping every
-cycle, which a change to the shared cycle engine could alter in both modes
-at once; these digests pin the exact outcomes instead. The cases are
+count. The other simulator tests compare closed form with the traced run,
+which steps every cycle. A change to the shared cycle engine could alter
+both at once; these digests pin the exact outcomes instead. The cases are
 criterion-2 style schedulable flowsets under each campaign-type
 configuration with sporadic and periodic releases, plus dense short runs on
 shared ejection links where packets deflect. The dense runs also pin the
@@ -52,23 +52,22 @@ GOLDEN_DENSE_TRACE = {
 }
 
 
-def campaign_outcome(name, flows, release, fast_forward=True):
+def campaign_outcome(name, flows, release, collect_trace=False):
     config = parse_profile(name)
     flowset, _, _ = find_schedulable_flowset(
         BenchmarkParams(flows_per_set=flows), config,
         derive_seed(MASTER_SEED, "golden", name), max_attempts=500)
     cfg = SimConfig(seed=derive_seed(MASTER_SEED, "golden-sim", name, release),
-                    horizon=HORIZON, release=release, fast_forward=fast_forward)
+                    horizon=HORIZON, release=release, collect_trace=collect_trace)
     outcome = simulate(flowset, cfg, hardware_from_config(config))
     assert outcome.drained
     return outcome
 
 
-def dense_outcome(flows_per_link, fast_forward, collect_trace=False):
+def dense_outcome(flows_per_link, collect_trace):
     flowset = generate_flowset(BenchmarkParams(
         flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
-    cfg = SimConfig(seed=3, horizon=3_000, fast_forward=fast_forward,
-                    collect_trace=collect_trace)
+    cfg = SimConfig(seed=3, horizon=3_000, collect_trace=collect_trace)
     hw = HardwareProfile("shared", flows_per_link or "oldest_first")
     return simulate(flowset, cfg, hw)
 
@@ -81,21 +80,21 @@ def test_campaign_digest(name, flows, release):
 
 def test_campaign_digest_stepping_every_cycle():
     key = ("OF_IU_SI", 40, "periodic")
-    outcome = campaign_outcome(*key, fast_forward=False)
+    outcome = campaign_outcome(*key, collect_trace=True)
     assert outcome.deflections > 0
     assert outcome.digest == GOLDEN_CAMPAIGN[key]
 
 
-@pytest.mark.parametrize("fast_forward", (True, False))
+@pytest.mark.parametrize("collect_trace", (False, True))
 @pytest.mark.parametrize("flows_per_link", (None, 2))
-def test_dense_shared_ejection_digest(flows_per_link, fast_forward):
-    outcome = dense_outcome(flows_per_link, fast_forward)
+def test_dense_shared_ejection_digest(flows_per_link, collect_trace):
+    outcome = dense_outcome(flows_per_link, collect_trace)
     assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[flows_per_link]
 
 
 @pytest.mark.parametrize("flows_per_link", (None, 2))
 def test_dense_shared_ejection_trace(flows_per_link):
-    outcome = dense_outcome(flows_per_link, fast_forward=True, collect_trace=True)
+    outcome = dense_outcome(flows_per_link, collect_trace=True)
     assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[flows_per_link]
     trace_digest = hashlib.sha256(repr(outcome.trace).encode("ascii")).hexdigest()
     assert trace_digest == GOLDEN_DENSE_TRACE[flows_per_link]

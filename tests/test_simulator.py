@@ -42,7 +42,7 @@ class TestCalibration:
                                 make_flow(1, (2, 0), (0, 0), period=700, length=8))
         cfg = SimConfig(seed=5, horizon=50_000)
         fast = simulate(flowset, cfg, SHARED)
-        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.digest == slow.digest
         # Every uncontended packet is fast-forwarded; stepping runs each one
         # from its release to the cycle its last flit is ejected.
@@ -60,7 +60,7 @@ class TestCalibration:
         cfg = SimConfig(seed=0, horizon=2_000, release="periodic",
                         release_offsets={1: 0, 2: 5})
         fast = simulate(flowset, cfg, SHARED)
-        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.stepped_cycles == 0
         assert fast.digest == slow.digest
         for flow in flowset.flows:
@@ -76,7 +76,7 @@ class TestCalibration:
         cfg = SimConfig(seed=0, horizon=3_000, release="periodic",
                         release_offsets={1: 0, 2: 3})
         fast = simulate(flowset, cfg, SHARED)
-        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert 0 < fast.stepped_cycles < slow.stepped_cycles
         assert fast.digest == slow.digest
 
@@ -92,7 +92,7 @@ class TestCalibration:
         cfg = SimConfig(seed=0, horizon=6_000, release="periodic",
                         release_offsets={1: 0, 2: 2_003})
         fast = simulate(flowset, cfg, SHARED)
-        slow = simulate(flowset, replace(cfg, fast_forward=False), SHARED)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.digest == slow.digest
         assert (fast.released, slow.stepped_cycles) == (7, 98)
         assert fast.stepped_cycles == 11
@@ -129,7 +129,7 @@ class TestDeterminism:
                                                    period_range=(400, 4_000)))
         fast = simulate(flowset, SimConfig(seed=seed, horizon=60_000), SHARED)
         slow = simulate(flowset, SimConfig(seed=seed, horizon=60_000,
-                                           fast_forward=False), SHARED)
+                                           collect_trace=True), SHARED)
         assert fast.digest == slow.digest
         assert fast.per_flow == slow.per_flow
         assert fast.deflections == slow.deflections
@@ -169,7 +169,7 @@ class TestFastForwardProperty:
     def test_fast_forward_equals_stepping(self, flowset, hw, seed, horizon, release):
         cfg = SimConfig(seed=seed, horizon=horizon, release=release)
         fast = simulate(flowset, cfg, hw)
-        slow = simulate(flowset, replace(cfg, fast_forward=False), hw)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), hw)
         assert fast.digest == slow.digest
         assert (fast.drained, fast.released, fast.delivered) == \
             (slow.drained, slow.released, slow.delivered)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,13 +12,12 @@ from rlnoc.topology import (
     NotOnRingError,
     Ring,
     SchemaError,
-    build_topology,
+    Topology,
     generate_multi_ring,
     load_topology,
     load_topology_file,
     select_ring,
     topology_to_doc,
-    validate,
 )
 
 
@@ -31,14 +31,14 @@ class TestGenerator:
         topo = generate_multi_ring(2, 2)
         assert len(topo.rings) == 1
         assert topo.rings[0].size == 4
-        validate(topo)
+        Topology(topo.width, topo.height, topo.rings)
 
     def test_4x4_passes_validation_with_documented_ring_count(self):
         topo = generate_multi_ring(4, 4)
         # C(4,2) row bands + C(4,2) column bands + 2 nested rectangles,
         # minus the outer perimeter counted three times.
         assert len(topo.rings) == 12
-        validate(topo)
+        Topology(topo.width, topo.height, topo.rings)
 
     def test_3x5_full_connectivity_exhaustive(self):
         topo = generate_multi_ring(3, 5)
@@ -129,7 +129,7 @@ class TestRouting:
 class TestLoader:
     def test_fixture_loads_with_ten_rings(self, ten_ring_fixture):
         assert len(ten_ring_fixture.rings) == 10
-        validate(ten_ring_fixture)
+        Topology(ten_ring_fixture.width, ten_ring_fixture.height, ten_ring_fixture.rings)
 
     def test_duplicate_switch_rejected(self):
         doc = {"width": 2, "height": 2, "rings": [
@@ -186,18 +186,35 @@ class TestRingInvariants:
     def test_duplicate_ring_id_rejected(self):
         ring = Ring(0, (Coord(0, 0), Coord(1, 0), Coord(1, 1), Coord(0, 1)))
         with pytest.raises(SchemaError):
-            build_topology(2, 2, [ring, Ring(0, ring.switches)])
+            Topology(2, 2, (ring, Ring(0, ring.switches)))
 
     def test_wrap_adjacency_checked(self):
         bad = Ring(0, (Coord(0, 0), Coord(1, 0), Coord(1, 1)))
         with pytest.raises(AdjacencyError):
-            build_topology(2, 2, [bad])
+            Topology(2, 2, (bad,))
+
+    def test_constructor_rejects_non_neighbours(self):
+        ring = Ring(0, (Coord(0, 0), Coord(2, 0), Coord(2, 1)))
+        with pytest.raises(AdjacencyError,
+                           match=r"^ring 0: switches \(0, 0\) and \(2, 0\) are not neighbours$"):
+            Topology(3, 2, (ring,))
 
     def test_buffer_capacity_must_be_positive(self):
         ring = Ring(0, (Coord(0, 0), Coord(1, 0), Coord(1, 1), Coord(0, 1)),
                     buffer_capacity=0)
         with pytest.raises(SchemaError):
-            build_topology(2, 2, [ring])
+            Topology(2, 2, (ring,))
+
+
+def test_replace_rechecks_and_rederives():
+    topo = generate_multi_ring(4, 4)
+    with pytest.raises(ConnectivityError, match=r"^core \(1, 1\) is on no ring$"):
+        replace(topo, rings=topo.rings[:1])
+    topo = generate_multi_ring(3, 3)
+    reversed_rings = tuple(replace(ring, switches=ring.switches[::-1]) for ring in topo.rings)
+    again = replace(topo, rings=reversed_rings)
+    assert again.routing == Topology(3, 3, reversed_rings).routing
+    assert again.routing != topo.routing
 
 
 def test_generated_dimensions_grid(six_ring_topology):

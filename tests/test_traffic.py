@@ -21,7 +21,7 @@ from rlnoc.traffic import (
     interference_table,
     load_flowset,
 )
-from rlnoc.topology import NotOnRingError, build_topology, generate_multi_ring
+from rlnoc.topology import NotOnRingError, Topology, generate_multi_ring
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -303,6 +303,25 @@ class TestFlowsetFiles:
                 {"id": 1, "T": 10, "D": 10, "L": 1, "J": 0,
                  "src": [0, 0], "dst": [1, 0], "priority": 3}]})
 
+    def test_grid_size_must_match_the_topology(self, six_ring_topology):
+        doc = flowset_to_doc(Flowset((), six_ring_topology), embed_topology=True)
+        doc.update(width=9, height=9)
+        with pytest.raises(TrafficError, match="field 'width' is 9, but the topology is 3x2"):
+            load_flowset(doc)
+        del doc["topology"]
+        with pytest.raises(TrafficError, match="field 'width' is 9, but the topology is 3x2"):
+            load_flowset(doc, six_ring_topology)
+        doc["width"] = 3
+        with pytest.raises(TrafficError, match="field 'height' is 9, but the topology is 3x2"):
+            load_flowset(doc, six_ring_topology)
+
+    @pytest.mark.parametrize("grid", [(2, 2), (3, 2), (4, 4)])
+    def test_generation_grid_must_match_the_topology(self, grid):
+        params = BenchmarkParams(flows_per_set=20, width=3, height=3)
+        with pytest.raises(TrafficError, match=f"params give a 3x3 grid, but the "
+                                               f"topology is {grid[0]}x{grid[1]}"):
+            generate_flowset(params, generate_multi_ring(*grid))
+
     def test_generated_topology_fallback(self):
         doc = {"width": 2, "height": 2, "flows": [
             {"id": 1, "T": 50, "D": 50, "L": 2, "J": 0, "src": [0, 0], "dst": [1, 1]}]}
@@ -321,9 +340,9 @@ def file_flowsets(draw):
     if embed and draw(st.booleans()):
         target = draw(st.sampled_from([ring.id for ring in topology.rings]))
         capacity = draw(st.integers(1, 64))
-        topology = build_topology(width, height, [
+        topology = Topology(width, height, tuple(
             replace(ring, buffer_capacity=capacity) if ring.id == target else ring
-            for ring in topology.rings])
+            for ring in topology.rings))
     params = BenchmarkParams(flows_per_set=draw(st.integers(0, 12)), width=width,
                              height=height, seed=draw(st.integers(0, 2**16)))
     return generate_flowset(params, topology), embed
