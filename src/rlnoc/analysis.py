@@ -17,12 +17,14 @@ deadline, which guarantees termination.
 from __future__ import annotations
 
 import re
+from collections import UserDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Literal, NamedTuple
 
 from .topology import _is_int
-from .traffic import Flow, FlowBase, Flowset, InterferenceSets, term_load
+from .traffic import Flow, Flowset, InterferenceSets, term_load
 
 
 class AnalysisError(ValueError):
@@ -129,7 +131,7 @@ Verdict = Literal["schedulable", "unschedulable", "iteration_cap_exceeded"]
 @dataclass(frozen=True)
 class FlowsetResult:
     verdict: Verdict
-    results: dict[int, FlowResult]
+    results: Mapping[int, FlowResult]
     iterations: int
     failing_flow: int | None = None
 
@@ -176,11 +178,13 @@ def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
 
 
 class _FlowContext(NamedTuple):
-    """A flow's bound terms under one configuration, on top of its
-    config-independent base from the flowset index."""
+    """A flow's bound terms under one configuration, composed from the
+    config-independent facts of the flowset index."""
 
     flow: Flow
-    base: FlowBase
+    no_load: int        # C: contention-free traversal, hops + length
+    loop: int           # C_loop: one full circle, ring size + length
+    in_sum: int         # total length of the others its switch injects into its ring
     maxloop: int
     post: int
     fixed: int          # C + C_loop * maxloop + I_pos
@@ -220,18 +224,24 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     @cache
     def context(fid: int) -> _FlowContext:
         flow = index.flows[fid]
-        base = index.bases[fid]
+        start, hops = index.route[fid]
+        size = len(index.buffer_bounds[flow.ring])
         maxloop = maxloops[fid]
         if capacity is None:
-            post = base.down_backlog + maxloop * index.ring_backlog[flow.ring]
+            sums = index.backlog_sums[flow.ring]
+            post = (sums[start + hops + 1] - sums[start + 1]
+                    + maxloop * index.ring_backlog[flow.ring])
         else:
-            size = base.loop - flow.length
-            post = (index.route[fid][1] + maxloop * size) * capacity[flow.ring]
-        fixed = base.no_load + base.loop * maxloop + post
+            post = (hops + maxloop * size) * capacity[flow.ring]
+        no_load, loop = hops + flow.length, size + flow.length
+        fixed = no_load + loop * maxloop + post
         terms, (num, den) = replicas[flow.ring]
-        up_num, up_den = base.up_load
-        return _FlowContext(flow, base, maxloop, post, fixed, flow.deadline - fixed,
-                            terms + base.up_terms,
+        switch = (flow.ring, start)
+        up_num, up_den = index.up_load.get(switch, (0, 1))
+        return _FlowContext(flow, no_load, loop,
+                            index.injected[flow.src, flow.ring] - flow.length,
+                            maxloop, post, fixed, flow.deadline - fixed,
+                            terms + index.up_terms.get(switch, ()),
                             num * up_den + up_num * den >= den * up_den)
 
     return context
@@ -270,7 +280,7 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     # Under the simplified method the jitter never changes, so its first
     # pass is its last.
     iterative = config.jitter_method == "iterative"
-    jk = {fid: 0 if iterative else f.deadline - index.bases[fid].no_load
+    jk = {fid: 0 if iterative else f.deadline - (index.route[fid][1] + f.length)
           for fid, f in flows.items()}
     bounds = dict.fromkeys(flows, 0)
     for iteration in range(1, ITERATION_CAP + 1):
@@ -279,7 +289,7 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
             return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
         rows, changed = outcome
         if not changed:
-            return FlowsetResult("schedulable", _freeze(context, flows, rows, jk), iteration)
+            return FlowsetResult("schedulable", _Results(context, flows, rows, jk), iteration)
     return FlowsetResult("iteration_cap_exceeded", {}, ITERATION_CAP)
 
 
@@ -290,22 +300,25 @@ def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
     changed = False
     rows: dict[int, tuple[int, int, int]] = {}
     idle: dict[int, int] = {}
+    queued: dict = {}  # per source core, the sum of length + idle of its flows
     if shared:
         for ctx in map(context, flows):
             value = _busy(ctx, 1, jk, record)
             if value is None:
                 return ctx.flow.id
             idle[ctx.flow.id] = value
+            src = ctx.flow.src
+            queued[src] = queued.get(src, 0) + ctx.flow.length + value
     for ctx in map(context, flows):
         fid = ctx.flow.id
         if shared:
-            queue = sum(flows[j].length + idle[j] for j in ctx.base.in_core)
+            queue = queued[ctx.flow.src] - ctx.flow.length - idle[fid]
             pre = idle[fid] + queue
             rows[fid] = (idle[fid], queue, pre)
             if pre > ctx.budget:
                 return fid
         else:
-            value = _busy(ctx, 1 + ctx.base.in_sum, jk, record)
+            value = _busy(ctx, 1 + ctx.in_sum, jk, record)
             if value is None:
                 return fid
             rows[fid] = (0, 0, value)
@@ -320,30 +333,42 @@ def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
             bounds[fid] = bound
             if update_jk:
                 changed = True
-                jk[fid] = bound - ctx.base.no_load
+                jk[fid] = bound - ctx.no_load
     return rows, changed
 
 
-def _freeze(context, flows, rows, jk) -> dict[int, FlowResult]:
-    out = {}
-    for ctx in map(context, flows):
-        fid = ctx.flow.id
-        pre_idle, pre_queue, pre = rows[fid]
-        bound = ctx.fixed + pre
-        out[fid] = FlowResult(
-            flow=fid,
-            no_load=ctx.base.no_load,
-            loop=ctx.base.loop,
-            maxloop=ctx.maxloop,
-            pre_idle=pre_idle,
-            pre_queue=pre_queue,
-            pre_injection=pre,
-            post_injection=ctx.post,
-            indirect_jitter=jk[fid],
-            bound=bound,
-            deadline=ctx.flow.deadline,
-        )
-    return out
+class _Results(UserDict):
+    """The per-flow results of a schedulable verdict, built from its last
+    pass on first read: reading only the verdict never builds them."""
+
+    def __init__(self, context, flows, rows, jk):
+        self._last_pass = (context, flows, rows, jk)
+
+    def __reduce__(self):  # copied and pickled as the plain dict
+        return dict, (self.data,)
+
+    @cached_property
+    def data(self) -> dict[int, FlowResult]:
+        context, flows, rows, jk = self._last_pass
+        out = {}
+        for ctx in map(context, flows):
+            fid = ctx.flow.id
+            pre_idle, pre_queue, pre = rows[fid]
+            bound = ctx.fixed + pre
+            out[fid] = FlowResult(
+                flow=fid,
+                no_load=ctx.no_load,
+                loop=ctx.loop,
+                maxloop=ctx.maxloop,
+                pre_idle=pre_idle,
+                pre_queue=pre_queue,
+                pre_injection=pre,
+                post_injection=ctx.post,
+                indirect_jitter=jk[fid],
+                bound=bound,
+                deadline=ctx.flow.deadline,
+            )
+        return out
 
 
 _CSV_HEADER = "flow,C,C_loop,maxloop,I_pre_idle,I_pre_queue,I_pre,I_pos,Jk,R,D,schedulable"

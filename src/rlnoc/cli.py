@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import analysis, harness, plotting, simulator, topology, traffic
 from .seeds import derive_seed
@@ -191,14 +192,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UndecodableFile(ValueError):
+    """An input file that is not UTF-8 JSON (or, for ``plot``, UTF-8 text)."""
+
+
+def _read(path: str, load, *args):
+    """``load(path, *args)``, naming the file in a decoding error."""
+    try:
+        return load(path, *args)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _UndecodableFile(f"{path}: {exc}") from None
+
+
 def _load_flowset(args) -> traffic.Flowset:
-    topo = topology.load_topology_file(args.topology) if args.topology else None
-    return traffic.load_flowset_file(args.flowset, topo)
+    topo = _read(args.topology, topology.load_topology_file) if args.topology else None
+    return _read(args.flowset, traffic.load_flowset_file, topo)
 
 
 def _cmd_topo(args) -> int:
     if args.load:
-        topo = topology.load_topology_file(args.load)
+        topo = _read(args.load, topology.load_topology_file)
     else:
         topo = topology.generate_multi_ring(args.width, args.height)
     if args.validate:
@@ -347,8 +360,7 @@ def _cmd_flowstats(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.csv, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read(args.csv, lambda path: Path(path).read_text(encoding="utf-8"))
     _write(_out_path(args.out), plotting.render_plot(text, args.kind))
     return 0
 
@@ -364,9 +376,8 @@ _COMMANDS = {
     "plot": _cmd_plot,
 }
 
-_FILE_ERRORS = (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError,
-                topology.TopologyError, traffic.TrafficError, plotting.PlotError,
-                harness.NoSchedulableFlowsetError)
+_FILE_ERRORS = (OSError, _UndecodableFile, topology.TopologyError, traffic.TrafficError,
+                plotting.PlotError, harness.NoSchedulableFlowsetError)
 
 
 def run(argv=None) -> int:

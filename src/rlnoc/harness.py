@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile
 from .seeds import derive_seed
-from .traffic import BenchmarkParams, Flowset, generate_flowset
+from .traffic import BenchmarkParams, Flowset, _extended, generate_flowset
 from .topology import generate_multi_ring
 
 
@@ -65,8 +65,9 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     """Schedulability ratio per (grid, packet range, flows, config) point.
 
     Each flowset index is generated once, at the largest flow count, and
-    every smaller point analyses a prefix of it. Flow counts are visited in
-    ascending order, and an analysis is skipped once its verdict is known:
+    every smaller point analyses a prefix of it, whose ``FlowsetIndex``
+    grows from the previous prefix's. Flow counts are visited in ascending
+    order, and an analysis is skipped once its verdict is known:
     a configuration found unschedulable stays unschedulable on every longer
     prefix, because adding flows only adds interference, and so does each
     configuration that it dominates (`_settled_by`). Only an
@@ -102,12 +103,13 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
                     seed=point_seed(spec, grid, packets, index),
                 )
                 full = generate_flowset(params, topology)
+                flowset = Flowset((), topology)
                 # Configurations known to be unschedulable on this index.
                 dead: set[str] = set()
                 for flows in counts:
                     if len(dead) == len(configs):
                         break
-                    flowset = Flowset(full.flows[:flows], topology)
+                    flowset = _extended(flowset, full.flows[len(flowset.flows):flows])
                     for name, config in configs:
                         if name in dead:
                             continue

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import accumulate
 
 from .topology import (
     Coord,
@@ -77,6 +77,25 @@ class Flowset:
         return FlowsetIndex(self)
 
 
+def _extended(flowset: Flowset, flows: tuple[Flow, ...]) -> Flowset:
+    """``flowset`` followed by ``flows``, slices of one validated flowset, so
+    it is not validated again; its index is a copy of ``flowset``'s extended
+    by ``flows``, whose ids must all be larger."""
+    index, flows_by_id = flowset.index, sorted(flows, key=lambda f: f.id)
+    if flows and index.flows and flows_by_id[0].id <= next(reversed(index.flows)):
+        raise TrafficError(f"flow {flows_by_id[0].id} cannot extend the index")
+    grown = object.__new__(FlowsetIndex)
+    grown.topology = index.topology
+    for name in FlowsetIndex._MAPS:
+        setattr(grown, name, dict(getattr(index, name)))
+    grown._add(flows_by_id)
+    out = object.__new__(Flowset)
+    object.__setattr__(out, "flows", flowset.flows + flows)
+    object.__setattr__(out, "topology", flowset.topology)
+    out.__dict__["index"] = grown
+    return out
+
+
 @dataclass(frozen=True)
 class InterferenceSets:
     """Flow-id sets describing who can delay the flow under analysis.
@@ -94,18 +113,6 @@ class InterferenceSets:
     upind: frozenset[int]
 
 
-class FlowBase(NamedTuple):
-    """Config-independent terms of one flow's latency bound."""
-
-    no_load: int                # C: contention-free traversal, hops + length
-    loop: int                   # C_loop: one full circle, ring size + length
-    up_terms: tuple             # (T, L, J, id, 1) per thru-flow at its switch, in id order
-    up_load: tuple[int, int]    # sum of L / T over up_terms, as an exact fraction
-    in_sum: int                 # total length of the others its switch injects into its ring
-    in_core: tuple[int, ...]    # other flows of its source core, in id order
-    down_backlog: int           # backlog bounds of the downstream switches, summed
-
-
 def term_load(terms) -> tuple[int, int]:
     """Exact sum of L * n / T over busy-period terms (T, L, J, id, n), as a
     fraction (numerator, denominator)."""
@@ -118,52 +125,54 @@ def term_load(terms) -> tuple[int, int]:
 
 class FlowsetIndex:
     """Config-independent lookups shared by the analyses and simulations of
-    one flowset: flows by id (in id order), by ring, by source core and by
-    destination core; each flow's route, ``(start, hops)``: its source
-    position on its ring and its hop count; each ring's worst backlog per
-    switch position (the largest payload, length - 1, injected there) and
-    their total; each flow's config-independent bound terms (``bases``); and,
-    built on first use, each ring's packet-buffer capacity."""
+    one flowset, each stored once under what it depends on: flows by id (in
+    id order), by ring, by source core and by destination core; each flow's
+    route, ``(start, hops)``: its source position on its ring and its hop
+    count; per (source core, ring), the injected length; per ring, the worst
+    backlog at each switch position (the largest payload, length - 1,
+    injected there), their total and the prefix sums of the bounds taken
+    twice over, so a path's backlog is one difference; per (ring, position)
+    switch, the busy-period terms ``(T, L, J, id, 1)`` of the flows passing
+    it, in id order, and their exact load; and, built on first use, each
+    ring's packet-buffer capacity. Map values are immutable, so extending a
+    copy by flows with larger ids (``_extended``) rewrites no earlier flow's
+    entry; a fresh index is an empty one extended by all flows in id order."""
+
+    _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
+             "buffer_bounds", "ring_backlog", "backlog_sums", "up_terms", "up_load")
 
     def __init__(self, flowset: Flowset):
-        self.topology = topo = flowset.topology
-        self.flows = {f.id: f for f in sorted(flowset.flows, key=lambda f: f.id)}
-        self.on_ring: dict[int, list[Flow]] = {}
-        self.on_core: dict[Coord, list[Flow]] = {}
-        self.on_dst: dict[Coord, list[Flow]] = {}
-        self.route: dict[int, tuple[int, int]] = {}
-        self.buffer_bounds = {ring.id: [0] * ring.size for ring in topo.rings}
-        # Flows passing each (ring, position) switch between their endpoints.
-        thru_at: dict[tuple[int, int], list[Flow]] = {}
-        for f in self.flows.values():
-            ring = topo.ring(f.ring)
+        self.topology = flowset.topology
+        for name in self._MAPS:
+            setattr(self, name, {})
+        for ring in self.topology.rings:
+            self.buffer_bounds[ring.id] = (0,) * ring.size
+            self.ring_backlog[ring.id] = 0
+            self.backlog_sums[ring.id] = (0,) * (2 * ring.size + 1)
+        self._add(sorted(flowset.flows, key=lambda f: f.id))
+
+    def _add(self, flows) -> None:
+        for f in flows:
+            ring = self.topology.ring(f.ring)
             start, hops = ring.position(f.src), ring.hops(f.src, f.dst)
+            self.flows[f.id] = f
             self.route[f.id] = (start, hops)
-            self.on_ring.setdefault(f.ring, []).append(f)
-            self.on_core.setdefault(f.src, []).append(f)
-            self.on_dst.setdefault(f.dst, []).append(f)
+            self.on_ring[f.ring] = self.on_ring.get(f.ring, ()) + (f,)
+            self.on_core[f.src] = self.on_core.get(f.src, ()) + (f,)
+            self.on_dst[f.dst] = self.on_dst.get(f.dst, ()) + (f,)
+            self.injected[f.src, f.ring] = self.injected.get((f.src, f.ring), 0) + f.length
             bounds = self.buffer_bounds[f.ring]
-            bounds[start] = max(bounds[start], f.length - 1)
+            if f.length - 1 > bounds[start]:
+                bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
+                self.buffer_bounds[f.ring] = bounds
+                self.ring_backlog[f.ring] = sum(bounds)
+                self.backlog_sums[f.ring] = tuple(accumulate(bounds * 2, initial=0))
+            term = (f.period, f.length, f.jitter, f.id, 1)
             for d in range(1, hops):
-                thru_at.setdefault((f.ring, (start + d) % ring.size), []).append(f)
-        self.ring_backlog = {rid: sum(b) for rid, b in self.buffer_bounds.items()}
-        # Each ring's bounds twice over, so a path is a slice without wrapping.
-        doubled = {rid: b * 2 for rid, b in self.buffer_bounds.items()}
-        self.bases: dict[int, FlowBase] = {}
-        for f in self.flows.values():
-            start, hops = self.route[f.id]
-            up = thru_at.get((f.ring, start), [])
-            up_terms = tuple((g.period, g.length, g.jitter, g.id, 1) for g in up)
-            self.bases[f.id] = FlowBase(
-                no_load=hops + f.length,
-                loop=len(self.buffer_bounds[f.ring]) + f.length,
-                up_terms=up_terms,
-                up_load=term_load(up_terms),
-                in_sum=sum(g.length for g in self.on_core[f.src]
-                           if g.ring == f.ring and g is not f),
-                in_core=tuple(g.id for g in self.on_core[f.src] if g is not f),
-                down_backlog=sum(doubled[f.ring][start + 1:start + hops + 1]),
-            )
+                switch = (f.ring, (start + d) % ring.size)
+                self.up_terms[switch] = self.up_terms.get(switch, ()) + (term,)
+                num, den = self.up_load.get(switch, (0, 1))
+                self.up_load[switch] = (num * f.period + f.length * den, den * f.period)
 
     @cached_property
     def capacity(self) -> dict[int, int]:
@@ -251,8 +260,9 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     """Interference sets for every flow of the flowset: ``up`` from the ids of
     its busy-period terms, ``in_ring`` from its source core's flows."""
     index = flowset.index
-    up = {fid: frozenset(term[3] for term in base.up_terms)
-          for fid, base in index.bases.items()}
+    up = {f.id: frozenset(term[3] for term in
+                          index.up_terms.get((f.ring, index.route[f.id][0]), ()))
+          for f in index.flows.values()}
     in_ring = {f.id: frozenset(g.id for g in index.on_core[f.src]
                                if g.ring == f.ring and g is not f)
                for f in index.flows.values()}

@@ -1,7 +1,7 @@
 import pytest
 
 from rlnoc import data_path
-from rlnoc.analysis import analyze, parse_profile
+from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, _contexts
 from rlnoc.harness import SweepRow, point_seed
 from rlnoc.topology import Coord, generate_multi_ring, load_topology_file
 from rlnoc.traffic import BenchmarkParams, Flow, Flowset, generate_flowset, load_flowset_file
@@ -38,6 +38,11 @@ def flow_factory():
 
 def build_flowset(topology, *flows):
     return Flowset(tuple(flows), topology)
+
+
+def no_load(flowset, fid):
+    """The analysis's contention-free latency C of a flow, hops + length."""
+    return _contexts(flowset, AnalysisConfig())(fid).no_load
 
 
 @pytest.fixture

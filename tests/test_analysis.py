@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
+from rlnoc import analysis
 from rlnoc.analysis import (
     AnalysisConfig,
     AnalysisError,
     AnalysisRecord,
+    FlowResult,
     InvariantError,
     analyze,
     parse_profile,
@@ -47,7 +51,7 @@ def injection_busy(flowset, config, fid, jk):
     """Busy period of the flow's injection switch output port, co-injected
     packets included (independent injection). None: deadline missed."""
     ctx = flow_context(flowset, config, fid)
-    return _busy(ctx, 1 + ctx.base.in_sum, jk, None)
+    return _busy(ctx, 1 + ctx.in_sum, jk, None)
 
 
 def idle_wait(flowset, config, fid, jk):
@@ -83,9 +87,9 @@ class TestNoLoadLatencies:
         flowset = generate_flowset(BenchmarkParams(flows_per_set=40, seed=3))
         for f in flowset.flows:
             ring = flowset.topology.ring(f.ring)
-            base = flowset.index.bases[f.id]
+            ctx = flow_context(flowset, AnalysisConfig(), f.id)
             if ring.hops(f.src, f.dst) + 1 < ring.size + 1:
-                assert base.no_load < base.loop
+                assert ctx.no_load < ctx.loop
 
 
 class TestBufferBounds:
@@ -264,14 +268,35 @@ class TestQueueWait:
             if any(v is None for v in idle.values()):
                 continue
             for ctx in contexts:
-                basic = _busy(ctx, 1 + ctx.base.in_sum, jk, None)
+                basic = _busy(ctx, 1 + ctx.in_sum, jk, None)
                 if basic is None:
                     continue
-                queue = sum(flowset.index.flows[j].length + idle[j]
-                            for j in ctx.base.in_core)
+                queue = sum(g.length + idle[g.id]
+                            for g in flowset.index.on_core[ctx.flow.src] if g is not ctx.flow)
                 assert idle[ctx.flow.id] + queue >= basic, (trial, ctx.flow.id)
                 checked += 1
         assert checked > 1000
+
+
+class TestLazyResults:
+    def test_rows_are_built_on_first_read(self, five_flow_fixture, monkeypatch):
+        built = []
+
+        def counting(**fields):
+            built.append(fields["flow"])
+            return FlowResult(**fields)
+
+        monkeypatch.setattr(analysis, "FlowResult", counting)
+        result = analyze(five_flow_fixture, parse_profile("0D_IU_SI"))
+        assert result.verdict == "schedulable" and built == []
+        assert sorted(result.results) == [1, 2, 3, 4, 5] and built == [1, 2, 3, 4, 5]
+        assert result.results[3].flow == 3 and len(built) == 5
+
+    def test_rows_copy_and_pickle_as_a_dict(self, five_flow_fixture):
+        result = analyze(five_flow_fixture, parse_profile("0D_IU_SI"))
+        for clone in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+            assert type(clone.results) is dict
+            assert clone == result and clone.results == dict(result.results)
 
 
 class TestResolveMaxloop:
@@ -325,7 +350,7 @@ class TestAnalyze:
         for flow in flowset.flows:
             sets = table[flow.id]
             assert not (sets.up | sets.down | sets.in_ring)
-            assert flowset.index.on_core[flow.src] == [flow]
+            assert flowset.index.on_core[flow.src] == (flow,)
         for config in (parse_profile("0D_IU_II"), parse_profile("0D_IU_SI")):
             result = analyze(flowset, config)
             assert result.schedulable

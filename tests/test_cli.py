@@ -176,7 +176,29 @@ def test_undecodable_file_exits_three(tmp_path, capsys, argv, content):
     bad.write_bytes(content)
     assert run(argv + [str(bad)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # Brackets are valid UTF-8 text, so plot reads them and rejects the rows.
+    prefix = "error: " if argv[0] == "plot" and content.isascii() else f"error: {bad}: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("bad_option", ["--flowset", "--topology"])
+def test_undecodable_file_is_named(tmp_path, capsys, bad_option, content):
+    # analyze reads two files; the error says which of them is bad.
+    doc = _topology_doc()
+    files = {"--flowset": tmp_path / "flows.json", "--topology": tmp_path / "topo.json"}
+    files["--flowset"].write_text(json.dumps({"width": 3, "height": 2,
+                                              "flows": doc["flows"]}))
+    files["--topology"].write_text(json.dumps(doc["topology"]))
+    argv = ["analyze", "--out", str(tmp_path / "out.csv")]
+    for option, path in files.items():
+        argv += [option, str(path)]
+    assert run(argv) == 0
+    files[bad_option].write_bytes(content)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad_option]}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

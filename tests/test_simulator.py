@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flowset, make_flow
+from conftest import build_flowset, make_flow, no_load
 from rlnoc.analysis import AnalysisError, analyze, parse_profile
 from rlnoc.simulator import (
     HardwareProfile,
@@ -32,10 +32,10 @@ class TestCalibration:
         out = simulate(flowset, SimConfig(seed=5, horizon=50_000, release=release),
                        SHARED)
         stats = out.per_flow[1]
-        expect = flowset.index.bases[1].no_load - 1
+        expect = no_load(flowset, 1) - 1
         assert stats.max_latency == expect
         assert stats.mean_latency == expect
-        assert stats.max_latency <= flowset.index.bases[1].no_load + 1
+        assert stats.max_latency <= no_load(flowset, 1) + 1
 
     def test_stepped_cycles_count_only_simulated_cycles(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology,
@@ -64,8 +64,7 @@ class TestCalibration:
         assert fast.stepped_cycles == 0
         assert fast.digest == slow.digest
         for flow in flowset.flows:
-            no_load = flowset.index.bases[flow.id].no_load
-            assert fast.per_flow[flow.id].max_latency == no_load - 1
+            assert fast.per_flow[flow.id].max_latency == no_load(flowset, flow.id) - 1
 
     def test_shared_injection_queue_is_stepped(self, six_ring_topology):
         # The second packet queues behind the first, still injecting, at the
@@ -105,7 +104,7 @@ class TestCalibration:
             flowset = Flowset((make_flow(1, src, dst, period=2_000, length=17,
                                          ring=ring),), topo)
             out = simulate(flowset, SimConfig(seed=seed, horizon=30_000), INDEPENDENT)
-            assert out.per_flow[1].max_latency == flowset.index.bases[1].no_load - 1
+            assert out.per_flow[1].max_latency == no_load(flowset, 1) - 1
 
 
 class TestDeterminism:
@@ -387,7 +386,7 @@ class TestProtocolRules:
         out = simulate(flowset, cfg, SHARED)
         assert out.released == out.delivered == 1
         assert out.flits_injected == out.flits_ejected == 1030
-        assert out.per_flow[1].max_latency == flowset.index.bases[1].no_load - 1
+        assert out.per_flow[1].max_latency == no_load(flowset, 1) - 1
         ejected = [e[4] for e in out.trace if e[0] == "eject"]
         assert ejected == list(range(1030))
 

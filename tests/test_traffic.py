@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
-from rlnoc.analysis import analyze, parse_profile, results_to_csv
+from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_csv, _contexts
 from rlnoc.simulator import HardwareProfile, SimConfig, simulate
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
     TrafficError,
+    _extended,
     flowset_to_doc,
     generate_flowset,
     interference_table,
@@ -80,6 +82,8 @@ class TestFlowsetIndex:
 
     @pytest.mark.parametrize("grid", [(4, 4), (5, 5)])
     def test_bases_match_plain_recomputation(self, grid):
+        # Each flow's config-independent bound terms, as the analysis
+        # composes them from the index, against a plain recomputation.
         def path(g):
             ring = flowset.topology.ring(g.ring)
             start = ring.position(g.src)
@@ -91,12 +95,15 @@ class TestFlowsetIndex:
                 flows_per_set=80, width=grid[0], height=grid[1], seed=seed))
             index = flowset.index
             table = interference_table(flowset)
+            context = _contexts(flowset, AnalysisConfig(injection="independent"))
             for ring in flowset.topology.rings:
                 bounds = [max((g.length - 1 for g in flowset.flows
                                if g.ring == ring.id and g.src == switch), default=0)
                           for switch in ring.switches]
-                assert index.buffer_bounds[ring.id] == bounds
+                assert index.buffer_bounds[ring.id] == tuple(bounds)
                 assert index.ring_backlog[ring.id] == sum(bounds)
+                assert index.backlog_sums[ring.id] == tuple(
+                    sum((bounds * 2)[:k]) for k in range(2 * ring.size + 1))
             for f in flowset.flows:
                 ring = flowset.topology.ring(f.ring)
                 bounds = index.buffer_bounds[f.ring]
@@ -104,20 +111,74 @@ class TestFlowsetIndex:
                                 if g.ring == f.ring and g.id != f.id), key=lambda g: g.id)
                 up = [g for g in mates if f.src in path(g)[1:-1]]
                 in_ring = [g for g in mates if g.src == f.src]
-                base = index.bases[f.id]
-                assert base.no_load == ring.hops(f.src, f.dst) + f.length
-                assert base.loop == ring.size + f.length
+                switch = (f.ring, ring.position(f.src))
+                ctx = context(f.id)
+                assert ctx.no_load == ring.hops(f.src, f.dst) + f.length
+                assert ctx.loop == ring.size + f.length
                 assert table[f.id].up == {g.id for g in up}
                 assert table[f.id].in_ring == {g.id for g in in_ring}
-                assert base.up_terms == tuple((g.period, g.length, g.jitter, g.id, 1)
-                                              for g in up)
-                assert (Fraction(*base.up_load)
+                up_terms = tuple((g.period, g.length, g.jitter, g.id, 1) for g in up)
+                assert index.up_terms.get(switch, ()) == up_terms
+                assert ctx.terms == up_terms
+                assert (Fraction(*index.up_load.get(switch, (0, 1)))
                         == sum((Fraction(g.length, g.period) for g in up), Fraction(0)))
-                assert base.in_sum == sum(g.length for g in in_ring)
-                assert base.in_core == tuple(sorted(
-                    g.id for g in flowset.flows if g.src == f.src and g.id != f.id))
-                assert base.down_backlog == sum(bounds[ring.position(c)]
-                                                for c in path(f)[1:])
+                assert ctx.in_sum == sum(g.length for g in in_ring)
+                assert (tuple(g.id for g in index.on_core[f.src] if g is not f)
+                        == tuple(sorted(g.id for g in flowset.flows
+                                        if g.src == f.src and g.id != f.id)))
+                assert ctx.post == sum(bounds[ring.position(c)] for c in path(f)[1:])
+
+    def test_queue_term_sums_the_core_mates(self):
+        # Shared injection: a flow's queue term is the length plus the
+        # head-of-queue wait of every other flow of its source core.
+        config = parse_profile("0D_IU_SI")
+        checked = 0
+        for seed in range(12):
+            flowset = generate_flowset(BenchmarkParams(flows_per_set=24, seed=seed))
+            result = analyze(flowset, config)
+            if not result.schedulable:
+                continue
+            for f in flowset.flows:
+                mates = [g for g in flowset.flows if g.src == f.src and g.id != f.id]
+                assert result.results[f.id].pre_queue == sum(
+                    g.length + result.results[g.id].pre_idle for g in mates)
+                checked += len(mates) > 0
+        assert checked > 20
+
+    # Every map of an index; test_grown_index_equals_fresh_index fails when
+    # the index gains one that is not listed here.
+    INDEX_MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
+                  "buffer_bounds", "ring_backlog", "backlog_sums", "up_terms", "up_load")
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.sampled_from([(4, 4), (5, 5)]), seed=st.integers(0, 10_000),
+           flows=st.integers(0, 160), data=st.data())
+    def test_grown_index_equals_fresh_index(self, grid, seed, flows, data):
+        full = generate_flowset(BenchmarkParams(
+            flows_per_set=flows, width=grid[0], height=grid[1], seed=seed))
+        splits = sorted(data.draw(st.lists(st.integers(0, flows), max_size=4)))
+        prefix = Flowset((), full.topology)
+        for count in splits + [flows]:
+            # A capacity cached on the earlier index must not carry over.
+            prefix.index.capacity
+            before = copy.deepcopy({name: getattr(prefix.index, name)
+                                    for name in self.INDEX_MAPS})
+            grown = _extended(prefix, full.flows[len(prefix.flows):count])
+            fresh = Flowset(full.flows[:count], full.topology)
+            assert grown == fresh
+            assert set(vars(fresh.index)) == {"topology", *self.INDEX_MAPS}
+            for name in self.INDEX_MAPS:
+                assert getattr(grown.index, name) == getattr(fresh.index, name), name
+            assert grown.index.capacity == fresh.index.capacity
+            for name in self.INDEX_MAPS:
+                assert getattr(prefix.index, name) == before[name], name
+            prefix = grown
+
+    def test_growth_needs_larger_ids(self):
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=10, seed=1))
+        head = Flowset(flowset.flows[:5], flowset.topology)
+        with pytest.raises(TrafficError, match="cannot extend"):
+            _extended(head, flowset.flows[4:6])
 
     def test_flows_in_id_order_whatever_the_listing(self):
         flowset = shuffled(generate_flowset(BenchmarkParams(flows_per_set=40, seed=2)))
