@@ -28,10 +28,13 @@ ejection link hops + length - 1 cycles after release.
 Because utilisation is typically low, the engine's resting state is closed
 form. A packet alone in the network is a worm: its header leaves the source
 at cycle h, crosses the ejection link at e = h + hops, and flit i follows
-at e + i. While no two packets share a ring, an ejection link or a queue one
-of them still holds, the engine keeps only (e, h) per packet and moves from
-release to release. It builds ring state only when a release clashes with a
-live worm, steps while packets can interact, and hands them back as worms
+at e + i, so its delivery is known, and booked, when it becomes a worm.
+While no two packets share a ring, an ejection link or a queue one of them
+still holds, the engine moves from release to release and keeps only the
+cycle until which the last worm holds each ring, ejection link and queue,
+with that worm's (e, h) per ring. A release then costs three O(1) clash
+lookups. Ring state is built only when a release clashes with a live worm;
+the engine steps while packets can interact and hands them back as worms
 once they cannot. This is bit for bit like stepping every cycle. A traced
 run always steps, because closed form emits no per-cycle events, so tests
 compare closed form with the traced run. A stepped cycle visits only the
@@ -155,19 +158,20 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     before horizon + J); such a packet is simulated like any other.
     """
     out: list[tuple[int, int]] = []
+    append, horizon = out.append, cfg.horizon
     for f in flowset.flows:
-        rng = random.Random(derive_seed(cfg.seed, "rel", f.id))
+        fid, period = f.id, f.period
+        randrange = random.Random(derive_seed(cfg.seed, "rel", fid)).randrange
         if cfg.release == "periodic":
-            offset = (cfg.release_offsets or {}).get(f.id, rng.randrange(f.period))
-            times = sorted(base + rng.randrange(f.jitter + 1)
-                           for base in range(offset, cfg.horizon, f.period))
+            offset = (cfg.release_offsets or {}).get(fid, randrange(period))
+            spread = f.jitter + 1
+            out.extend([(base + randrange(spread), fid)
+                        for base in range(offset, horizon, period)])
         else:
-            times = []
-            t = rng.randrange(f.period + 1)
-            while t < cfg.horizon:
-                times.append(t)
-                t += f.period + rng.randrange(f.period + 1)
-        out.extend((t, f.id) for t in times)
+            t = randrange(period + 1)
+            while t < horizon:
+                append((t, fid))
+                t += period + randrange(period + 1)
     out.sort()
     return out
 
@@ -230,123 +234,94 @@ class _Engine:
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
 
-        # Packet registry, indexed by packet id in release order; pkt_info
-        # holds each packet's flow_info tuple.
-        self.pkt_info: list[tuple] = []
-        self.pkt_release: list[int] = []
-        self.pkt_deflections: list[int] = []
-        self.pkt_delivery: list[int] = []
+        # Packet registry: a packet's id is its index in the release schedule
+        # of (cycle, flow id), and pkt_info holds its flow_info tuple.
+        self.releases = _release_schedule(flowset, cfg)
+        self.pkt_info = [self.flow_info[fid] for _, fid in self.releases]
+        self.pkt_deflections = [0] * len(self.releases)
+        self.pkt_delivery = [-1] * len(self.releases)
 
-        self.flow_stats: dict[int, list] = {f.id: [0, 0, 0, 0] for f in flowset.flows}
         self.flits_injected = 0
         self.flits_ejected = 0
         self.trace: list = []
         self.fast = not cfg.collect_trace
         self.stepped_cycles = 0
 
-    # -- packet bookkeeping -------------------------------------------------
-
-    def _register(self, flow_id: int, release: int) -> int:
-        """Register a new packet of the flow and return its id."""
-        pkt = len(self.pkt_info)
-        self.pkt_info.append(self.flow_info[flow_id])
-        self.pkt_release.append(release)
-        self.pkt_deflections.append(0)
-        self.pkt_delivery.append(-1)
-        if self.cfg.collect_trace:
-            self.trace.append(("release", release, pkt, flow_id))
-        return pkt
-
-    def _deliver(self, pkt: int, cycle: int) -> None:
-        flow_id = self.pkt_info[pkt][7]
-        latency = cycle - self.pkt_release[pkt]
-        stats = self.flow_stats[flow_id]
-        stats[0] += 1
-        stats[1] += latency
-        if latency > stats[2]:
-            stats[2] = latency
-        if self.pkt_deflections[pkt] > stats[3]:
-            stats[3] = self.pkt_deflections[pkt]
-        self.pkt_delivery[pkt] = cycle
-        if self.cfg.collect_trace:
-            self.trace.append(("deliver", cycle, pkt, latency))
-
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SimOutcome:
-        releases = _release_schedule(self.flowset, self.cfg)
+        releases, pkt_info, pkt_delivery = self.releases, self.pkt_info, self.pkt_delivery
         n_rel = len(releases)
         ptr = 0
         t = 0
         guard = 2 * self.cfg.horizon + 10_000_000
-        # Closed form: packet id -> (e, h) for every packet in flight, with
-        # no ring state (see the module docstring). None while stepping.
-        worms: dict[int, tuple] | None = {} if self.fast else None
+        settled = 0  # flits of the packets that became worms at release
+        # Closed form (see the module docstring), None while stepping: per
+        # ring, its last worm as (end, pkt, e, h), where end = e + length is
+        # the cycle after its last flit (end 0 for a ring that had none); per
+        # ejection key, the end of its last worm; per queue key, the cycle
+        # its last holder finishes injecting, h + length (a worm with h None
+        # holds no queue). A worm is live while t < end; its delivery and
+        # flits are booked when it becomes a worm.
+        worms: tuple | None = ({}, {}, {}) if self.fast else None
         while True:
-            if worms is not None or not (self.queues or self.ebusy or self.busy_rings):
+            if worms is not None:
+                on_ring, ekey_ends, queue_ends = worms
+                # Admit each release as a worm until one clashes with a live
+                # worm: same ring, same ejection link, or a queue the other
+                # still holds.
+                while ptr < n_rel:
+                    t = releases[ptr][0]
+                    rid, _, _, hops, length, qkey, ekey, _ = pkt_info[ptr]
+                    if (t > guard or t < on_ring.get(rid, (0,))[0]
+                            or t < ekey_ends.get(ekey, t) or t < queue_ends.get(qkey, t)):
+                        break
+                    end = t + hops + length
+                    on_ring[rid] = (end, ptr, t + hops, t)
+                    ekey_ends[ekey] = end
+                    queue_ends[qkey] = t + length
+                    pkt_delivery[ptr] = end - 1
+                    settled += length
+                    ptr += 1
+                else:
+                    break
+                self._materialise(on_ring, t)
+                worms = None
+            elif not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
                 t = releases[ptr][0]
             if t > guard:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
-            if worms is not None:
-                self._settle(worms, t)
-                while (ptr < n_rel and releases[ptr][0] == t
-                       and self._admit(worms, releases[ptr][1], t)):
-                    ptr += 1
-                if ptr == n_rel or releases[ptr][0] != t:
-                    continue
-                self._materialise(worms, t)
-                worms = None
             while ptr < n_rel and releases[ptr][0] == t:
-                pkt = self._register(releases[ptr][1], t)
-                self.queues.setdefault(self.pkt_info[pkt][5], deque()).append(pkt)
+                self.queues.setdefault(pkt_info[ptr][5], deque()).append(ptr)
+                if self.cfg.collect_trace:
+                    self.trace.append(("release", t, ptr, releases[ptr][1]))
                 ptr += 1
             self._cycle(t)
             self.stepped_cycles += 1
             t += 1
             if self.fast:
                 worms = self._handover(t)
-        if worms:
-            self._settle(worms, None)
+        self.flits_injected += settled
+        self.flits_ejected += settled
         return self._finish()
 
     # -- closed form ----------------------------------------------------------
 
-    def _settle(self, worms: dict, t: int | None) -> None:
-        """Deliver the worms whose last flit crosses the ejection link before
-        cycle t, or all of them when t is None."""
-        pkt_info = self.pkt_info
-        for pkt in [p for p, (e, _) in worms.items()
-                    if t is None or e + pkt_info[p][4] <= t]:
-            length = pkt_info[pkt][4]
-            self.flits_injected += length
-            self.flits_ejected += length
-            self._deliver(pkt, worms.pop(pkt)[0] + length - 1)
-
-    def _admit(self, worms: dict, flow_id: int, t: int) -> bool:
-        """Add a packet released at t as a worm, unless it clashes with a live
-        one: same ring, same ejection link, or a queue the other still holds."""
-        rid, _, _, hops, _, qkey, ekey, _ = self.flow_info[flow_id]
-        for pkt, (_, h) in worms.items():
-            info = self.pkt_info[pkt]
-            if (info[0] == rid or info[6] == ekey
-                    or (info[5] == qkey and h is not None and t < h + info[4])):
-                return False
-        worms[self._register(flow_id, t)] = (t + hops, t)
-        return True
-
-    def _materialise(self, worms: dict, t: int) -> None:
-        """Build the ring state of the live worms as it stands at the start of
-        cycle t, counting the flits they have sent and ejected by then."""
+    def _materialise(self, on_ring: dict, t: int) -> None:
+        """Build the ring state of the worms live at the start of cycle t,
+        replacing the flits booked for them by those sent and ejected by t."""
         bits = self.idx_bits
-        for pkt, (e, h) in worms.items():
+        for end, pkt, e, h in on_ring.values():
+            if end <= t:
+                continue
             rid, src, dst, _, length, qkey, ekey, _ = self.pkt_info[pkt]
             ring = self.rings[rid]
             sent = length if h is None else min(length, t - h)
             gone = max(0, t - e)
-            self.flits_injected += sent
-            self.flits_ejected += gone
+            self.flits_injected += sent - length
+            self.flits_ejected += gone - length
             # At t, flit i is e + i - t switches short of dst.
             ring.fb = {(dst + t - e - i) % ring.size: (pkt << bits) | i
                        for i in range(gone, sent)}
@@ -359,10 +334,11 @@ class _Engine:
             if ring.fb or ring.inj:
                 self.busy_rings.add(rid)
 
-    def _handover(self, t: int) -> dict[int, tuple] | None:
-        """At the start of cycle t, return the packets as worms and clear the
-        ring state, or None while packets can interact. The flit counters drop
-        what stepping counted; worms count when delivered or materialised."""
+    def _handover(self, t: int) -> tuple | None:
+        """At the start of cycle t, return the packets as closed-form state
+        (see ``run``) and clear the ring state, or None while packets can
+        interact. Each packet's delivery is booked, and the flit counters
+        gain the flits it has still to send and eject."""
         rings, pkt_info, bits = self.rings, self.pkt_info, self.idx_bits
         worms: dict[int, tuple] = {}
         # A queue head injects from h (its header at t if not yet injecting);
@@ -385,21 +361,30 @@ class _Engine:
                                    - (flit & self.idx_mask), None))
             if any(flit >> bits != pkt for flit in ring.fb.values()):
                 return None
-        n = len(worms)
-        if n > 1 and (len({pkt_info[p][0] for p in worms}) < n
-                      or len({pkt_info[p][6] for p in worms}) < n):
-            return None
         if any(busy[0] not in worms for busy in self.ebusy.values()):
             return None
+        on_ring, ekey_ends, queue_ends = {}, {}, {}
+        unsent = unejected = 0
         for pkt, (e, h) in worms.items():
-            self.flits_injected -= pkt_info[pkt][4] if h is None else t - h
-            self.flits_ejected -= max(0, t - e)
+            rid, _, _, _, length, qkey, ekey, _ = pkt_info[pkt]
+            on_ring[rid] = (e + length, pkt, e, h)
+            ekey_ends[ekey] = e + length
+            if h is not None:
+                queue_ends[qkey] = h + length
+                unsent += h + length - t
+            unejected += e + length - max(t, e)
+        if len(on_ring) < len(worms) or len(ekey_ends) < len(worms):
+            return None
+        self.flits_injected += unsent
+        self.flits_ejected += unejected
+        for end, pkt, _, _ in on_ring.values():
+            self.pkt_delivery[pkt] = end - 1
         for rid in self.busy_rings:
             rings[rid].fb, rings[rid].inj = {}, {}
         self.queues.clear()
         self.ebusy.clear()
         self.busy_rings.clear()
-        return worms
+        return on_ring, ekey_ends, queue_ends
 
     # -- one cycle ------------------------------------------------------------
 
@@ -460,8 +445,7 @@ class _Engine:
                 headers = [c for c in cands if c[3] == 0]
                 if len(headers) != len(cands):
                     raise ProtocolViolation("mid-packet flit arrived on a free ejection link")
-                key = lambda c: (self.pkt_release[c[2]], self.pkt_info[c[2]][7])
-                winner = min(headers, key=key)
+                winner = min(headers, key=lambda c: self.releases[c[2]])
                 for cand in headers:
                     rid, pos, pkt, idx = cand
                     if cand is winner:
@@ -566,7 +550,9 @@ class _Engine:
             trace.append(("eject", t, ekey, pkt, idx))
         if idx == length - 1:
             self.ebusy.pop(ekey, None)
-            self._deliver(pkt, t)
+            self.pkt_delivery[pkt] = t
+            if trace is not None:
+                trace.append(("deliver", t, pkt, t - self.releases[pkt][0]))
         else:
             self.ebusy[ekey] = [pkt, idx + 1]
 
@@ -581,19 +567,30 @@ class _Engine:
     def _finish(self) -> SimOutcome:
         if self.queues or self.ebusy or self.busy_rings:
             raise ProtocolViolation("network failed to drain after the last release")
+        flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
+        for (release, fid), delivery, defl in zip(self.releases, self.pkt_delivery,
+                                                  self.pkt_deflections):
+            if delivery < 0:
+                continue
+            stats = flow_stats[fid]
+            latency = delivery - release
+            stats[0] += 1
+            stats[1] += latency
+            if latency > stats[2]:
+                stats[2] = latency
+            if defl > stats[3]:
+                stats[3] = defl
         per_flow = {}
-        for fid in sorted(self.flow_stats):
-            count, total, worst, defl = self.flow_stats[fid]
+        for fid in sorted(flow_stats):
+            count, total, worst, defl = flow_stats[fid]
             per_flow[fid] = FlowStats(
                 packets=count,
                 max_latency=worst,
                 mean_latency=total / count if count else 0.0,
                 max_deflections=defl,
             )
-        blob = ";".join(
-            f"{pkt}:{self.pkt_delivery[pkt]}:{self.pkt_deflections[pkt]}"
-            for pkt in range(len(self.pkt_info))
-        )
+        blob = ";".join(map("%s:%s:%s".__mod__, zip(range(len(self.pkt_info)),
+                                                     self.pkt_delivery, self.pkt_deflections)))
         digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
         return SimOutcome(
             per_flow=per_flow,

@@ -94,7 +94,8 @@ class Topology:
     width: int
     height: int
     rings: tuple[Ring, ...]
-    routing: dict[tuple[Coord, Coord], int] = field(init=False, repr=False)
+    # Derived and compared, but not hashed: a dict has no hash.
+    routing: dict[tuple[Coord, Coord], int] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
         rings = tuple(self.rings)
@@ -139,13 +140,17 @@ def _build_routing(width: int, height: int, rings: tuple[Ring, ...]) -> dict:
     routing: dict[tuple[Coord, Coord], int] = {}
     cells = [Coord(c, r) for r in range(height) for c in range(width)]
     for src in cells:
+        # (positions, src's position, size, id) of every ring through src.
+        mine = [(ring._positions, ring._positions[src], ring.size, ring.id)
+                for ring in membership[src]]
         for dst in cells:
             if src == dst:
                 continue
             best: tuple[int, int] | None = None
-            for ring in membership[src]:
-                if dst in ring.switches:
-                    cand = (ring.hops(src, dst), ring.id)
+            for positions, start, size, rid in mine:
+                end = positions.get(dst)
+                if end is not None:
+                    cand = ((end - start) % size, rid)
                     if best is None or cand < best:
                         best = cand
             if best is None:

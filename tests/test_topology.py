@@ -125,6 +125,28 @@ class TestRouting:
                     continue
                 assert ring.hops(a, b) > chosen.hops(a, b)
 
+    @pytest.mark.parametrize("dims", [(w, h) for w in range(2, 7) for h in range(2, 7)]
+                             + ["fixture"])
+    def test_routing_equals_a_plain_recomputation(self, dims, ten_ring_fixture):
+        # The table is the minimum (hops, ring id) over every ring that holds
+        # both cores, computed here without the positions index.
+        topo = ten_ring_fixture if dims == "fixture" else generate_multi_ring(*dims)
+        plain = {(a, b): min((ring.hops(a, b), ring.id) for ring in topo.rings
+                             if a in ring.switches and b in ring.switches)[1]
+                 for a, b in all_pairs(topo)}
+        assert topo.routing == plain
+
+
+class TestHashing:
+    def test_equal_topologies_hash_equal(self, ten_ring_fixture):
+        topo = generate_multi_ring(4, 4)
+        assert hash(topo) == hash(generate_multi_ring(4, 4))
+        assert hash(replace(topo, rings=topo.rings)) == hash(topo)
+        rebuilt = replace(ten_ring_fixture, rings=ten_ring_fixture.rings)
+        assert rebuilt == ten_ring_fixture
+        assert hash(rebuilt) == hash(ten_ring_fixture)
+        assert {topo, generate_multi_ring(4, 4), ten_ring_fixture} == {topo, ten_ring_fixture}
+
 
 class TestLoader:
     def test_fixture_loads_with_ten_rings(self, ten_ring_fixture):

@@ -281,6 +281,14 @@ class TestGenerator:
         b = generate_flowset(params)
         assert a.flows == b.flows
 
+    def test_equal_flowsets_hash_equal(self):
+        params = BenchmarkParams(flows_per_set=30, seed=99)
+        a = generate_flowset(params)
+        b = generate_flowset(params, generate_multi_ring(4, 4))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, generate_flowset(replace(params, seed=98))}) == 2
+
     def test_prefix_property(self):
         small = generate_flowset(BenchmarkParams(flows_per_set=10, seed=5))
         large = generate_flowset(BenchmarkParams(flows_per_set=25, seed=5))
