@@ -9,11 +9,12 @@ hold exactly rather than statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .analysis import AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile
 from .seeds import derive_seed
 from .traffic import BenchmarkParams, Flowset, _extended, generate_flowset
-from .topology import generate_multi_ring
+from .topology import Topology, generate_multi_ring
 
 
 class NoSchedulableFlowsetError(RuntimeError):
@@ -90,7 +91,7 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     counts = sorted(set(spec.flows_schedule))
     largest = max(counts, default=0)
     for grid in spec.grids:
-        topology = generate_multi_ring(*grid)
+        topology = _grid_topology(*grid)
         grid_label = f"{grid[0]}x{grid[1]}"
         for packets in spec.packet_ranges:
             verdicts = {flows: dict.fromkeys(spec.configs, 0) for flows in counts}
@@ -160,13 +161,21 @@ def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=8)
+def _grid_topology(width: int, height: int) -> Topology:
+    """The generated topology of a grid, built once and shared: it is
+    immutable, its routing table included. Bounded, because a large grid's
+    routing table holds one entry per ordered pair of cores."""
+    return generate_multi_ring(width, height)
+
+
 def find_schedulable_flowset(params: BenchmarkParams, config: AnalysisConfig,
                              seed: int, max_attempts: int = 1000,
                              ) -> tuple[Flowset, FlowsetResult, int]:
     """Regenerate flowsets, advancing the seed deterministically, until one is
     fully schedulable under the configuration; returns it with its analysis
     and the attempt count."""
-    topology = generate_multi_ring(params.width, params.height)
+    topology = _grid_topology(params.width, params.height)
     for attempt in range(1, max_attempts + 1):
         candidate = replace(params, seed=derive_seed(seed, "attempt", attempt))
         flowset = generate_flowset(candidate, topology)

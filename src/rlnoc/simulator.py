@@ -35,7 +35,12 @@ cycle until which the last worm holds each ring, ejection link and queue,
 with that worm's (e, h) per ring. A release then costs three O(1) clash
 lookups. Ring state is built only when a release clashes with a live worm;
 the engine steps while packets can interact and hands them back as worms
-once they cannot. This is bit for bit like stepping every cycle. A traced
+once they cannot. A handover fails while a queue holds two packets, a
+packet-buffer or deflection entry is set, or two undelivered packets share
+a ring or an ejection link. Each of these lasts until a cycle dequeues a
+packet, clears such an entry or delivers one; releases only add packets. So
+a handover is tried only after such a cycle, and after the first cycle
+stepped after a clash. This is bit for bit like stepping every cycle. A traced
 run always steps, because closed form emits no per-cycle events, so tests
 compare closed form with the traced run. A stepped cycle visits only the
 rings that hold traffic, so idle rings cost nothing.
@@ -47,6 +52,7 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Literal
 
 from .analysis import (AnalysisConfig, AnalysisError, FlowsetResult, Injection, MaxLoop,
@@ -136,7 +142,7 @@ class SimOutcome:
 
 
 class _RingState:
-    __slots__ = ("ring_id", "size", "capacity", "fb", "pb", "defl", "inj")
+    __slots__ = ("ring_id", "size", "capacity", "fb", "pb", "defl", "inj", "thru")
 
     def __init__(self, ring_id: int, size: int, capacity: int):
         self.ring_id = ring_id
@@ -146,6 +152,8 @@ class _RingState:
         self.pb: dict[int, deque] = {}
         self.defl: dict[int, int] = {}
         self.inj: dict[int, list] = {}
+        # Flits routed to the output port this cycle; empty between cycles.
+        self.thru: dict[int, int] = {}
 
 
 def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
@@ -155,25 +163,42 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon;
     a listed offset replaces the drawn one, which is drawn anyway so jitter
     is unchanged. Jitter can put a release at or after the horizon (but
-    before horizon + J); such a packet is simulated like any other.
+    before horizon + J); such a packet is simulated like any other. Each draw
+    past a flow's first inlines ``randrange(n)``, n >= 1: ``getrandbits(k)``
+    for k = n.bit_length(), repeated until it falls below n.
     """
     out: list[tuple[int, int]] = []
     append, horizon = out.append, cfg.horizon
     for f in flowset.flows:
         fid, period = f.id, f.period
-        randrange = random.Random(derive_seed(cfg.seed, "rel", fid)).randrange
+        rng = random.Random(derive_seed(cfg.seed, "rel", fid))
+        getrandbits = rng.getrandbits
         if cfg.release == "periodic":
-            offset = (cfg.release_offsets or {}).get(fid, randrange(period))
-            spread = f.jitter + 1
-            out.extend([(base + randrange(spread), fid)
-                        for base in range(offset, horizon, period)])
+            offset = (cfg.release_offsets or {}).get(fid, rng.randrange(period))
+            n = f.jitter + 1
+            k = n.bit_length()
+            for base in range(offset, horizon, period):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                append((base + r, fid))
         else:
-            t = randrange(period + 1)
+            n = period + 1
+            k = n.bit_length()
+            t = rng.randrange(n)
             while t < horizon:
                 append((t, fid))
-                t += period + randrange(period + 1)
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                t += period + r
     out.sort()
     return out
+
+
+# Most releases one simulation may draw. A release costs about 280 bytes of
+# peak memory and 2.4 us, so a run at the limit peaks near 1.4 GB.
+MAX_RELEASES = 5_000_000
 
 
 def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcome:
@@ -181,11 +206,17 @@ def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcom
 
     Observed latency is the cycle a packet's last flit crosses the ejection
     link minus its release cycle. The run goes past the horizon until every
-    released packet is delivered. Offsets naming no flow raise AnalysisError.
+    released packet is delivered. Offsets naming no flow raise AnalysisError,
+    and so does a horizon at which the flows could release more than
+    MAX_RELEASES packets (at most ceil(horizon / T) each), before any is drawn.
     """
     unknown = sorted(set(cfg.release_offsets or ()) - flowset.index.flows.keys())
     if unknown:
         raise AnalysisError(f"release_offsets name no flow: {unknown}")
+    most = sum(-(-cfg.horizon // f.period) for f in flowset.flows)
+    if most > MAX_RELEASES:
+        raise AnalysisError(f"horizon {cfg.horizon} allows up to {most} releases, "
+                            f"over the limit of {MAX_RELEASES}")
     return _Engine(flowset, cfg, hw).run()
 
 
@@ -245,6 +276,7 @@ class _Engine:
         self.flits_ejected = 0
         self.trace: list = []
         self.fast = not cfg.collect_trace
+        self.freed = False  # set by a dequeue, a delivery or a cleared entry
         self.stepped_cycles = 0
 
     # -- main loop ------------------------------------------------------------
@@ -286,7 +318,7 @@ class _Engine:
                 else:
                     break
                 self._materialise(on_ring, t)
-                worms = None
+                worms, self.freed = None, True
             elif not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
@@ -301,7 +333,9 @@ class _Engine:
             self._cycle(t)
             self.stepped_cycles += 1
             t += 1
-            if self.fast:
+            # Only a cycle that freed something can enable a handover (module docstring).
+            if self.fast and self.freed:
+                self.freed = False
                 worms = self._handover(t)
         self.flits_injected += settled
         self.flits_ejected += settled
@@ -398,104 +432,88 @@ class _Engine:
         # serve; the rest are visited in ring-id order.
         active = sorted(busy_rings)
 
-        # Route every flit that sits in a flit buffer: ejection candidates
-        # (grouped per ejection link) or thru traffic wanting the output port.
+        # Route every flit in a flit buffer: ejection candidates (per ejection
+        # link, at most one per ring) or thru traffic for the output port, in
+        # the ring's thru map. The flit buffers then take this cycle's flits.
         eject_cands: dict[tuple, list] = {}
-        thru: dict[int, dict[int, int]] = {}
         for rid in active:
             ring = rings[rid]
-            if not ring.fb:
-                continue
-            ring_thru: dict[int, int] = {}
-            for pos in sorted(ring.fb):
-                flit = ring.fb[pos]
+            for pos, flit in ring.fb.items():
                 pkt = flit >> bits
                 idx = flit & mask
                 info = pkt_info[pkt]
                 if info[2] == pos and info[0] == rid:
                     if ring.defl.get(pos) == pkt:
-                        ring_thru[pos] = flit
+                        ring.thru[pos] = flit
                         if idx == info[4] - 1:
                             del ring.defl[pos]
+                            self.freed = True
                     else:
-                        eject_cands.setdefault(info[6], []).append((rid, pos, pkt, idx))
+                        eject_cands.setdefault(info[6], []).append((ring, pos, pkt, idx))
                 else:
-                    ring_thru[pos] = flit
-            ring.fb = {}
-            if ring_thru:
-                thru[rid] = ring_thru
+                    ring.thru[pos] = flit
+            ring.fb.clear()
 
-        # Resolve ejection links: one flit per link per cycle, Oldest-First.
-        consumed: set[tuple] = set()
+        # Resolve ejection links, one flit each per cycle: a busy link takes its
+        # packet's next flit (index >= 1), a free one the oldest header by
+        # (release, flow id), which is packet id order; other headers deflect.
+        busy_links = len(self.ebusy)
         for ekey in sorted(eject_cands):
             cands = eject_cands[ekey]
             busy = self.ebusy.get(ekey)
-            if busy is not None:
-                for rid, pos, pkt, idx in cands:
-                    if pkt == busy[0]:
-                        if idx != busy[1]:
-                            raise ProtocolViolation("ejection lost packet contiguity")
-                        self._eject(ekey, rid, pos, pkt, idx, t, trace)
-                        consumed.add(ekey)
-                    elif idx == 0:
-                        self._deflect(rid, pos, pkt, t, thru, trace)
-                    else:
-                        raise ProtocolViolation("payload flit arrived for a denied packet")
-            else:
-                headers = [c for c in cands if c[3] == 0]
-                if len(headers) != len(cands):
+            if busy is None:
+                if any(c[3] for c in cands):
                     raise ProtocolViolation("mid-packet flit arrived on a free ejection link")
-                winner = min(headers, key=lambda c: self.releases[c[2]])
-                for cand in headers:
-                    rid, pos, pkt, idx = cand
-                    if cand is winner:
-                        self._eject(ekey, rid, pos, pkt, idx, t, trace)
-                        consumed.add(ekey)
-                    else:
-                        self._deflect(rid, pos, pkt, t, thru, trace)
-        for ekey in self.ebusy:
-            if ekey not in consumed:
-                raise ProtocolViolation("ejecting packet missed a cycle")
+                busy = (min(c[2] for c in cands), 0)
+            for ring, pos, pkt, idx in cands:
+                if pkt == busy[0]:
+                    if idx != busy[1]:
+                        raise ProtocolViolation("ejection lost packet contiguity")
+                    busy_links -= idx > 0
+                    self._eject(ekey, pkt, idx, t, trace)
+                elif idx == 0:
+                    self._deflect(ring, pos, pkt, t, trace)
+                else:
+                    raise ProtocolViolation("payload flit arrived for a denied packet")
+        if busy_links:
+            raise ProtocolViolation("ejecting packet missed a cycle")
 
-        # Resolve output ports and commit the flits they emit. The ports that
-        # carry ring traffic this cycle are kept per ring: a flit leaving over
-        # the ejection link frees the port, so it does not gate header
-        # injection (the buffer-empty rule protects the port, not the slot).
-        emitted: dict[int, set[int]] = {}
+        # Resolve output ports and commit the flits they emit to the next
+        # flit buffers. A flit leaving over the ejection link frees the port,
+        # so it does not gate header injection (the buffer-empty rule
+        # protects the port, not the slot).
         for rid in active:
             ring = rings[rid]
-            ring_thru = thru.get(rid, {})
-            new_fb: dict[int, int] = {}
-            positions = emitted[rid] = set(ring.inj) | set(ring.pb) | set(ring_thru)
-            for pos in sorted(positions):
-                if pos in ring.inj:
-                    state = ring.inj[pos]
+            fb, pb, inj, ring_thru = ring.fb, ring.pb, ring.inj, ring.thru
+            for pos in sorted({**ring_thru, **pb, **inj}):
+                if pos in inj:
+                    state = inj[pos]
                     pkt, idx = state[0], state[1]
                     flit = (pkt << bits) | idx
                     self.flits_injected += 1
                     if idx + 1 == pkt_info[pkt][4]:
-                        del ring.inj[pos]
+                        del inj[pos]
                         self._dequeue(state[2])
                     else:
                         state[1] = idx + 1
                     if pos in ring_thru:
                         self._buffer(ring, pos, ring_thru.pop(pos))
-                elif pos in ring.pb:
-                    buf = ring.pb[pos]
+                elif pos in pb:
+                    buf = pb[pos]
                     flit = buf.popleft()
                     if pos in ring_thru:
                         buf.append(ring_thru.pop(pos))
                     if not buf:
-                        del ring.pb[pos]
+                        del pb[pos]
+                        self.freed = True
                 else:
                     flit = ring_thru.pop(pos)
-                new_fb[(pos + 1) % ring.size] = flit
+                fb[(pos + 1) % ring.size] = flit
                 if trace is not None:
                     trace.append(("out", t, rid, pos, flit >> bits, flit & mask))
             if ring_thru:
                 raise ProtocolViolation("a flit was left behind in a flit buffer")
-            ring.fb = new_fb
-            if not (new_fb or ring.pb or ring.inj):
+            if not (fb or pb or inj):
                 busy_rings.discard(rid)
 
         # Fresh header injections: head of each idle queue, provided the
@@ -505,16 +523,15 @@ class _Engine:
             info = pkt_info[pkt]
             rid, pos, length = info[0], info[1], info[4]
             ring = rings[rid]
-            # Blocked whenever the output port carried ring traffic this
-            # cycle: a thru or deflected flit, a packet buffer that was
-            # draining at cycle start (even if it emptied this cycle), or an
-            # ongoing payload injection (even one that finished this cycle),
-            # which is also how a head that is still injecting is skipped.
-            if pos in emitted.get(rid, ()):
-                continue
             nxt = (pos + 1) % ring.size
+            # Blocked whenever the output port carried ring traffic this
+            # cycle, filling the next flit buffer: a thru or deflected flit,
+            # a packet buffer that was draining at cycle start (even if it
+            # emptied this cycle), or an ongoing payload injection (even one
+            # that finished this cycle), which is also how a head that is
+            # still injecting is skipped. No two queues share a port.
             if nxt in ring.fb:
-                raise ProtocolViolation("output port emitted two flits in one cycle")
+                continue
             ring.fb[nxt] = pkt << bits
             busy_rings.add(rid)
             self.flits_injected += 1
@@ -531,6 +548,7 @@ class _Engine:
         it is empty."""
         queue = self.queues[qkey]
         queue.popleft()
+        self.freed = True
         if not queue:
             del self.queues[qkey]
 
@@ -542,27 +560,27 @@ class _Engine:
                 f"packet buffer overflow at ring {ring.ring_id} position {pos}"
             )
 
-    def _eject(self, ekey: tuple, rid: int, pos: int, pkt: int, idx: int,
-               t: int, trace) -> None:
+    def _eject(self, ekey: tuple, pkt: int, idx: int, t: int, trace) -> None:
         length = self.pkt_info[pkt][4]
         self.flits_ejected += 1
         if trace is not None:
             trace.append(("eject", t, ekey, pkt, idx))
         if idx == length - 1:
             self.ebusy.pop(ekey, None)
+            self.freed = True
             self.pkt_delivery[pkt] = t
             if trace is not None:
                 trace.append(("deliver", t, pkt, t - self.releases[pkt][0]))
         else:
             self.ebusy[ekey] = [pkt, idx + 1]
 
-    def _deflect(self, rid: int, pos: int, pkt: int, t: int, thru, trace) -> None:
+    def _deflect(self, ring: _RingState, pos: int, pkt: int, t: int, trace) -> None:
         self.pkt_deflections[pkt] += 1
         if self.pkt_info[pkt][4] > 1:
-            self.rings[rid].defl[pos] = pkt
-        thru.setdefault(rid, {})[pos] = pkt << self.idx_bits
+            ring.defl[pos] = pkt
+        ring.thru[pos] = pkt << self.idx_bits
         if trace is not None:
-            trace.append(("deflect", t, rid, pos, pkt))
+            trace.append(("deflect", t, ring.ring_id, pos, pkt))
 
     def _finish(self) -> SimOutcome:
         if self.queues or self.ebusy or self.busy_rings:
@@ -580,17 +598,10 @@ class _Engine:
                 stats[2] = latency
             if defl > stats[3]:
                 stats[3] = defl
-        per_flow = {}
-        for fid in sorted(flow_stats):
-            count, total, worst, defl = flow_stats[fid]
-            per_flow[fid] = FlowStats(
-                packets=count,
-                max_latency=worst,
-                mean_latency=total / count if count else 0.0,
-                max_deflections=defl,
-            )
-        blob = ";".join(map("%s:%s:%s".__mod__, zip(range(len(self.pkt_info)),
-                                                     self.pkt_delivery, self.pkt_deflections)))
+        per_flow = {fid: FlowStats(count, worst, total / count if count else 0.0, defl)
+                    for fid, (count, total, worst, defl) in sorted(flow_stats.items())}
+        blob = ("%d:%d:%d;" * len(self.pkt_info) % tuple(chain.from_iterable(zip(
+            range(len(self.pkt_info)), self.pkt_delivery, self.pkt_deflections))))[:-1]
         digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
         return SimOutcome(
             per_flow=per_flow,

@@ -9,8 +9,10 @@ the ring that reaches the destination in the fewest hops.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -94,8 +96,9 @@ class Topology:
     width: int
     height: int
     rings: tuple[Ring, ...]
-    # Derived and compared, but not hashed: a dict has no hash.
-    routing: dict[tuple[Coord, Coord], int] = field(init=False, repr=False, hash=False)
+    # Derived and compared, but not hashed: a mapping has no hash. Read-only,
+    # so an instance can be shared.
+    routing: Mapping[tuple[Coord, Coord], int] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
         rings = tuple(self.rings)
@@ -107,7 +110,11 @@ class Topology:
         for ring in rings:
             _validate_ring(ring, self.width, self.height)
         object.__setattr__(self, "rings", rings)
-        object.__setattr__(self, "routing", _build_routing(self.width, self.height, rings))
+        object.__setattr__(self, "routing",
+                           MappingProxyType(_build_routing(self.width, self.height, rings)))
+
+    def __reduce__(self):  # copied and pickled by its arguments
+        return Topology, (self.width, self.height, self.rings)
 
     @cached_property
     def _rings_by_id(self) -> dict[int, Ring]:

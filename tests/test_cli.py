@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -302,6 +303,18 @@ def test_bad_flags_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.count("error:") == 1, argv
     # An empty flowset is still a legal request.
     assert run(["gen", "--flows", "0", "--out", str(tmp_path / "empty.json")]) == 0
+
+
+def test_release_count_over_the_limit_exits_two(capsys):
+    # The five flows have T = 10,000, so this horizon allows 5e8 releases:
+    # refused before any is drawn, as a usage error, not a verdict.
+    scenario = data_path("five_flow_scenario.json")
+    for command in ("simulate", "verify"):
+        start = time.perf_counter()
+        assert run([command, "--flowset", scenario, "--horizon", "1000000000000"]) == 2
+        assert time.perf_counter() - start < 1, command
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "500000000 releases" in err, err
 
 
 def test_unknown_profile_exits_two(tmp_path, capsys):

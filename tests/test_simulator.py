@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from rlnoc.analysis import AnalysisError, analyze, parse_profile
 from rlnoc.harness import find_schedulable_flowset
 from rlnoc.seeds import derive_seed
 from rlnoc.simulator import (
+    MAX_RELEASES,
     HardwareProfile,
     SimConfig,
     hardware_from_config,
@@ -22,6 +24,17 @@ from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset
 
 SHARED = HardwareProfile(injection="shared", maxloop="oldest_first")
 INDEPENDENT = HardwareProfile(injection="independent", maxloop=0)
+
+
+def closed_form_equals_traced(flowset, cfg, hw, stepped):
+    """Run in closed form and traced: both must agree, and the closed form
+    must step exactly `stepped` cycles. Returns the closed-form outcome."""
+    fast = simulate(flowset, cfg, hw)
+    slow = simulate(flowset, replace(cfg, collect_trace=True), hw)
+    assert fast.digest == slow.digest
+    assert fast.per_flow == slow.per_flow
+    assert fast.stepped_cycles == stepped
+    return fast
 
 
 class TestCalibration:
@@ -232,7 +245,70 @@ class TestConservation:
         assert total_packets == out.released
 
 
+def randrange_schedule(flowset, cfg):
+    """The release schedule drawn with plain ``randrange`` calls: the
+    reference for the engine's inlined draws."""
+    out = []
+    for f in flowset.flows:
+        randrange = random.Random(derive_seed(cfg.seed, "rel", f.id)).randrange
+        if cfg.release == "periodic":
+            offset = (cfg.release_offsets or {}).get(f.id, randrange(f.period))
+            out += [(base + randrange(f.jitter + 1), f.id)
+                    for base in range(offset, cfg.horizon, f.period)]
+        else:
+            t = randrange(f.period + 1)
+            while t < cfg.horizon:
+                out.append((t, f.id))
+                t += f.period + randrange(f.period + 1)
+    return sorted(out)
+
+
+# Small values reach period 1 and jitter 0 (a draw from U[0,1)); large
+# ones draw more than 32 bits at a time.
+TIMES = st.one_of(st.integers(1, 70), st.integers(1, 2**40))
+
+
+@st.composite
+def release_cases(draw):
+    topo = generate_multi_ring(3, 2)
+    flows = tuple(make_flow(fid, (0, 0), (2, 0), period=draw(TIMES),
+                            jitter=draw(st.one_of(st.just(0), TIMES)))
+                  for fid in range(1, draw(st.integers(1, 6)) + 1))
+    release = draw(st.sampled_from(("periodic", "sporadic")))
+    offsets = None
+    if release == "periodic":
+        offsets = draw(st.none() | st.dictionaries(
+            st.sampled_from([f.id for f in flows]), st.integers(0, 3_000)))
+    cfg = SimConfig(seed=draw(st.integers(0, 2**64)), horizon=draw(st.integers(1, 3_000)),
+                    release=release, release_offsets=offsets)
+    return Flowset(flows, topo), cfg
+
+
 class TestReleaseSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(case=release_cases())
+    def test_draws_equal_the_randrange_reference(self, case):
+        flowset, cfg = case
+        assert _release_schedule(flowset, cfg) == randrange_schedule(flowset, cfg)
+
+    def test_release_count_is_bounded_before_drawing(self, six_ring_topology, monkeypatch):
+        # At most ceil(horizon / T) releases per flow, under either model.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=100),
+                                make_flow(2, (0, 0), (1, 1), period=300))
+        monkeypatch.setattr("rlnoc.simulator.MAX_RELEASES", 14)
+        for release in ("periodic", "sporadic"):
+            assert simulate(flowset, SimConfig(horizon=1_000, release=release),
+                            SHARED).released <= 14
+            with pytest.raises(AnalysisError, match="over the limit of 14"):
+                simulate(flowset, SimConfig(horizon=1_001, release=release), SHARED)
+
+    def test_default_limit_rejects_a_huge_horizon(self, six_ring_topology):
+        flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0), period=1))
+        simulate(flowset, SimConfig(horizon=20_000), SHARED)
+        with pytest.raises(AnalysisError, match=f"limit of {MAX_RELEASES}"):
+            simulate(flowset, SimConfig(horizon=MAX_RELEASES + 1), SHARED)
+
     def test_periodic_jitter_can_release_after_the_horizon(self):
         # Only offset + n*T is kept below the horizon; the jitter added to it
         # can carry the release past, and the packet still runs.
@@ -360,7 +436,7 @@ class TestProtocolRules:
         flowset = Flowset((older, newer), topo)
         cfg = SimConfig(seed=0, horizon=200, release="periodic",
                         release_offsets={1: 0, 2: 1})
-        out = simulate(flowset, cfg, SHARED)
+        out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=5)
         # Both headers reach the shared ejection link on the same cycle; the
         # older flow wins, the newer circles its four-switch ring once.
         assert out.per_flow[1].max_deflections == 0
@@ -375,7 +451,9 @@ class TestProtocolRules:
         flowset = Flowset((older, newer), topo)
         cfg = SimConfig(seed=0, horizon=200, release="periodic",
                         release_offsets={1: 0, 2: 2})
-        out = simulate(flowset, cfg, SHARED)
+        # The newer packet's deflection entry clears a cycle after the older
+        # packet is delivered, and only then can the engine hand it back.
+        out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=5)
         assert out.per_flow[2].max_deflections == 1
 
     def test_independent_ejection_never_deflects(self):
@@ -408,7 +486,7 @@ class TestProtocolRules:
         flowset = Flowset((long_flow, victim), topo)
         cfg = SimConfig(seed=0, horizon=400, release="periodic",
                         release_offsets={1: 0, 2: 1})
-        out = simulate(flowset, cfg, SHARED)
+        out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=13)
         # Denied on arrival at cycle 3, then again on the returns at 7 and 11,
         # all within the long packet's ejection window (cycles 3 to 13).
         assert out.per_flow[2].max_deflections == 3

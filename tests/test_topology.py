@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -146,6 +148,15 @@ class TestHashing:
         assert rebuilt == ten_ring_fixture
         assert hash(rebuilt) == hash(ten_ring_fixture)
         assert {topo, generate_multi_ring(4, 4), ten_ring_fixture} == {topo, ten_ring_fixture}
+
+    def test_copies_and_pickles_rederive_a_read_only_routing(self, ten_ring_fixture):
+        for topo in (generate_multi_ring(3, 4), ten_ring_fixture):
+            for clone in (copy.copy(topo), copy.deepcopy(topo),
+                          pickle.loads(pickle.dumps(topo))):
+                assert clone == topo and hash(clone) == hash(topo)
+                assert dict(clone.routing) == dict(topo.routing)
+                with pytest.raises(TypeError):
+                    clone.routing[next(iter(clone.routing))] = 0
 
 
 class TestLoader:
