@@ -70,8 +70,8 @@ def _positive(text: str) -> float:
     return value
 
 
-def _at_least(low: int):
-    """Argument type: an integer no smaller than low."""
+def _at_least(low: int, high: float = math.inf):
+    """Argument type: an integer no smaller than low and no larger than high."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -79,12 +79,14 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
 
 _count = _at_least(1)
-_side = _at_least(2)
+_side = _at_least(2, topology.MAX_GRID_SIDE)
 _count_range = _range(int, 1)
 
 

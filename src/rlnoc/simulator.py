@@ -26,22 +26,37 @@ cycle t+1, so in an empty network the last flit of a packet crosses the
 ejection link hops + length - 1 cycles after release.
 
 Because utilisation is typically low, the engine's resting state is closed
-form. A packet alone in the network is a worm: its header leaves the source
-at cycle h, crosses the ejection link at e = h + hops, and flit i follows
-at e + i, so its delivery is known, and booked, when it becomes a worm.
-While no two packets share a ring, an ejection link or a queue one of them
-still holds, the engine moves from release to release and keeps only the
-cycle until which the last worm holds each ring, ejection link and queue,
-with that worm's (e, h) per ring. A release then costs three O(1) clash
-lookups. Ring state is built only when a release clashes with a live worm;
-the engine steps while packets can interact and hands them back as worms
-once they cannot. A handover fails while a queue holds two packets, a
+form. A packet whose flits touch no other packet's is a worm: if its header
+leaves the source at cycle h, flit i leaves the switch d hops on (0 <= d <
+hops) at h + d + i, so that port's band is [h + d, h + d + length - 1], and
+crosses the ejection link at e + i, e = h + hops. The ejecting switch uses no
+port. A worm's delivery is known, and booked, when it becomes a worm, and the
+engine moves from release to release, keeping per ring its live worms, per
+ejection link their intervals [e, e + length - 1] and per queue the first
+cycle its next packet may send a header.
+
+A release at t starts from h = max(t, h' + max(length' - 1, 1)), where
+(h', length') is its queue's previous packet: a head is dequeued in the port
+phase of its last-flit cycle and the next head is served in that cycle's
+header phase, but a header-only head is dequeued in the header phase, so the
+next waits a cycle. h then moves past every live band at the source port,
+since a header waits while ring traffic uses its port. The release becomes
+a worm if its band meets no live worm's on any port of its path and its
+ejection interval meets none on its link. Only meeting flits interact: a
+flit that reaches a port in another packet's band is buffered or holds back
+a header, and a header on a busy link deflects. So no flit of the new worm,
+and none of the live worms', behaves other than the formulas say: closed
+form is bit for bit like stepping. Otherwise the ring state of every live
+worm is built, queued packets (h > t included) in release order, and the
+engine steps while packets can interact and hands them back as worms once
+they cannot. A handover fails while a queue holds two packets, a
 packet-buffer or deflection entry is set, or two undelivered packets share
 a ring or an ejection link. Each of these lasts until a cycle dequeues a
 packet, clears such an entry or delivers one; releases only add packets. So
 a handover is tried only after such a cycle, and after the first cycle
-stepped after a clash. This is bit for bit like stepping every cycle. A traced
-run always steps, because closed form emits no per-cycle events, so tests
+stepped after a clash. A handed-back worm whose flits reach back past its
+source (it deflected) holds its whole ring until it ends. A traced run
+always steps, because closed form emits no per-cycle events, so tests
 compare closed form with the traced run. A stepped cycle visits only the
 rings that hold traffic, so idle rings cost nothing.
 """
@@ -220,6 +235,12 @@ def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcom
     return _Engine(flowset, cfg, hw).run()
 
 
+# Most live worms one ring or ejection link holds in closed form. A release
+# beyond them is stepped, so an overloaded queue costs a few lookups per
+# release, not one per packet it holds.
+_MAX_SHARERS = 8
+
+
 class _Engine:
     def __init__(self, flowset: Flowset, cfg: SimConfig, hw: HardwareProfile):
         self.flowset = flowset
@@ -289,29 +310,47 @@ class _Engine:
         guard = 2 * self.cfg.horizon + 10_000_000
         settled = 0  # flits of the packets that became worms at release
         # Closed form (see the module docstring), None while stepping: per
-        # ring, its last worm as (end, pkt, e, h), where end = e + length is
-        # the cycle after its last flit (end 0 for a ring that had none); per
-        # ejection key, the end of its last worm; per queue key, the cycle
-        # its last holder finishes injecting, h + length (a worm with h None
-        # holds no queue). A worm is live while t < end; its delivery and
-        # flits are booked when it becomes a worm.
+        # ring, (until, worms) with each worm (end, pkt, e, h), where end =
+        # e + length is the cycle after its last flit and until the largest
+        # end; per ejection key, (until, [(e, end), ...]); per queue key, the
+        # first cycle its next packet may send a header. A worm is live while
+        # t < end; its delivery and flits are booked when it becomes a worm.
         worms: tuple | None = ({}, {}, {}) if self.fast else None
         while True:
             if worms is not None:
-                on_ring, ekey_ends, queue_ends = worms
-                # Admit each release as a worm until one clashes with a live
-                # worm: same ring, same ejection link, or a queue the other
-                # still holds.
+                on_ring, on_link, queue_ready = worms
+                # Admit each release as a worm until its flits could touch a
+                # live worm's on a ring port or an ejection link.
                 while ptr < n_rel:
                     t = releases[ptr][0]
                     rid, _, _, hops, length, qkey, ekey, _ = pkt_info[ptr]
-                    if (t > guard or t < on_ring.get(rid, (0,))[0]
-                            or t < ekey_ends.get(ekey, t) or t < queue_ends.get(qkey, t)):
+                    h = queue_ready.get(qkey, t)
+                    if h < t:
+                        h = t
+                    until, ring_worms = on_ring.get(rid, (0, None))
+                    if t >= until:
+                        ring_worms = []
+                    else:
+                        h = self._place(ring_worms, ptr, h, t)
+                        if h is None:
+                            break
+                    e = h + hops
+                    end = e + length
+                    link_until, spans = on_link.get(ekey, (0, None))
+                    if t >= link_until:
+                        spans = []
+                    else:
+                        spans[:] = [span for span in spans if span[1] > t]
+                        if len(spans) >= _MAX_SHARERS or any(
+                                s_e < end and e < s_end for s_e, s_end in spans):
+                            break
+                    if t > guard:
                         break
-                    end = t + hops + length
-                    on_ring[rid] = (end, ptr, t + hops, t)
-                    ekey_ends[ekey] = end
-                    queue_ends[qkey] = t + length
+                    ring_worms.append((end, ptr, e, h))
+                    on_ring[rid] = (until if until > end else end, ring_worms)
+                    spans.append((e, end))
+                    on_link[ekey] = (link_until if link_until > end else end, spans)
+                    queue_ready[qkey] = h + length - 1 if length > 1 else h + 1
                     pkt_delivery[ptr] = end - 1
                     settled += length
                     ptr += 1
@@ -343,26 +382,59 @@ class _Engine:
 
     # -- closed form ----------------------------------------------------------
 
+    def _place(self, ring_worms: list, pkt: int, h: int, t: int) -> int | None:
+        """The header cycle of a release at t that could send its header at h
+        but for the live worms on its ring, or None if its band meets one of
+        theirs. Drops the worms that ended by t from ``ring_worms``."""
+        info = self.pkt_info
+        rid, src, _, hops, length = info[pkt][:5]
+        size = self.rings[rid].size
+        ring_worms[:] = [w for w in ring_worms if w[0] > t]
+        if len(ring_worms) >= _MAX_SHARERS:
+            return None
+        bands = []
+        for _, other, _, other_h in ring_worms:
+            if other_h is None:
+                return None
+            _, o_src, _, o_hops, o_len = info[other][:5]
+            bands.append((other_h - o_src, o_src, o_hops, o_len))
+        # Wait out the bands that pass the source port; they are disjoint.
+        for start, o_len in sorted((shift + o_src + (src - o_src) % size, o_len)
+                                   for shift, o_src, o_hops, o_len in bands
+                                   if (src - o_src) % size < o_hops):
+            if start <= h < start + o_len:
+                h = start + o_len
+        # Where both paths cross a port, unwrapped by k, the other band
+        # starts delta cycles after this one: they meet if -o_len < delta <
+        # length.
+        for shift, o_src, o_hops, o_len in bands:
+            for k in (-size, 0, size):
+                if (max(o_src, src + k) < min(o_src + o_hops, src + k + hops)
+                        and -o_len < shift - h + src + k < length):
+                    return None
+        return h
+
     def _materialise(self, on_ring: dict, t: int) -> None:
         """Build the ring state of the worms live at the start of cycle t,
-        replacing the flits booked for them by those sent and ejected by t."""
+        replacing the flits booked for them by those sent and ejected by t;
+        queued packets enter their queues in release order."""
         bits = self.idx_bits
-        for end, pkt, e, h in on_ring.values():
-            if end <= t:
-                continue
+        live = sorted((w for _, ring_worms in on_ring.values() for w in ring_worms
+                       if w[0] > t), key=lambda w: w[1])
+        for _, pkt, e, h in live:
             rid, src, dst, _, length, qkey, ekey, _ = self.pkt_info[pkt]
             ring = self.rings[rid]
-            sent = length if h is None else min(length, t - h)
+            sent = length if h is None else min(length, max(0, t - h))
             gone = max(0, t - e)
             self.flits_injected += sent - length
             self.flits_ejected += gone - length
             # At t, flit i is e + i - t switches short of dst.
-            ring.fb = {(dst + t - e - i) % ring.size: (pkt << bits) | i
-                       for i in range(gone, sent)}
+            ring.fb.update({(dst + t - e - i) % ring.size: (pkt << bits) | i
+                            for i in range(gone, sent)})
             if sent < length:
-                self.queues[qkey] = deque([pkt])
+                self.queues.setdefault(qkey, deque()).append(pkt)
                 if sent:
-                    ring.inj = {src: [pkt, sent, qkey]}
+                    ring.inj[src] = [pkt, sent, qkey]
             if gone:
                 self.ebusy[ekey] = [pkt, gone]
             if ring.fb or ring.inj:
@@ -397,28 +469,34 @@ class _Engine:
                 return None
         if any(busy[0] not in worms for busy in self.ebusy.values()):
             return None
-        on_ring, ekey_ends, queue_ends = {}, {}, {}
+        on_ring, on_link, queue_ready = {}, {}, {}
         unsent = unejected = 0
         for pkt, (e, h) in worms.items():
-            rid, _, _, _, length, qkey, ekey, _ = pkt_info[pkt]
-            on_ring[rid] = (e + length, pkt, e, h)
-            ekey_ends[ekey] = e + length
+            rid, _, _, hops, length, qkey, ekey, _ = pkt_info[pkt]
+            end = e + length
             if h is not None:
-                queue_ends[qkey] = h + length
+                queue_ready[qkey] = h + length - 1 if length > 1 else h + 1
                 unsent += h + length - t
-            unejected += e + length - max(t, e)
-        if len(on_ring) < len(worms) or len(ekey_ends) < len(worms):
+            elif e - hops + length <= t:
+                # Every flit left is on the path a worm sent at e - hops
+                # would take, so that worm's bands describe it; otherwise
+                # (after a deflection) the worm holds its whole ring.
+                h = e - hops
+            on_ring[rid] = (end, [(end, pkt, e, h)])
+            on_link[ekey] = (end, [(e, end)])
+            unejected += end - max(t, e)
+        if len(on_ring) < len(worms) or len(on_link) < len(worms):
             return None
         self.flits_injected += unsent
         self.flits_ejected += unejected
-        for end, pkt, _, _ in on_ring.values():
-            self.pkt_delivery[pkt] = end - 1
+        for end, ring_worms in on_ring.values():
+            self.pkt_delivery[ring_worms[0][1]] = end - 1
         for rid in self.busy_rings:
             rings[rid].fb, rings[rid].inj = {}, {}
         self.queues.clear()
         self.ebusy.clear()
         self.busy_rings.clear()
-        return on_ring, ekey_ends, queue_ends
+        return on_ring, on_link, queue_ready
 
     # -- one cycle ------------------------------------------------------------
 
@@ -585,11 +663,11 @@ class _Engine:
     def _finish(self) -> SimOutcome:
         if self.queues or self.ebusy or self.busy_rings:
             raise ProtocolViolation("network failed to drain after the last release")
+        if -1 in self.pkt_delivery:
+            raise ProtocolViolation("a released packet has no delivery cycle")
         flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
         for (release, fid), delivery, defl in zip(self.releases, self.pkt_delivery,
                                                   self.pkt_deflections):
-            if delivery < 0:
-                continue
             stats = flow_stats[fid]
             latency = delivery - release
             stats[0] += 1

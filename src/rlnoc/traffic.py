@@ -66,7 +66,8 @@ class Flowset:
             try:
                 ring = self.topology.ring(f.ring)
             except KeyError:
-                raise TrafficError(f"flow {f.id}: topology has no ring {f.ring}") from None
+                raise TrafficError(f"flow {f.id}: topology has no ring {f.ring} ('ring' "
+                                   f"must name a ring of the topology)") from None
             if f.src not in ring or f.dst not in ring:
                 raise TrafficError(f"flow {f.id}: ring {f.ring} does not contain both endpoints")
 
@@ -350,12 +351,11 @@ def _load_flow(entry, topology: Topology) -> Flow:
             raise TrafficError(f"flow {fid}: {key!r} must be an integer, got {entry[key]!r}")
     src = _load_coord(entry["src"], "src", fid, topology)
     dst = _load_coord(entry["dst"], "dst", fid, topology)
-    if src == dst:
-        raise TrafficError(f"flow {fid}: source equals destination")
+    # Flowset checks the endpoints and that the ring exists and holds both.
     ring = entry.get("ring")
-    if ring is None:
+    if ring is None and src != dst:
         ring = select_ring(topology, src, dst)
-    elif not _is_int(ring) or ring not in {r.id for r in topology.rings}:
+    elif ring is not None and not _is_int(ring):
         raise TrafficError(f"flow {fid}: 'ring' must name a ring of the topology, "
                            f"got {ring!r}")
     return Flow(id=fid, period=entry["T"], deadline=entry["D"], length=entry["L"],

@@ -317,6 +317,30 @@ def test_release_count_over_the_limit_exits_two(capsys):
         assert err.count("error:") == 1 and "500000000 releases" in err, err
 
 
+def test_grid_side_over_the_limit(tmp_path, capsys):
+    # A 41-byte file asks for a 32x32 grid: refused before any ring is built.
+    probe = tmp_path / "huge.json"
+    probe.write_text('{"width": 32, "height": 32, "flows": []}\n')
+    assert len(probe.read_bytes()) == 41
+    topo = tmp_path / "huge_topology.json"
+    topo.write_text(json.dumps({"width": 2, "height": 17, "rings": []}))
+    for argv in (["analyze", "--flowset", str(probe)], ["topo", "--load", str(topo)]):
+        start = time.perf_counter()
+        assert run(argv) == 3, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "side limit of 16" in err, err
+    # As flags, the same sides are usage errors.
+    for argv in (["topo", "--width", "17"], ["gen", "--flows", "3", "--height", "32"],
+                 ["sweep", "--grids", "4x17"],
+                 ["flowstats", "--mode", "shares", "--grid", "32x4"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
+        assert "must be at most 16" in capsys.readouterr().err, argv
+    assert run(["topo", "--width", "16", "--height", "2", "--validate"]) == 0
+
+
 def test_unknown_profile_exits_two(tmp_path, capsys):
     flowset_file = tmp_path / "flows.json"
     run(["gen", "--flows", "3", "--out", str(flowset_file)])

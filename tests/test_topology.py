@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from rlnoc.topology import (
+    MAX_GRID_SIDE,
     AdjacencyError,
     ConnectivityError,
     Coord,
@@ -185,10 +186,20 @@ class TestLoader:
 
     def test_uncovered_core_is_named_without_listing_the_grid(self):
         # The first core on no ring, in row-major order, is reported.
-        doc = {"width": 1000, "height": 1000, "rings": [
+        doc = {"width": MAX_GRID_SIDE, "height": MAX_GRID_SIDE, "rings": [
             {"id": 0, "switches": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}
         with pytest.raises(ConnectivityError, match=r"^core \(2, 0\) is on no ring$"):
             load_topology(doc)
+
+    @pytest.mark.parametrize("width,height", [(MAX_GRID_SIDE + 1, 2), (2, 1000)])
+    def test_side_over_the_limit_is_rejected_before_the_rings(self, width, height):
+        doc = {"width": width, "height": height, "rings": "not read"}
+        with pytest.raises(InvalidDimensionError, match="exceeds the side limit of 16"):
+            load_topology(doc)
+        with pytest.raises(InvalidDimensionError, match="exceeds the side limit"):
+            generate_multi_ring(width, height)
+        with pytest.raises(InvalidDimensionError, match="exceeds the side limit"):
+            Topology(width, height, generate_multi_ring(2, 2).rings)
 
     def test_unknown_fields_rejected(self):
         doc = {"width": 2, "height": 2, "rings": [
