@@ -331,7 +331,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_flowstats(args) -> int:
     config = analysis.parse_profile(args.config)
     families: dict[int, list[traffic.Flowset]] = {}
-    search_config = config
     if args.mode == "diff":
         if not args.config_better:
             print("error: diff mode needs --config-better", file=sys.stderr)
@@ -345,7 +344,7 @@ def _cmd_flowstats(args) -> int:
                 packet_range=args.packets,
             )
             flowset, _, _ = harness.find_schedulable_flowset(
-                params, search_config, derive_seed(args.seed, flows, index),
+                params, config, derive_seed(args.seed, flows, index),
                 max_attempts=args.attempts,
             )
             family.append(flowset)

@@ -163,9 +163,10 @@ def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec) -> str:
 
 @lru_cache(maxsize=8)
 def _grid_topology(width: int, height: int) -> Topology:
-    """The generated topology of a grid, built once and shared: it is
-    immutable, its routing table included. Bounded, because a large grid's
-    routing table holds one entry per ordered pair of cores."""
+    """The generated topology of a grid, built once and shared, which is safe
+    as it is immutable. Its rings are then built once, and the routes that
+    ``select_ring`` memoises stay warm for every later flowset on the grid.
+    Only the last eight grids are kept."""
     return generate_multi_ring(width, height)
 
 

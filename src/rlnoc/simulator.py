@@ -261,8 +261,8 @@ class _Engine:
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
         # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key, ejection-link key and flow id. Keys are tuples so they
-        # sort uniformly.
+        # queue key and ejection-link key. Keys are tuples so they sort
+        # uniformly.
         self.flow_info: dict[int, tuple] = {}
         index = flowset.index
         # Under shared ejection, each core's flows, in id order, are dealt
@@ -281,7 +281,7 @@ class _Engine:
             qkey = (core_src,) if hw.injection == "shared" else (core_src, f.ring)
             ekey = elinks[f.id] if hw.maxloop else (core_dst, f.ring)
             self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
-                                    hops, f.length, qkey, ekey, f.id)
+                                    hops, f.length, qkey, ekey)
 
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
@@ -323,7 +323,7 @@ class _Engine:
                 # live worm's on a ring port or an ejection link.
                 while ptr < n_rel:
                     t = releases[ptr][0]
-                    rid, _, _, hops, length, qkey, ekey, _ = pkt_info[ptr]
+                    rid, _, _, hops, length, qkey, ekey = pkt_info[ptr]
                     h = queue_ready.get(qkey, t)
                     if h < t:
                         h = t
@@ -422,7 +422,7 @@ class _Engine:
         live = sorted((w for _, ring_worms in on_ring.values() for w in ring_worms
                        if w[0] > t), key=lambda w: w[1])
         for _, pkt, e, h in live:
-            rid, src, dst, _, length, qkey, ekey, _ = self.pkt_info[pkt]
+            rid, src, dst, _, length, qkey, ekey = self.pkt_info[pkt]
             ring = self.rings[rid]
             sent = length if h is None else min(length, max(0, t - h))
             gone = max(0, t - e)
@@ -472,7 +472,7 @@ class _Engine:
         on_ring, on_link, queue_ready = {}, {}, {}
         unsent = unejected = 0
         for pkt, (e, h) in worms.items():
-            rid, _, _, hops, length, qkey, ekey, _ = pkt_info[pkt]
+            rid, _, _, hops, length, qkey, ekey = pkt_info[pkt]
             end = e + length
             if h is not None:
                 queue_ready[qkey] = h + length - 1 if length > 1 else h + 1

@@ -97,10 +97,12 @@ class TestCalibration:
         # Released at 3, its header leaves at 12, four hops before its 12 flits.
         assert fast.per_flow[2].max_latency == 12 + 4 + 12 - 1 - 3
 
-    def test_closed_form_resumes_after_contention(self, six_ring_topology):
+    def test_lone_queued_release_among_solo_releases_stays_closed_form(
+            self, six_ring_topology):
         # The same shared queue, but only the release at 2003 queues behind
-        # another packet; the releases before and after it run alone. The
-        # queue wait is closed form too, so no cycle is stepped.
+        # another packet; every other release finds the queue empty. That one
+        # queue wait is settled in closed form like the solo releases around
+        # it, so the fast run steps no cycle where the traced run steps 98.
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
                                 make_flow(2, (0, 0), (1, 1), period=10_000, length=12))

@@ -131,13 +131,13 @@ class TestRouting:
     @pytest.mark.parametrize("dims", [(w, h) for w in range(2, 7) for h in range(2, 7)]
                              + ["fixture"])
     def test_routing_equals_a_plain_recomputation(self, dims, ten_ring_fixture):
-        # The table is the minimum (hops, ring id) over every ring that holds
+        # The route is the minimum (hops, ring id) over every ring that holds
         # both cores, computed here without the positions index.
         topo = ten_ring_fixture if dims == "fixture" else generate_multi_ring(*dims)
         plain = {(a, b): min((ring.hops(a, b), ring.id) for ring in topo.rings
                              if a in ring.switches and b in ring.switches)[1]
                  for a, b in all_pairs(topo)}
-        assert topo.routing == plain
+        assert {(a, b): select_ring(topo, a, b) for a, b in all_pairs(topo)} == plain
 
 
 class TestHashing:
@@ -150,14 +150,16 @@ class TestHashing:
         assert hash(rebuilt) == hash(ten_ring_fixture)
         assert {topo, generate_multi_ring(4, 4), ten_ring_fixture} == {topo, ten_ring_fixture}
 
-    def test_copies_and_pickles_rederive_a_read_only_routing(self, ten_ring_fixture):
-        for topo in (generate_multi_ring(3, 4), ten_ring_fixture):
-            for clone in (copy.copy(topo), copy.deepcopy(topo),
-                          pickle.loads(pickle.dumps(topo))):
+    def test_copies_and_pickles_keep_equality_and_routes(self, ten_ring_fixture):
+        for topo in (generate_multi_ring(3, 4), replace(ten_ring_fixture)):
+            # Clones taken before any lookup derive their own routes; clones
+            # taken after carry the filled memo.
+            before = (copy.copy(topo), copy.deepcopy(topo), pickle.loads(pickle.dumps(topo)))
+            routes = [select_ring(topo, a, b) for a, b in all_pairs(topo)]
+            after = (copy.copy(topo), copy.deepcopy(topo), pickle.loads(pickle.dumps(topo)))
+            for clone in before + after:
                 assert clone == topo and hash(clone) == hash(topo)
-                assert dict(clone.routing) == dict(topo.routing)
-                with pytest.raises(TypeError):
-                    clone.routing[next(iter(clone.routing))] = 0
+                assert [select_ring(clone, a, b) for a, b in all_pairs(clone)] == routes
 
 
 class TestLoader:
@@ -183,6 +185,15 @@ class TestLoader:
         with pytest.raises(ConnectivityError) as err:
             load_topology(doc)
         assert "(2, 0)" in str(err.value) or "(2, 1)" in str(err.value)
+
+    def test_cores_on_disjoint_rings_name_the_first_pair(self):
+        # Every core is on a ring, so the pair check is what fails.
+        doc = {"width": 4, "height": 2, "rings": [
+            {"id": 0, "switches": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+            {"id": 1, "switches": [[2, 0], [3, 0], [3, 1], [2, 1]]}]}
+        with pytest.raises(ConnectivityError,
+                           match=r"^cores \(0, 0\) and \(2, 0\) share no ring$"):
+            load_topology(doc)
 
     def test_uncovered_core_is_named_without_listing_the_grid(self):
         # The first core on no ring, in row-major order, is reported.
@@ -257,8 +268,12 @@ def test_replace_rechecks_and_rederives():
     topo = generate_multi_ring(3, 3)
     reversed_rings = tuple(replace(ring, switches=ring.switches[::-1]) for ring in topo.rings)
     again = replace(topo, rings=reversed_rings)
-    assert again.routing == Topology(3, 3, reversed_rings).routing
-    assert again.routing != topo.routing
+
+    def routes(topology):
+        return [select_ring(topology, a, b) for a, b in all_pairs(topology)]
+
+    assert routes(again) == routes(Topology(3, 3, reversed_rings))
+    assert routes(again) != routes(topo)
 
 
 def test_generated_dimensions_grid(six_ring_topology):
