@@ -33,7 +33,14 @@ crosses the ejection link at e + i, e = h + hops. The ejecting switch uses no
 port. A worm's delivery is known, and booked, when it becomes a worm, and the
 engine moves from release to release, keeping per ring its live worms, per
 ejection link their intervals [e, e + length - 1] and per queue the first
-cycle its next packet may send a header.
+cycle its next packet may send a header. Each ring, ejection link and queue
+keeps these in one small mutable slot that its flows share, so admission
+reads and writes list entries rather than keyed maps. Most releases are
+solo: their ring, link and queue are idle, so h = t and the release is
+booked at once, with its flow's latency hops + length - 1 and no
+deflection. The per-flow statistics therefore count that latency for every
+release and walk only the other packets: those admitted by the rule below,
+those released while stepping and those materialised.
 
 A release at t starts from h = max(t, h' + max(length' - 1, 1)), where
 (h', length') is its queue's previous packet: a head is dequeued in the port
@@ -58,16 +65,19 @@ stepped after a clash. A handed-back worm whose flits reach back past its
 source (it deflected) holds its whole ring until it ends. A traced run
 always steps, because closed form emits no per-cycle events, so tests
 compare closed form with the traced run. A stepped cycle visits only the
-rings that hold traffic, so idle rings cost nothing.
+rings that hold traffic, so idle rings cost nothing. Each ring's ports, each
+ejection link and each queue is resolved independently of its peers, so
+only a traced run, whose event list follows the order of visits, sorts them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Literal
 
 from .analysis import (AnalysisConfig, AnalysisError, FlowsetResult, Injection, MaxLoop,
@@ -211,8 +221,9 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     return out
 
 
-# Most releases one simulation may draw. A release costs about 280 bytes of
-# peak memory and 2.4 us, so a run at the limit peaks near 1.4 GB.
+# Most releases one simulation may draw. A release costs about 250 bytes of
+# peak memory and 3 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
+# 2-core Intel Xeon with Python 3.11), so a run at the limit peaks near 1.3 GB.
 MAX_RELEASES = 5_000_000
 
 
@@ -261,9 +272,14 @@ class _Engine:
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
         # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key and ejection-link key. Keys are tuples so they sort
-        # uniformly.
+        # queue key and ejection-link key, then the closed-form slots (see
+        # ``run``) of its ring, ejection link and queue, shared with the
+        # flows on the same ring, link or queue. Keys are tuples so that a
+        # traced run sorts them uniformly.
         self.flow_info: dict[int, tuple] = {}
+        self.ring_slots: dict[int, list] = {}
+        self.link_slots: dict[tuple, list] = {}
+        self.queue_slots: dict[tuple, list] = {}
         index = flowset.index
         # Under shared ejection, each core's flows, in id order, are dealt
         # round-robin over its ejection links.
@@ -281,7 +297,10 @@ class _Engine:
             qkey = (core_src,) if hw.injection == "shared" else (core_src, f.ring)
             ekey = elinks[f.id] if hw.maxloop else (core_dst, f.ring)
             self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
-                                    hops, f.length, qkey, ekey)
+                                    hops, f.length, qkey, ekey,
+                                    self.ring_slots.setdefault(f.ring, [0, []]),
+                                    self.link_slots.setdefault(ekey, [0, []]),
+                                    self.queue_slots.setdefault(qkey, [0]))
 
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
@@ -292,6 +311,10 @@ class _Engine:
         self.pkt_info = [self.flow_info[fid] for _, fid in self.releases]
         self.pkt_deflections = [0] * len(self.releases)
         self.pkt_delivery = [-1] * len(self.releases)
+        # Packets whose latency may differ from their flow's solo latency:
+        # those admitted off the solo path, released while stepping, or
+        # materialised.
+        self.deviants: set[int] = set()
 
         self.flits_injected = 0
         self.flits_ejected = 0
@@ -304,60 +327,78 @@ class _Engine:
 
     def run(self) -> SimOutcome:
         releases, pkt_info, pkt_delivery = self.releases, self.pkt_info, self.pkt_delivery
+        deviants = self.deviants
         n_rel = len(releases)
         ptr = 0
         t = 0
         guard = 2 * self.cfg.horizon + 10_000_000
         settled = 0  # flits of the packets that became worms at release
-        # Closed form (see the module docstring), None while stepping: per
-        # ring, (until, worms) with each worm (end, pkt, e, h), where end =
-        # e + length is the cycle after its last flit and until the largest
-        # end; per ejection key, (until, [(e, end), ...]); per queue key, the
-        # first cycle its next packet may send a header. A worm is live while
-        # t < end; its delivery and flits are booked when it becomes a worm.
-        worms: tuple | None = ({}, {}, {}) if self.fast else None
+        # Closed form (see the module docstring), off while stepping. Each
+        # ring's slot is [until, worms] with each worm (end, pkt, e, h),
+        # where end = e + length is the cycle after its last flit and until
+        # the largest end; each ejection key's is [until, [(e, end), ...]];
+        # each queue key's is [ready], the first cycle its next packet may
+        # send a header. A slot is idle from t >= until (or ready) on, and
+        # a worm is live while t < end; its delivery and flits are booked
+        # when it becomes a worm.
+        closed = self.fast
         while True:
-            if worms is not None:
-                on_ring, on_link, queue_ready = worms
+            if closed:
                 # Admit each release as a worm until its flits could touch a
                 # live worm's on a ring port or an ejection link.
                 while ptr < n_rel:
                     t = releases[ptr][0]
-                    rid, _, _, hops, length, qkey, ekey = pkt_info[ptr]
-                    h = queue_ready.get(qkey, t)
+                    _, _, _, hops, length, _, _, rs, ls, qs = pkt_info[ptr]
+                    if t >= rs[0] and t >= ls[0] and t >= qs[0] and t <= guard:
+                        # Solo: ring, link and queue are idle, so h = t.
+                        e = t + hops
+                        end = e + length
+                        rs[0] = ls[0] = end
+                        rs[1] = [(end, ptr, e, t)]
+                        ls[1] = [(e, end)]
+                        qs[0] = t + length - 1 if length > 1 else t + 1
+                        pkt_delivery[ptr] = end - 1
+                        settled += length
+                        ptr += 1
+                        continue
+                    # Otherwise wait for the queue, then for or among the
+                    # live worms (module docstring).
+                    h = qs[0]
                     if h < t:
                         h = t
-                    until, ring_worms = on_ring.get(rid, (0, None))
-                    if t >= until:
-                        ring_worms = []
+                    if t >= rs[0]:
+                        rs[1] = []
                     else:
-                        h = self._place(ring_worms, ptr, h, t)
+                        h = self._place(rs[1], ptr, h, t)
                         if h is None:
                             break
                     e = h + hops
                     end = e + length
-                    link_until, spans = on_link.get(ekey, (0, None))
-                    if t >= link_until:
-                        spans = []
+                    if t >= ls[0]:
+                        ls[1] = []
                     else:
+                        spans = ls[1]
                         spans[:] = [span for span in spans if span[1] > t]
                         if len(spans) >= _MAX_SHARERS or any(
                                 s_e < end and e < s_end for s_e, s_end in spans):
                             break
                     if t > guard:
                         break
-                    ring_worms.append((end, ptr, e, h))
-                    on_ring[rid] = (until if until > end else end, ring_worms)
-                    spans.append((e, end))
-                    on_link[ekey] = (link_until if link_until > end else end, spans)
-                    queue_ready[qkey] = h + length - 1 if length > 1 else h + 1
+                    rs[1].append((end, ptr, e, h))
+                    if end > rs[0]:
+                        rs[0] = end
+                    ls[1].append((e, end))
+                    if end > ls[0]:
+                        ls[0] = end
+                    qs[0] = h + length - 1 if length > 1 else h + 1
                     pkt_delivery[ptr] = end - 1
+                    deviants.add(ptr)
                     settled += length
                     ptr += 1
                 else:
                     break
-                self._materialise(on_ring, t)
-                worms, self.freed = None, True
+                self._materialise(t)
+                closed, self.freed = False, True
             elif not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
@@ -366,6 +407,7 @@ class _Engine:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
             while ptr < n_rel and releases[ptr][0] == t:
                 self.queues.setdefault(pkt_info[ptr][5], deque()).append(ptr)
+                deviants.add(ptr)
                 if self.cfg.collect_trace:
                     self.trace.append(("release", t, ptr, releases[ptr][1]))
                 ptr += 1
@@ -375,7 +417,7 @@ class _Engine:
             # Only a cycle that freed something can enable a handover (module docstring).
             if self.fast and self.freed:
                 self.freed = False
-                worms = self._handover(t)
+                closed = self._handover(t)
         self.flits_injected += settled
         self.flits_ejected += settled
         return self._finish()
@@ -414,15 +456,16 @@ class _Engine:
                     return None
         return h
 
-    def _materialise(self, on_ring: dict, t: int) -> None:
+    def _materialise(self, t: int) -> None:
         """Build the ring state of the worms live at the start of cycle t,
         replacing the flits booked for them by those sent and ejected by t;
         queued packets enter their queues in release order."""
         bits = self.idx_bits
-        live = sorted((w for _, ring_worms in on_ring.values() for w in ring_worms
-                       if w[0] > t), key=lambda w: w[1])
+        live = sorted((w for until, ring_worms in self.ring_slots.values() if until > t
+                       for w in ring_worms if w[0] > t), key=lambda w: w[1])
         for _, pkt, e, h in live:
-            rid, src, dst, _, length, qkey, ekey = self.pkt_info[pkt]
+            self.deviants.add(pkt)
+            rid, src, dst, _, length, qkey, ekey, _, _, _ = self.pkt_info[pkt]
             ring = self.rings[rid]
             sent = length if h is None else min(length, max(0, t - h))
             gone = max(0, t - e)
@@ -440,11 +483,11 @@ class _Engine:
             if ring.fb or ring.inj:
                 self.busy_rings.add(rid)
 
-    def _handover(self, t: int) -> tuple | None:
-        """At the start of cycle t, return the packets as closed-form state
-        (see ``run``) and clear the ring state, or None while packets can
-        interact. Each packet's delivery is booked, and the flit counters
-        gain the flits it has still to send and eject."""
+    def _handover(self, t: int) -> bool:
+        """At the start of cycle t, return the packets to closed form, filling
+        the slots (see ``run``) and clearing the ring state, or return False
+        while packets can interact. Each packet's delivery is booked, and the
+        flit counters gain the flits it has still to send and eject."""
         rings, pkt_info, bits = self.rings, self.pkt_info, self.idx_bits
         worms: dict[int, tuple] = {}
         # A queue head injects from h (its header at t if not yet injecting);
@@ -452,7 +495,7 @@ class _Engine:
         # flits. A busy ring's flits must all be one packet's.
         for queue in self.queues.values():
             if len(queue) > 1:
-                return None
+                return False
             info = pkt_info[queue[0]]
             state = rings[info[0]].inj.get(info[1])
             h = t if state is None else t - state[1]
@@ -460,43 +503,43 @@ class _Engine:
         for rid in self.busy_rings:
             ring = rings[rid]
             if ring.pb or ring.defl:
-                return None
+                return False
             pos, flit = next(iter(ring.fb.items()))
             pkt = flit >> bits
             worms.setdefault(pkt, (t + (pkt_info[pkt][2] - pos) % ring.size
                                    - (flit & self.idx_mask), None))
             if any(flit >> bits != pkt for flit in ring.fb.values()):
-                return None
+                return False
         if any(busy[0] not in worms for busy in self.ebusy.values()):
-            return None
-        on_ring, on_link, queue_ready = {}, {}, {}
-        unsent = unejected = 0
+            return False
+        # No two packets may share a ring or an ejection link.
+        if (len({pkt_info[pkt][0] for pkt in worms}) < len(worms)
+                or len({pkt_info[pkt][6] for pkt in worms}) < len(worms)):
+            return False
+        for slots in (self.ring_slots, self.link_slots, self.queue_slots):
+            for slot in slots.values():
+                slot[0] = 0
         for pkt, (e, h) in worms.items():
-            rid, _, _, hops, length, qkey, ekey = pkt_info[pkt]
+            _, _, _, hops, length, _, _, rs, ls, qs = pkt_info[pkt]
             end = e + length
             if h is not None:
-                queue_ready[qkey] = h + length - 1 if length > 1 else h + 1
-                unsent += h + length - t
+                qs[0] = h + length - 1 if length > 1 else h + 1
+                self.flits_injected += h + length - t
             elif e - hops + length <= t:
                 # Every flit left is on the path a worm sent at e - hops
                 # would take, so that worm's bands describe it; otherwise
                 # (after a deflection) the worm holds its whole ring.
                 h = e - hops
-            on_ring[rid] = (end, [(end, pkt, e, h)])
-            on_link[ekey] = (end, [(e, end)])
-            unejected += end - max(t, e)
-        if len(on_ring) < len(worms) or len(on_link) < len(worms):
-            return None
-        self.flits_injected += unsent
-        self.flits_ejected += unejected
-        for end, ring_worms in on_ring.values():
-            self.pkt_delivery[ring_worms[0][1]] = end - 1
+            rs[0], rs[1] = end, [(end, pkt, e, h)]
+            ls[0], ls[1] = end, [(e, end)]
+            self.flits_ejected += end - max(t, e)
+            self.pkt_delivery[pkt] = end - 1
         for rid in self.busy_rings:
             rings[rid].fb, rings[rid].inj = {}, {}
         self.queues.clear()
         self.ebusy.clear()
         self.busy_rings.clear()
-        return on_ring, on_link, queue_ready
+        return True
 
     # -- one cycle ------------------------------------------------------------
 
@@ -506,9 +549,11 @@ class _Engine:
         pkt_info = self.pkt_info
         bits, mask = self.idx_bits, self.idx_mask
         trace = self.trace if self.cfg.collect_trace else None
-        # Rings idle at cycle start have no flit to route and no port to
-        # serve; the rest are visited in ring-id order.
-        active = sorted(busy_rings)
+        # Only a traced run visits rings, ejection links, ports and queues in
+        # sorted order, for its event list (module docstring). Rings idle at
+        # cycle start have no flit to route and no port to serve.
+        ordered = trace is not None
+        active = sorted(busy_rings) if ordered else list(busy_rings)
 
         # Route every flit in a flit buffer: ejection candidates (per ejection
         # link, at most one per ring) or thru traffic for the output port, in
@@ -536,7 +581,7 @@ class _Engine:
         # packet's next flit (index >= 1), a free one the oldest header by
         # (release, flow id), which is packet id order; other headers deflect.
         busy_links = len(self.ebusy)
-        for ekey in sorted(eject_cands):
+        for ekey in sorted(eject_cands) if ordered else eject_cands:
             cands = eject_cands[ekey]
             busy = self.ebusy.get(ekey)
             if busy is None:
@@ -563,7 +608,8 @@ class _Engine:
         for rid in active:
             ring = rings[rid]
             fb, pb, inj, ring_thru = ring.fb, ring.pb, ring.inj, ring.thru
-            for pos in sorted({**ring_thru, **pb, **inj}):
+            ports = {**ring_thru, **pb, **inj}
+            for pos in sorted(ports) if ordered else ports:
                 if pos in inj:
                     state = inj[pos]
                     pkt, idx = state[0], state[1]
@@ -596,7 +642,8 @@ class _Engine:
 
         # Fresh header injections: head of each idle queue, provided the
         # ring's flit buffer was empty this cycle and its packet buffer is.
-        for qkey in sorted(self.queues):
+        # A copy, since a header-only head leaves its queue here.
+        for qkey in sorted(self.queues) if ordered else list(self.queues):
             pkt = self.queues[qkey][0]
             info = pkt_info[pkt]
             rid, pos, length = info[0], info[1], info[4]
@@ -665,17 +712,32 @@ class _Engine:
             raise ProtocolViolation("network failed to drain after the last release")
         if -1 in self.pkt_delivery:
             raise ProtocolViolation("a released packet has no delivery cycle")
+        releases = self.releases
+        # Every packet but the deviants took the solo path, with its flow's
+        # solo latency hops + length - 1 and no deflection; the deviants are
+        # walked one by one.
         flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
-        for (release, fid), delivery, defl in zip(self.releases, self.pkt_delivery,
-                                                  self.pkt_deflections):
+        for pkt in self.deviants:
+            release, fid = releases[pkt]
             stats = flow_stats[fid]
-            latency = delivery - release
+            latency = self.pkt_delivery[pkt] - release
             stats[0] += 1
             stats[1] += latency
             if latency > stats[2]:
                 stats[2] = latency
+            defl = self.pkt_deflections[pkt]
             if defl > stats[3]:
                 stats[3] = defl
+        released = Counter(map(itemgetter(1), releases))
+        for fid, stats in flow_stats.items():
+            solo = released[fid] - stats[0]
+            if solo:
+                info = self.flow_info[fid]
+                latency = info[3] + info[4] - 1
+                stats[0] += solo
+                stats[1] += solo * latency
+                if latency > stats[2]:
+                    stats[2] = latency
         per_flow = {fid: FlowStats(count, worst, total / count if count else 0.0, defl)
                     for fid, (count, total, worst, defl) in sorted(flow_stats.items())}
         blob = ("%d:%d:%d;" * len(self.pkt_info) % tuple(chain.from_iterable(zip(

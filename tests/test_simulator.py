@@ -11,6 +11,7 @@ from rlnoc.harness import find_schedulable_flowset
 from rlnoc.seeds import derive_seed
 from rlnoc.simulator import (
     MAX_RELEASES,
+    FlowStats,
     HardwareProfile,
     SimConfig,
     hardware_from_config,
@@ -193,6 +194,25 @@ class TestClosedFormAdmission:
         assert out.per_flow[2].max_latency == no_load(flowset, 2) - 1
         assert out.released == 6
 
+    def test_flow_whose_every_release_queues_has_no_solo_packet(self, six_ring_topology):
+        # Each release of flow 2 comes 3 cycles after one of flow 1 at the
+        # same shared queue, which is still injecting, so no packet of flow
+        # 2 meets an idle queue: its statistics come from its own packets
+        # only. Each sends its header at 12 after the band of flow 1 passes
+        # the port, four hops before its 12 flits.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
+                                make_flow(2, (0, 0), (1, 1), period=1_000, length=12))
+        cfg = SimConfig(seed=0, horizon=6_000, release="periodic",
+                        release_offsets={1: 0, 2: 3})
+        out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=0)
+        stats = out.per_flow[2]
+        assert (stats.packets, stats.max_latency, stats.mean_latency) == \
+            (6, 12 + 4 + 12 - 1 - 3, 24.0)
+        assert min(stats.max_latency, stats.mean_latency) > no_load(flowset, 2) - 1
+        assert out.per_flow[1] == FlowStats(6, no_load(flowset, 1) - 1,
+                                            no_load(flowset, 1) - 1, 0)
+
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
@@ -267,6 +287,25 @@ def clustered_flowsets(draw):
     return Flowset(tuple(flows), topo)
 
 
+@st.composite
+def sparse_flowsets(draw):
+    width = draw(st.sampled_from((2, 3)))
+    topo = generate_multi_ring(width, width)
+    cores = [(col, row) for col in range(width) for row in range(width)]
+    # Long periods make most releases meet an idle ring, link and queue, and
+    # a few meet live worms, so runs switch between the solo and the general
+    # admission and stepping.
+    flows = []
+    for fid in range(1, draw(st.integers(1, 12)) + 1):
+        src, dst = draw(st.lists(st.sampled_from(cores), min_size=2, max_size=2,
+                                 unique=True))
+        period = draw(st.integers(500, 5_000))
+        flows.append(make_flow(fid, src, dst, ring=select_ring(topo, src, dst),
+                               period=period, length=draw(st.integers(1, 64)),
+                               jitter=draw(st.integers(0, period // 2))))
+    return Flowset(tuple(flows), topo)
+
+
 RUNS = dict(hw=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**16),
             horizon=st.integers(100, 2_000), release=st.sampled_from(("periodic", "sporadic")))
 
@@ -295,6 +334,11 @@ class TestFastForwardProperty:
     @given(flowset=clustered_flowsets(), **RUNS)
     def test_queue_chains_and_held_headers_equal_stepping(self, flowset, hw, seed,
                                                           horizon, release):
+        self.check(flowset, hw, seed, horizon, release)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flowset=sparse_flowsets(), **dict(RUNS, horizon=st.integers(100, 20_000)))
+    def test_sparse_solo_releases_equal_stepping(self, flowset, hw, seed, horizon, release):
         self.check(flowset, hw, seed, horizon, release)
 
 
@@ -668,6 +712,28 @@ class TestOracle:
             2: replace(result.results[2], maxloop=0),
         })
         assert not oracle_check(flowset, squeezed, out).ok
+
+    def test_flow_without_releases_is_skipped(self, six_ring_topology):
+        # Flow 2's first periodic release would fall at the horizon, so it
+        # releases nothing: empty statistics in the closed-form and the
+        # traced run, and no bound to check, not even one no run could meet.
+        flowset = build_flowset(six_ring_topology,
+                                make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
+                                make_flow(2, (1, 0), (2, 1), period=1_000, length=4))
+        config = parse_profile("0D_IU_SI")
+        result = analyze(flowset, config)
+        assert result.schedulable
+        cfg = SimConfig(seed=0, horizon=5_000, release="periodic",
+                        release_offsets={2: 5_000})
+        out = closed_form_equals_traced(flowset, cfg, hardware_from_config(config),
+                                        stepped=0)
+        assert out.per_flow[2] == FlowStats(0, 0, 0.0, 0)
+        assert out.per_flow[1].packets == out.released == 5
+        unmeetable = replace(result, results={
+            **result.results,
+            2: replace(result.results[2], bound=-1, maxloop=-1),
+        })
+        assert oracle_check(flowset, unmeetable, out).ok
 
     def test_empty_flowset_gives_empty_report(self, six_ring_topology):
         flowset = Flowset((), six_ring_topology)
