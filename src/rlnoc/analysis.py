@@ -230,7 +230,7 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
         if capacity is None:
             sums = index.backlog_sums[flow.ring]
             post = (sums[start + hops + 1] - sums[start + 1]
-                    + maxloop * index.ring_backlog[flow.ring])
+                    + maxloop * sums[size])
         else:
             post = (hops + maxloop * size) * capacity[flow.ring]
         no_load, loop = hops + flow.length, size + flow.length

@@ -9,12 +9,10 @@ hold exactly rather than statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .analysis import AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile
 from .seeds import derive_seed
 from .traffic import BenchmarkParams, Flowset, _extended, generate_flowset
-from .topology import Topology, generate_multi_ring
 
 
 class NoSchedulableFlowsetError(RuntimeError):
@@ -91,7 +89,6 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     counts = sorted(set(spec.flows_schedule))
     largest = max(counts, default=0)
     for grid in spec.grids:
-        topology = _grid_topology(*grid)
         grid_label = f"{grid[0]}x{grid[1]}"
         for packets in spec.packet_ranges:
             verdicts = {flows: dict.fromkeys(spec.configs, 0) for flows in counts}
@@ -103,8 +100,8 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
                     packet_range=packets,
                     seed=point_seed(spec, grid, packets, index),
                 )
-                full = generate_flowset(params, topology)
-                flowset = Flowset((), topology)
+                full = generate_flowset(params)
+                flowset = Flowset((), full.topology)
                 # Configurations known to be unschedulable on this index.
                 dead: set[str] = set()
                 for flows in counts:
@@ -161,25 +158,15 @@ def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=8)
-def _grid_topology(width: int, height: int) -> Topology:
-    """The generated topology of a grid, built once and shared, which is safe
-    as it is immutable. Its rings are then built once, and the routes that
-    ``select_ring`` memoises stay warm for every later flowset on the grid.
-    Only the last eight grids are kept."""
-    return generate_multi_ring(width, height)
-
-
 def find_schedulable_flowset(params: BenchmarkParams, config: AnalysisConfig,
                              seed: int, max_attempts: int = 1000,
                              ) -> tuple[Flowset, FlowsetResult, int]:
     """Regenerate flowsets, advancing the seed deterministically, until one is
     fully schedulable under the configuration; returns it with its analysis
     and the attempt count."""
-    topology = _grid_topology(params.width, params.height)
     for attempt in range(1, max_attempts + 1):
         candidate = replace(params, seed=derive_seed(seed, "attempt", attempt))
-        flowset = generate_flowset(candidate, topology)
+        flowset = generate_flowset(candidate)
         result = analyze(flowset, config)
         if result.schedulable:
             return flowset, result, attempt
@@ -276,11 +263,8 @@ def component_share_stats(families: dict[int, list[Flowset]],
 STATS_HEADER = "flows,metric,min,q1,median,q3,max"
 
 
-def stats_to_csv(rows: list[StatsRow], note: str | None = None) -> str:
-    lines = []
-    if note:
-        lines.append(f"# {note}")
-    lines.append(STATS_HEADER)
+def stats_to_csv(rows: list[StatsRow], note: str) -> str:
+    lines = [f"# {note}", STATS_HEADER]
     for row in rows:
         s = row.stats
         lines.append(f"{row.flows},{row.metric},{s.minimum!r},{s.q1!r},"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 
@@ -206,6 +206,7 @@ def _check_side_limit(width: int, height: int) -> None:
                                     f"of {MAX_GRID_SIDE}")
 
 
+@lru_cache(maxsize=8)
 def generate_multi_ring(width: int, height: int) -> Topology:
     """Deterministic multi-ring generator guaranteeing full connectivity.
 
@@ -215,7 +216,9 @@ def generate_multi_ring(width: int, height: int) -> Topology:
     rows share the row-band ring of those rows; cores in the same row share a
     column-band ring, so every ordered pair is connected. The ring count is
     C(height,2) + C(width,2) + floor(min(width,height)/2) - 2. Sides run from
-    2 to ``MAX_GRID_SIDE``.
+    2 to ``MAX_GRID_SIDE``. It returns one shared instance per grid, which
+    is safe as a topology is immutable, so the routes that ``select_ring``
+    memoises on it stay warm; the last eight grids are kept.
     """
     if width < 2 or height < 2:
         raise InvalidDimensionError("generate_multi_ring requires width >= 2 and height >= 2")

@@ -131,16 +131,17 @@ class FlowsetIndex:
     route, ``(start, hops)``: its source position on its ring and its hop
     count; per (source core, ring), the injected length; per ring, the worst
     backlog at each switch position (the largest payload, length - 1,
-    injected there), their total and the prefix sums of the bounds taken
-    twice over, so a path's backlog is one difference; per (ring, position)
-    switch, the busy-period terms ``(T, L, J, id, 1)`` of the flows passing
-    it, in id order, and their exact load; and, built on first use, each
-    ring's packet-buffer capacity. Map values are immutable, so extending a
-    copy by flows with larger ids (``_extended``) rewrites no earlier flow's
-    entry; a fresh index is an empty one extended by all flows in id order."""
+    injected there) and the prefix sums of the bounds taken twice over, so a
+    path's backlog is one difference and the ring's total is entry ``size``;
+    per (ring, position) switch, the busy-period terms ``(T, L, J, id, 1)``
+    of the flows passing it, in id order, and their exact load; and, built
+    on first use, each ring's packet-buffer capacity. Map values are
+    immutable, so extending a copy by flows with larger ids (``_extended``)
+    rewrites no earlier flow's entry; a fresh index is an empty one extended
+    by all flows in id order."""
 
     _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
-             "buffer_bounds", "ring_backlog", "backlog_sums", "up_terms", "up_load")
+             "buffer_bounds", "backlog_sums", "up_terms", "up_load")
 
     def __init__(self, flowset: Flowset):
         self.topology = flowset.topology
@@ -148,7 +149,6 @@ class FlowsetIndex:
             setattr(self, name, {})
         for ring in self.topology.rings:
             self.buffer_bounds[ring.id] = (0,) * ring.size
-            self.ring_backlog[ring.id] = 0
             self.backlog_sums[ring.id] = (0,) * (2 * ring.size + 1)
         self._add(sorted(flowset.flows, key=lambda f: f.id))
 
@@ -166,7 +166,6 @@ class FlowsetIndex:
             if f.length - 1 > bounds[start]:
                 bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
                 self.buffer_bounds[f.ring] = bounds
-                self.ring_backlog[f.ring] = sum(bounds)
                 self.backlog_sums[f.ring] = tuple(accumulate(bounds * 2, initial=0))
             term = (f.period, f.length, f.jitter, f.id, 1)
             for d in range(1, hops):
@@ -219,18 +218,15 @@ class BenchmarkParams:
             raise TrafficError("invalid jitter fraction range")
 
 
-def generate_flowset(params: BenchmarkParams, topology: Topology | None = None) -> Flowset:
+def generate_flowset(params: BenchmarkParams) -> Flowset:
     """Uniformly sample a flowset; deterministic for a fixed seed.
 
     Flows are drawn one after another with a fixed number of RNG draws each,
     so for the same seed a larger flowset extends a smaller one flow-for-flow
     (the prefix property the paired sweeps rely on). Deadlines equal periods.
+    Flows are routed on the grid's shared ``generate_multi_ring`` topology.
     """
-    if topology is None:
-        topology = generate_multi_ring(params.width, params.height)
-    if (params.width, params.height) != (topology.width, topology.height):
-        raise TrafficError(f"params give a {params.width}x{params.height} grid, but "
-                           f"the topology is {topology.width}x{topology.height}")
+    topology = generate_multi_ring(params.width, params.height)
     rng = random.Random(params.seed)
     cells = params.width * params.height
     flows = []
@@ -394,8 +390,7 @@ def load_flowset_file(path_str: str, topology: Topology | None = None) -> Flowse
         return load_flowset(json.load(handle), topology)
 
 
-def save_flowset_file(flowset: Flowset, path_str: str, seed: int | None = None,
-                      embed_topology: bool = False) -> None:
+def save_flowset_file(flowset: Flowset, path_str: str) -> None:
     with open(path_str, "w", encoding="utf-8") as handle:
-        json.dump(flowset_to_doc(flowset, seed, embed_topology), handle, indent=2)
+        json.dump(flowset_to_doc(flowset), handle, indent=2)
         handle.write("\n")

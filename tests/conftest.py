@@ -3,7 +3,7 @@ import pytest
 from rlnoc import data_path
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, _contexts
 from rlnoc.harness import SweepRow, point_seed
-from rlnoc.topology import Coord, generate_multi_ring, load_topology_file
+from rlnoc.topology import Coord, load_topology_file
 from rlnoc.traffic import BenchmarkParams, Flow, Flowset, generate_flowset, load_flowset_file
 
 
@@ -57,7 +57,6 @@ def plain_sweep(spec):
     rows = []
     configs = [(name, parse_profile(name)) for name in spec.configs]
     for grid in spec.grids:
-        topology = generate_multi_ring(*grid)
         grid_label = f"{grid[0]}x{grid[1]}"
         for packets in spec.packet_ranges:
             for flows in spec.flows_schedule:
@@ -70,7 +69,7 @@ def plain_sweep(spec):
                         packet_range=packets,
                         seed=point_seed(spec, grid, packets, index),
                     )
-                    flowset = generate_flowset(params, topology)
+                    flowset = generate_flowset(params)
                     for name, config in configs:
                         if analyze(flowset, config).schedulable:
                             verdicts[name] += 1

@@ -141,12 +141,10 @@ class TestPostInjectionInterference:
         assert post_interference(flowset, flow, cfg) == 4 * 16
 
     def test_tight_never_exceeds_coarse_over_1000_flowsets(self):
-        topo = generate_multi_ring(4, 4)
         tight = AnalysisConfig(ipos_formula="tight")
         coarse = AnalysisConfig(ipos_formula="coarse")
         for seed in range(1000):
-            flowset = generate_flowset(BenchmarkParams(flows_per_set=12, seed=seed),
-                                       topo)
+            flowset = generate_flowset(BenchmarkParams(flows_per_set=12, seed=seed))
             for f in flowset.flows:
                 assert (post_interference(flowset, f, tight)
                         <= post_interference(flowset, f, coarse))
@@ -500,10 +498,9 @@ class TestJitterLoopProperties:
     @settings(max_examples=200, deadline=None)
     @given(params=small_benchmarks(), extra=st.integers(1, 4))
     def test_adding_flows_keeps_verdicts_and_grows_bounds(self, params, extra):
-        topology = generate_multi_ring(params.width, params.height)
-        small = generate_flowset(params, topology)
+        small = generate_flowset(params)
         large = generate_flowset(
-            replace(params, flows_per_set=params.flows_per_set + extra), topology)
+            replace(params, flows_per_set=params.flows_per_set + extra))
         assert large.flows[:len(small.flows)] == small.flows
         for name in itertools.chain.from_iterable(VARIANTS):
             config = parse_profile(name)

@@ -296,9 +296,12 @@ def test_bad_flags_exit_two(tmp_path, capsys):
         assert err.value.code == 2, argv
         assert capsys.readouterr().err.count("error:") == 1, argv
     # Checked after parsing: the microsecond range is below one cycle at the
-    # clock, or a name is listed twice and would be counted twice.
+    # clock, a name is listed twice and would be counted twice, both period
+    # units are given, or a diff has no better configuration.
     for argv in (["gen", "--flows", "3", "--periods-us", "0.0001:2"],
-                 ["sweep", "--configs", "0D_IU_SI", "0D_IU_SI"]):
+                 ["sweep", "--configs", "0D_IU_SI", "0D_IU_SI"],
+                 ["gen", "--flows", "3", "--periods", "10:20", "--periods-us", "1:2"],
+                 ["flowstats", "--mode", "diff", "--flows", "10"]):
         assert run(argv) == 2, argv
         assert capsys.readouterr().err.count("error:") == 1, argv
     # An empty flowset is still a legal request.
@@ -374,6 +377,24 @@ def test_flowstats_shares(tmp_path):
                 "--flows", "10", "--seed", "2", "--out", str(out)]) == 0
     text = out.read_text()
     assert "ipre_share" in text and "ipos_share" in text
+
+
+def test_flowstats_diff(tmp_path):
+    out = tmp_path / "diff.csv"
+    assert run(["flowstats", "--mode", "diff", "--config", "0D_NI_SI",
+                "--config-better", "0D_IU_SI", "--flows", "10", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# diff worse=0D_NI_SI better=0D_IU_SI seed=1"
+    assert lines[1] == "flows,metric,min,q1,median,q3,max"
+    assert len(lines) == 3 and lines[2].startswith("10,pct_diff,")
+
+
+def test_sweep_grid_and_packet_flags(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--grids", "5x5", "--packets", "32:96", "--flows", "12",
+                "--flowsets", "2", "--configs", "0D_IU_SI", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == ["5x5,32,96,12,0D_IU_SI"]
 
 
 def test_gen_microsecond_periods(tmp_path):

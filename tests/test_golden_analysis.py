@@ -13,7 +13,6 @@ import pytest
 
 from rlnoc.analysis import analyze, parse_profile, results_to_csv
 from rlnoc.harness import FULL_PROFILE, SweepSpec, sweep_schedulability, sweep_to_csv
-from rlnoc.topology import generate_multi_ring
 from rlnoc.traffic import BenchmarkParams, generate_flowset, interference_table
 
 CONFIGS = tuple(parse_profile(name) for name in FULL_PROFILE.configs) + (
@@ -48,14 +47,12 @@ SWEEP_SPEC = SweepSpec(
 def results_text(grid, flows) -> str:
     """Every configuration's result CSV, with interference diagnostics, for
     the fixed flowsets of one (grid, flow count) point."""
-    topology = generate_multi_ring(*grid)
     parts = []
     for packets in PACKET_RANGES:
         for seed in SEEDS:
             flowset = generate_flowset(
                 BenchmarkParams(flows_per_set=flows, width=grid[0], height=grid[1],
-                                packet_range=packets, seed=seed),
-                topology)
+                                packet_range=packets, seed=seed))
             table = interference_table(flowset)
             for config in CONFIGS:
                 parts.append(results_to_csv(analyze(flowset, config), config,

@@ -22,6 +22,8 @@ from rlnoc.traffic import (
     generate_flowset,
     interference_table,
     load_flowset,
+    load_flowset_file,
+    save_flowset_file,
 )
 from rlnoc.topology import NotOnRingError, Topology, generate_multi_ring
 
@@ -101,7 +103,7 @@ class TestFlowsetIndex:
                                if g.ring == ring.id and g.src == switch), default=0)
                           for switch in ring.switches]
                 assert index.buffer_bounds[ring.id] == tuple(bounds)
-                assert index.ring_backlog[ring.id] == sum(bounds)
+                assert index.backlog_sums[ring.id][ring.size] == sum(bounds)
                 assert index.backlog_sums[ring.id] == tuple(
                     sum((bounds * 2)[:k]) for k in range(2 * ring.size + 1))
             for f in flowset.flows:
@@ -148,7 +150,7 @@ class TestFlowsetIndex:
     # Every map of an index; test_grown_index_equals_fresh_index fails when
     # the index gains one that is not listed here.
     INDEX_MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
-                  "buffer_bounds", "ring_backlog", "backlog_sums", "up_terms", "up_load")
+                  "buffer_bounds", "backlog_sums", "up_terms", "up_load")
 
     @settings(max_examples=30, deadline=None)
     @given(grid=st.sampled_from([(4, 4), (5, 5)]), seed=st.integers(0, 10_000),
@@ -284,7 +286,8 @@ class TestGenerator:
     def test_equal_flowsets_hash_equal(self):
         params = BenchmarkParams(flows_per_set=30, seed=99)
         a = generate_flowset(params)
-        b = generate_flowset(params, generate_multi_ring(4, 4))
+        b = Flowset(a.flows, Topology(4, 4, a.topology.rings))
+        assert a.topology is not b.topology
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b, generate_flowset(replace(params, seed=98))}) == 2
@@ -384,19 +387,25 @@ class TestFlowsetFiles:
         with pytest.raises(TrafficError, match="field 'height' is 9, but the topology is 3x2"):
             load_flowset(doc, six_ring_topology)
 
-    @pytest.mark.parametrize("grid", [(2, 2), (3, 2), (4, 4)])
-    def test_generation_grid_must_match_the_topology(self, grid):
-        params = BenchmarkParams(flows_per_set=20, width=3, height=3)
-        with pytest.raises(TrafficError, match=f"params give a 3x3 grid, but the "
-                                               f"topology is {grid[0]}x{grid[1]}"):
-            generate_flowset(params, generate_multi_ring(*grid))
-
     def test_generated_topology_fallback(self):
         doc = {"width": 2, "height": 2, "flows": [
             {"id": 1, "T": 50, "D": 50, "L": 2, "J": 0, "src": [0, 0], "dst": [1, 1]}]}
         flowset = load_flowset(doc)
         assert flowset.topology.width == 2
         assert flowset.flows[0].ring == 0
+
+    def test_fallback_is_the_shared_generated_topology(self):
+        flowset = load_flowset({"width": 3, "height": 2, "flows": []})
+        assert flowset.topology is generate_multi_ring(3, 2)
+        assert generate_multi_ring(4, 4) is generate_multi_ring(4, 4)
+
+    def test_saved_file_is_the_indented_document(self, tmp_path):
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=10, seed=3))
+        path = tmp_path / "flowset.json"
+        save_flowset_file(flowset, str(path))
+        assert (path.read_text(encoding="utf-8")
+                == json.dumps(flowset_to_doc(flowset), indent=2) + "\n")
+        assert load_flowset_file(str(path)) == flowset
 
 
 @st.composite
@@ -414,7 +423,7 @@ def file_flowsets(draw):
             for ring in topology.rings))
     params = BenchmarkParams(flows_per_set=draw(st.integers(0, 12)), width=width,
                              height=height, seed=draw(st.integers(0, 2**16)))
-    return generate_flowset(params, topology), embed
+    return Flowset(generate_flowset(params).flows, topology), embed
 
 
 class TestFlowsetFileProperty:
