@@ -4,34 +4,43 @@ Modules: topology (grids, rings, routing), traffic (flows, benchmarks,
 interference sets), analysis (worst-case latency bounds), simulator
 (cycle-accurate oracle), harness (experiment sweeps and statistics),
 plotting (SVG renderer) and cli.
+
+Importing a module loads only the modules it depends on. The names in
+``__all__`` resolve on first access: ``import rlnoc`` loads no submodule, and
+the first read of ``rlnoc.simulate`` loads the simulator and what it imports.
 """
 
-from importlib import resources as _resources
+import importlib
 
-from .analysis import (
-    AnalysisConfig,
-    AnalysisRecord,
-    FlowResult,
-    FlowsetResult,
-    analyze,
-    parse_profile,
-    profile_name,
-)
-from .simulator import (
-    HardwareProfile,
-    SimConfig,
-    SimOutcome,
-    hardware_from_config,
-    oracle_check,
-    simulate,
-)
-from .topology import Coord, Ring, Topology, generate_multi_ring, load_topology
-from .traffic import BenchmarkParams, Flow, Flowset, generate_flowset
+_EXPORTS = {
+    "analysis": ("AnalysisConfig", "AnalysisRecord", "FlowResult", "FlowsetResult",
+                 "analyze", "parse_profile", "profile_name"),
+    "simulator": ("HardwareProfile", "SimConfig", "SimOutcome", "hardware_from_config",
+                  "oracle_check", "simulate"),
+    "topology": ("Coord", "Ring", "Topology", "generate_multi_ring", "load_topology"),
+    "traffic": ("BenchmarkParams", "Flow", "Flowset", "generate_flowset"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 def data_path(name: str) -> str:
     """Filesystem path of a bundled fixture file (topologies, flowsets)."""
-    return str(_resources.files(__name__).joinpath("data", name))
+    from importlib import resources
+
+    return str(resources.files(__name__).joinpath("data", name))
 
 
 __all__ = [

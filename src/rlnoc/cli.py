@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import analysis, harness, plotting, simulator, topology, traffic
+from . import analysis, topology, traffic
 from .seeds import derive_seed
 
 
@@ -264,6 +264,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulator
+
     flowset = _load_flowset(args)
     config = analysis.parse_profile(args.config)
     hw = simulator.hardware_from_config(config)
@@ -279,6 +281,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import simulator
+
     flowset = _load_flowset(args)
     config = analysis.parse_profile(args.config, ipos_formula=args.ipos)
     result = analysis.analyze(flowset, config)
@@ -310,6 +314,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import harness
+
     spec = harness.FAST_PROFILE if args.profile == "fast" else harness.FULL_PROFILE
     overrides = {"master_seed": args.seed}
     if args.grids:
@@ -329,6 +335,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flowstats(args) -> int:
+    from . import harness
+
     config = analysis.parse_profile(args.config)
     families: dict[int, list[traffic.Flowset]] = {}
     if args.mode == "diff":
@@ -343,10 +351,13 @@ def _cmd_flowstats(args) -> int:
                 flows_per_set=flows, width=args.grid[0], height=args.grid[1],
                 packet_range=args.packets,
             )
-            flowset, _, _ = harness.find_schedulable_flowset(
-                params, config, derive_seed(args.seed, flows, index),
-                max_attempts=args.attempts,
-            )
+            try:
+                flowset, _, _ = harness.find_schedulable_flowset(
+                    params, config, derive_seed(args.seed, flows, index),
+                    max_attempts=args.attempts,
+                )
+            except harness.NoSchedulableFlowsetError as exc:
+                return _file_error(exc)
             family.append(flowset)
         families[flows] = family
     if args.mode == "shares":
@@ -361,8 +372,14 @@ def _cmd_flowstats(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import plotting
+
     text = _read(args.csv, lambda path: Path(path).read_text(encoding="utf-8"))
-    _write(_out_path(args.out), plotting.render_plot(text, args.kind))
+    try:
+        svg = plotting.render_plot(text, args.kind)
+    except plotting.PlotError as exc:
+        return _file_error(exc)
+    _write(_out_path(args.out), svg)
     return 0
 
 
@@ -377,8 +394,14 @@ _COMMANDS = {
     "plot": _cmd_plot,
 }
 
-_FILE_ERRORS = (OSError, _UndecodableFile, topology.TopologyError, traffic.TrafficError,
-                plotting.PlotError, harness.NoSchedulableFlowsetError)
+# The plotting and harness errors are caught by the commands that raise them,
+# so that the other commands do not import those modules.
+_FILE_ERRORS = (OSError, _UndecodableFile, topology.TopologyError, traffic.TrafficError)
+
+
+def _file_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 3
 
 
 def run(argv=None) -> int:
@@ -390,8 +413,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _file_error(exc)
 
 
 def main() -> None:

@@ -367,6 +367,8 @@ def load_flowset(doc: dict, topology: Topology | None = None) -> Flowset:
     unknown = set(doc) - _SET_FIELDS
     if unknown:
         raise TrafficError(f"unknown flowset fields: {sorted(unknown)}")
+    if "seed" in doc and not _is_int(doc["seed"]):
+        raise TrafficError(f"field 'seed' must be an integer, got {doc['seed']!r}")
     if topology is None:
         if "topology" in doc:
             topology = load_topology(doc["topology"])

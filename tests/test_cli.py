@@ -135,6 +135,8 @@ MALFORMED_FLOWSETS = {
                               "source equals destination"),
     "unknown_ring": (_flow_doc(ring=99), "'ring' must name a ring"),
     "string_ring": (_flow_doc(ring="0"), "'ring' must name a ring"),
+    "string_seed": ({**_flow_doc(), "seed": "x"}, "field 'seed' must be an integer"),
+    "bool_seed": ({**_flow_doc(), "seed": True}, "field 'seed' must be an integer"),
     "flows_not_a_list": ({"width": 4, "height": 4, "flows": 5},
                          "'flows' must be a list"),
     "missing_field": ({"width": 4, "height": 4, "flows": [{"id": 1}]},

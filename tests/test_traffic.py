@@ -375,6 +375,14 @@ class TestFlowsetFiles:
                 {"id": 1, "T": 10, "D": 10, "L": 1, "J": 0,
                  "src": [0, 0], "dst": [1, 0], "priority": 3}]})
 
+    def test_seed_must_be_an_integer(self, six_ring_topology):
+        doc = flowset_to_doc(Flowset((), six_ring_topology), seed=7)
+        assert load_flowset(doc).flows == ()
+        for bad in ("x", True, 1.5, None):
+            doc["seed"] = bad
+            with pytest.raises(TrafficError, match="field 'seed' must be an integer"):
+                load_flowset(doc)
+
     def test_grid_size_must_match_the_topology(self, six_ring_topology):
         doc = flowset_to_doc(Flowset((), six_ring_topology), embed_topology=True)
         doc.update(width=9, height=9)
