@@ -123,23 +123,22 @@ def hardware_from_config(config: AnalysisConfig) -> HardwareProfile:
 class SimConfig:
     seed: int = 0
     horizon: int = 1_000_000
-    release: Literal["periodic", "sporadic"] = "sporadic"
+    # A model drawn from the seed, or a tuple of (cycle, flow id) releases below the horizon.
+    release: Literal["periodic", "sporadic"] | tuple[tuple[int, int], ...] = "sporadic"
     collect_trace: bool = False
-    # Fixed first-release offsets of the listed flows under the periodic
-    # driver; the other flows draw theirs.
-    release_offsets: dict[int, int] | None = None
 
     def __post_init__(self):
-        if self.release not in ("periodic", "sporadic"):
-            raise AnalysisError(f"bad release model {self.release!r}")
         if not _is_int(self.horizon) or self.horizon < 1:
             raise AnalysisError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not _is_int(self.seed):
             raise AnalysisError(f"seed must be an integer, got {self.seed!r}")
-        if self.release_offsets is not None and self.release != "periodic":
-            raise AnalysisError("release_offsets needs the periodic release model")
-        if not all(_is_int(o) and o >= 0 for o in (self.release_offsets or {}).values()):
-            raise AnalysisError(f"release offsets must be integers >= 0: {self.release_offsets!r}")
+        if isinstance(self.release, tuple):
+            if bad := [r for r in self.release if not (isinstance(r, tuple) and len(r) == 2
+                       and all(map(_is_int, r)) and 0 <= r[0] < self.horizon and r[1] >= 0)]:
+                raise AnalysisError(f"a release is a pair (cycle, flow id) of integers >= 0, "
+                                    f"cycle < horizon {self.horizon}, got {bad[0]!r}")
+        elif self.release not in ("periodic", "sporadic"):
+            raise AnalysisError(f"bad release model {self.release!r}")
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,14 @@ class _RingState:
 
 
 def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
-    """Every release of the run as (cycle, flow id), in time order.
+    """Every release the model draws, as (cycle, flow id), in time order.
 
     Sporadic releases all fall before the horizon. A periodic release is
-    ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon;
-    a listed offset replaces the drawn one, which is drawn anyway so jitter
-    is unchanged. Jitter can put a release at or after the horizon (but
-    before horizon + J); such a packet is simulated like any other. Each draw
-    past a flow's first inlines ``randrange(n)``, n >= 1: ``getrandbits(k)``
-    for k = n.bit_length(), repeated until it falls below n.
+    ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon,
+    the offset drawn from U[0,T). Jitter can put a release at or after the
+    horizon (but before horizon + J); such a packet is simulated like any
+    other. Each draw past a flow's first inlines ``randrange(n)``, n >= 1:
+    ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below n.
     """
     out: list[tuple[int, int]] = []
     append, horizon = out.append, cfg.horizon
@@ -199,10 +197,9 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
         rng = random.Random(derive_seed(cfg.seed, "rel", fid))
         getrandbits = rng.getrandbits
         if cfg.release == "periodic":
-            offset = (cfg.release_offsets or {}).get(fid, rng.randrange(period))
             n = f.jitter + 1
             k = n.bit_length()
-            for base in range(offset, horizon, period):
+            for base in range(rng.randrange(period), horizon, period):
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
@@ -221,7 +218,7 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     return out
 
 
-# Most releases one simulation may draw. A release costs about 250 bytes of
+# Most releases one simulation may run. A release costs about 250 bytes of
 # peak memory and 3 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
 # 2-core Intel Xeon with Python 3.11), so a run at the limit peaks near 1.3 GB.
 MAX_RELEASES = 5_000_000
@@ -232,17 +229,19 @@ def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcom
 
     Observed latency is the cycle a packet's last flit crosses the ejection
     link minus its release cycle. The run goes past the horizon until every
-    released packet is delivered. Offsets naming no flow raise AnalysisError,
-    and so does a horizon at which the flows could release more than
-    MAX_RELEASES packets (at most ceil(horizon / T) each), before any is drawn.
+    released packet is delivered. A schedule naming no flow raises AnalysisError,
+    as does one of over MAX_RELEASES releases or a horizon at which a model
+    could draw more (at most ceil(horizon / T) per flow), before any is drawn.
     """
-    unknown = sorted(set(cfg.release_offsets or ()) - flowset.index.flows.keys())
-    if unknown:
-        raise AnalysisError(f"release_offsets name no flow: {unknown}")
-    most = sum(-(-cfg.horizon // f.period) for f in flowset.flows)
+    if isinstance(cfg.release, tuple):
+        if unknown := sorted({fid for _, fid in cfg.release} - flowset.index.flows.keys()):
+            raise AnalysisError(f"the release schedule names unknown flows {unknown}")
+        most, allows = len(cfg.release), "the release schedule has"
+    else:
+        most = sum(-(-cfg.horizon // f.period) for f in flowset.flows)
+        allows = f"horizon {cfg.horizon} allows up to"
     if most > MAX_RELEASES:
-        raise AnalysisError(f"horizon {cfg.horizon} allows up to {most} releases, "
-                            f"over the limit of {MAX_RELEASES}")
+        raise AnalysisError(f"{allows} {most} releases, over the limit of {MAX_RELEASES}")
     return _Engine(flowset, cfg, hw).run()
 
 
@@ -305,9 +304,10 @@ class _Engine:
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
 
-        # Packet registry: a packet's id is its index in the release schedule
-        # of (cycle, flow id), and pkt_info holds its flow_info tuple.
-        self.releases = _release_schedule(flowset, cfg)
+        # Packet registry: a packet's id is its index in the sorted release
+        # schedule of (cycle, flow id), and pkt_info holds its flow_info tuple.
+        self.releases = (sorted(cfg.release) if isinstance(cfg.release, tuple)
+                         else _release_schedule(flowset, cfg))
         self.pkt_info = [self.flow_info[fid] for _, fid in self.releases]
         self.pkt_deflections = [0] * len(self.releases)
         self.pkt_delivery = [-1] * len(self.releases)

@@ -27,14 +27,29 @@ SHARED = HardwareProfile(injection="shared", maxloop="oldest_first")
 INDEPENDENT = HardwareProfile(injection="independent", maxloop=0)
 
 
-def closed_form_equals_traced(flowset, cfg, hw, stepped):
+def periodic_releases(fid, first, period, horizon):
+    """An explicit schedule: one flow's releases at first + n*period below
+    the horizon."""
+    return tuple((t, fid) for t in range(first, horizon, period))
+
+
+def closed_form_equals_traced(flowset, cfg, hw, stepped=None):
     """Run in closed form and traced: both must agree, and the closed form
-    must step exactly `stepped` cycles. Returns the closed-form outcome."""
+    must step exactly `stepped` cycles, or no more than the traced run when
+    `stepped` is None. Returns the closed-form outcome."""
     fast = simulate(flowset, cfg, hw)
     slow = simulate(flowset, replace(cfg, collect_trace=True), hw)
     assert fast.digest == slow.digest
+    assert (fast.drained, fast.released, fast.delivered) == \
+        (slow.drained, slow.released, slow.delivered)
+    assert fast.deflections == slow.deflections
+    assert (fast.flits_injected, fast.flits_ejected) == \
+        (slow.flits_injected, slow.flits_ejected)
     assert fast.per_flow == slow.per_flow
-    assert fast.stepped_cycles == stepped
+    if stepped is None:
+        assert fast.stepped_cycles <= slow.stepped_cycles
+    else:
+        assert fast.stepped_cycles == stepped
     return fast
 
 
@@ -73,8 +88,8 @@ class TestCalibration:
         flowset = Flowset((make_flow(1, (0, 0), (0, 1), ring=1, period=500, length=40),
                            make_flow(2, (1, 0), (2, 1), ring=2, period=500, length=40)),
                           topo)
-        cfg = SimConfig(seed=0, horizon=2_000, release="periodic",
-                        release_offsets={1: 0, 2: 5})
+        cfg = SimConfig(horizon=2_000, release=periodic_releases(1, 0, 500, 2_000)
+                        + periodic_releases(2, 5, 500, 2_000))
         fast = simulate(flowset, cfg, SHARED)
         slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.stepped_cycles == 0
@@ -89,8 +104,8 @@ class TestCalibration:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
                                 make_flow(2, (0, 0), (1, 1), period=1_000, length=12))
-        cfg = SimConfig(seed=0, horizon=3_000, release="periodic",
-                        release_offsets={1: 0, 2: 3})
+        cfg = SimConfig(horizon=3_000, release=((0, 1), (3, 2), (1_000, 1), (1_003, 2),
+                                                (2_000, 1), (2_003, 2)))
         fast = simulate(flowset, cfg, SHARED)
         slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.stepped_cycles == 0 < slow.stepped_cycles
@@ -107,8 +122,8 @@ class TestCalibration:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
                                 make_flow(2, (0, 0), (1, 1), period=10_000, length=12))
-        cfg = SimConfig(seed=0, horizon=6_000, release="periodic",
-                        release_offsets={1: 0, 2: 2_003})
+        cfg = SimConfig(horizon=6_000,
+                        release=periodic_releases(1, 0, 1_000, 6_000) + ((2_003, 2),))
         fast = simulate(flowset, cfg, SHARED)
         slow = simulate(flowset, replace(cfg, collect_trace=True), SHARED)
         assert fast.digest == slow.digest
@@ -142,8 +157,7 @@ class TestClosedFormAdmission:
                            make_flow(2, (0, 0), (0, 1), ring=1, period=10_000, length=8),
                            make_flow(3, (0, 0), (2, 0), ring=0, period=10_000, length=4)),
                           topo)
-        cfg = SimConfig(seed=0, horizon=100, release="periodic",
-                        release_offsets={1: 0, 2: 0, 3: 1})
+        cfg = SimConfig(horizon=100, release=((0, 1), (0, 2), (1, 3)))
         # Independent injection gives each ring its own queue: flow 2 sends
         # at 0, and flow 3 at 1, behind flow 1 on ring 0.
         for hw, (h2, h3) in ((SHARED, (1, 8)), (INDEPENDENT, (0, 1))):
@@ -159,8 +173,7 @@ class TestClosedFormAdmission:
         flowset = Flowset((make_flow(1, (0, 0), (2, 0), ring=0, period=10_000, length=10),
                            make_flow(2, (0, 0), (0, 1), ring=1, period=10_000, length=4)),
                           topo)
-        cfg = SimConfig(seed=0, horizon=100, release="periodic",
-                        release_offsets={1: 0, 2: 2})
+        cfg = SimConfig(horizon=100, release=((0, 1), (2, 2)))
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=0)
         assert out.per_flow[1].max_latency == no_load(flowset, 1) - 1
         assert out.per_flow[2].max_latency == 9 + 3 + 4 - 1 - 2
@@ -171,8 +184,7 @@ class TestClosedFormAdmission:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 1), period=10_000, length=6),
                                 make_flow(2, (1, 0), (2, 0), period=10_000, length=3))
-        cfg = SimConfig(seed=0, horizon=100, release="periodic",
-                        release_offsets={1: 0, 2: 2})
+        cfg = SimConfig(horizon=100, release=((0, 1), (2, 2)))
         for hw in (SHARED, INDEPENDENT):
             out = closed_form_equals_traced(flowset, cfg, hw, stepped=0)
             assert out.per_flow[1].max_latency == no_load(flowset, 1) - 1
@@ -186,8 +198,8 @@ class TestClosedFormAdmission:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 1), period=10_000, length=3),
                                 make_flow(2, (1, 0), (2, 0), period=1_000, length=6))
-        cfg = SimConfig(seed=0, horizon=5_000, release="periodic",
-                        release_offsets={1: 0, 2: 0})
+        cfg = SimConfig(horizon=5_000,
+                        release=((0, 1),) + periodic_releases(2, 0, 1_000, 5_000))
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=9)
         # Buffered in cycles 1 to 3, flow 1's flits leave (1, 0) at 6 to 8.
         assert out.per_flow[1].max_latency == 10 > no_load(flowset, 1) - 1
@@ -203,8 +215,8 @@ class TestClosedFormAdmission:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
                                 make_flow(2, (0, 0), (1, 1), period=1_000, length=12))
-        cfg = SimConfig(seed=0, horizon=6_000, release="periodic",
-                        release_offsets={1: 0, 2: 3})
+        cfg = SimConfig(horizon=6_000, release=periodic_releases(1, 0, 1_000, 6_000)
+                        + periodic_releases(2, 3, 1_000, 6_000))
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=0)
         stats = out.per_flow[2]
         assert (stats.packets, stats.max_latency, stats.mean_latency) == \
@@ -313,17 +325,8 @@ RUNS = dict(hw=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**16),
 class TestFastForwardProperty:
     @staticmethod
     def check(flowset, hw, seed, horizon, release):
-        cfg = SimConfig(seed=seed, horizon=horizon, release=release)
-        fast = simulate(flowset, cfg, hw)
-        slow = simulate(flowset, replace(cfg, collect_trace=True), hw)
-        assert fast.digest == slow.digest
-        assert (fast.drained, fast.released, fast.delivered) == \
-            (slow.drained, slow.released, slow.delivered)
-        assert fast.deflections == slow.deflections
-        assert (fast.flits_injected, fast.flits_ejected) == \
-            (slow.flits_injected, slow.flits_ejected)
-        assert fast.per_flow == slow.per_flow
-        assert fast.stepped_cycles <= slow.stepped_cycles
+        closed_form_equals_traced(flowset, SimConfig(seed=seed, horizon=horizon,
+                                                     release=release), hw)
 
     @settings(max_examples=150, deadline=None)
     @given(flowset=small_flowsets(), **RUNS)
@@ -400,7 +403,7 @@ def randrange_schedule(flowset, cfg):
     for f in flowset.flows:
         randrange = random.Random(derive_seed(cfg.seed, "rel", f.id)).randrange
         if cfg.release == "periodic":
-            offset = (cfg.release_offsets or {}).get(f.id, randrange(f.period))
+            offset = randrange(f.period)
             out += [(base + randrange(f.jitter + 1), f.id)
                     for base in range(offset, cfg.horizon, f.period)]
         else:
@@ -422,14 +425,24 @@ def release_cases(draw):
     flows = tuple(make_flow(fid, (0, 0), (2, 0), period=draw(TIMES),
                             jitter=draw(st.one_of(st.just(0), TIMES)))
                   for fid in range(1, draw(st.integers(1, 6)) + 1))
-    release = draw(st.sampled_from(("periodic", "sporadic")))
-    offsets = None
-    if release == "periodic":
-        offsets = draw(st.none() | st.dictionaries(
-            st.sampled_from([f.id for f in flows]), st.integers(0, 3_000)))
     cfg = SimConfig(seed=draw(st.integers(0, 2**64)), horizon=draw(st.integers(1, 3_000)),
-                    release=release, release_offsets=offsets)
+                    release=draw(st.sampled_from(("periodic", "sporadic"))))
     return Flowset(flows, topo), cfg
+
+
+@st.composite
+def explicit_schedules(draw):
+    """A flowset and an explicit schedule of its flows' releases, in any
+    order: bursts of releases a few cycles apart, one flow several times
+    in a cycle among them."""
+    flowset = draw(st.one_of(small_flowsets(), clustered_flowsets()))
+    horizon = draw(st.integers(1, 2_000))
+    flows = st.sampled_from([f.id for f in flowset.flows])
+    releases = []
+    for start in draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=6)):
+        releases += [(min(start + draw(st.integers(0, 3)), horizon - 1), draw(flows))
+                     for _ in range(draw(st.integers(1, 8)))]
+    return flowset, SimConfig(horizon=horizon, release=tuple(draw(st.permutations(releases))))
 
 
 class TestReleaseSchedule:
@@ -450,6 +463,14 @@ class TestReleaseSchedule:
                             SHARED).released <= 14
             with pytest.raises(AnalysisError, match="over the limit of 14"):
                 simulate(flowset, SimConfig(horizon=1_001, release=release), SHARED)
+        # An explicit schedule is bounded by its length, before the engine
+        # is built.
+        listed = tuple((t, fid) for t in range(0, 700, 100) for fid in (1, 2))
+        assert simulate(flowset, SimConfig(horizon=1_000, release=listed),
+                        SHARED).released == 14
+        monkeypatch.setattr("rlnoc.simulator._Engine", None)
+        with pytest.raises(AnalysisError, match="has 15 releases, over the limit of 14"):
+            simulate(flowset, SimConfig(horizon=1_000, release=listed + ((999, 1),)), SHARED)
 
     def test_default_limit_rejects_a_huge_horizon(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0), period=1))
@@ -473,55 +494,72 @@ class TestReleaseSchedule:
             assert all(t < 20_000 for t, _ in _release_schedule(flowset, sporadic))
         assert late == [1, 4, 3, 5, 1]
 
-    def test_listed_offsets_fix_the_first_release_only(self, six_ring_topology):
-        # Flow 1 is listed and has jitter; flow 2 is not listed.
-        flowset = build_flowset(six_ring_topology,
-                                make_flow(1, (0, 0), (2, 0), period=300, jitter=40),
-                                make_flow(2, (0, 0), (1, 1), period=500))
-        drawn = SimConfig(seed=4, horizon=6_000, release="periodic")
-        listed = replace(drawn, release_offsets={1: 7})
-
-        def times(cfg, fid):
-            return [t for t, f in _release_schedule(flowset, cfg) if f == fid]
-
-        bases = range(7, 6_000, 300)
-        jitter = [t - base for t, base in zip(times(listed, 1), bases)]
-        assert len(jitter) == len(bases) and all(0 <= j <= 40 for j in jitter)
-        assert len(set(jitter)) > 1
-        # The drawn offset is replaced, not skipped: the jitter draws are the
-        # ones the unlisted run makes.
-        assert len({a - b for a, b in zip(times(listed, 1), times(drawn, 1))}) == 1
-        assert times(listed, 2) == times(drawn, 2)
-        assert times(drawn, 2)[0] != 0
-
     def test_offsets_for_every_jitter_free_flow_give_exact_periods(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=300),
                                 make_flow(2, (0, 0), (1, 1), period=500))
-        cfg = SimConfig(seed=4, horizon=6_000, release="periodic",
-                        release_offsets={1: 0, 2: 123})
-        releases = _release_schedule(flowset, cfg)
-        assert [t for t, f in releases if f == 1] == list(range(0, 6_000, 300))
-        assert [t for t, f in releases if f == 2] == list(range(123, 6_000, 500))
+        # The periodic model draws each offset below the period.
+        drawn = _release_schedule(flowset, SimConfig(seed=4, horizon=6_000, release="periodic"))
+        for f in flowset.flows:
+            times = [t for t, fid in drawn if fid == f.id]
+            assert times == list(range(times[0], 6_000, f.period)) and times[0] < f.period
+        # Listed flow by flow, an explicit schedule is numbered in (cycle,
+        # flow id) order, as drawn releases are.
+        cfg = SimConfig(horizon=6_000, release=periodic_releases(1, 0, 300, 6_000)
+                        + periodic_releases(2, 123, 500, 6_000), collect_trace=True)
+        released = [ev[1:] for ev in simulate(flowset, cfg, SHARED).trace if ev[0] == "release"]
+        assert [pkt for _, pkt, _ in released] == list(range(len(cfg.release)))
+        assert [(t, fid) for t, _, fid in released] == sorted(cfg.release)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=explicit_schedules(), hw=st.sampled_from(LAYOUTS))
+    def test_explicit_schedules_run_alike_in_closed_form_and_traced(self, case, hw):
+        flowset, cfg = case
+        closed_form_equals_traced(flowset, cfg, hw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flowset=st.one_of(small_flowsets(), sparse_flowsets()), **RUNS,
+           shuffle=st.randoms(use_true_random=False))
+    def test_a_shuffled_drawn_schedule_reproduces_the_drawn_run(self, flowset, hw, seed,
+                                                                 horizon, release, shuffle):
+        drawn = SimConfig(seed=seed, horizon=horizon, release=release)
+        releases = _release_schedule(flowset, drawn)
+        shuffle.shuffle(releases)
+        # Periodic jitter can put a drawn release at or after the horizon,
+        # and every listed release lies below it.
+        listed = SimConfig(horizon=max([horizon] + [t + 1 for t, _ in releases]),
+                           release=tuple(releases))
+        a, b = simulate(flowset, drawn, hw), simulate(flowset, listed, hw)
+        assert (a.digest, a.per_flow, a.stepped_cycles) == \
+            (b.digest, b.per_flow, b.stepped_cycles)
 
 
 class TestSimConfigValidation:
     @pytest.mark.parametrize("fields", [
         {"release": "bogus"}, {"horizon": -5}, {"horizon": 0}, {"horizon": True},
         {"horizon": 1e6}, {"seed": 1.5}, {"seed": True},
-        {"release_offsets": {1: 0}},
-        {"release": "periodic", "release_offsets": {1: -1}},
-        {"release": "periodic", "release_offsets": {1: 2.0}},
+        # A schedule is a tuple of (cycle, flow id) pairs of integers >= 0,
+        # each cycle below the horizon.
+        {"release": [(0, 1)]}, {"release": (0, 1)}, {"release": ((0, 1, 2),)},
+        {"release": ([0, 1],)}, {"release": ((True, 1),)}, {"release": ((0, False),)},
+        {"release": ((0.0, 1),)}, {"release": ((0, 1.0),)}, {"release": ((-1, 1),)},
+        {"release": ((0, -1),)}, {"horizon": 10, "release": ((0, 1), (10, 1))},
     ])
     def test_rejects_bad_values(self, fields):
         with pytest.raises(AnalysisError):
             SimConfig(**fields)
 
-    def test_offsets_must_name_flows_of_the_flowset(self, six_ring_topology):
+    def test_schedule_must_name_flows_of_the_flowset(self, six_ring_topology):
         flowset = build_flowset(six_ring_topology, make_flow(1, (0, 0), (2, 0)))
-        cfg = SimConfig(horizon=1_000, release="periodic", release_offsets={1: 0, 9: 0})
-        with pytest.raises(AnalysisError, match=r"\[9\]"):
+        cfg = SimConfig(horizon=1_000, release=((0, 1), (5, 12), (7, 9), (9, 12)))
+        with pytest.raises(AnalysisError, match=r"unknown flows \[9, 12\]"):
             simulate(flowset, cfg, SHARED)
+
+    def test_a_schedule_config_hashes_and_compares_by_value(self):
+        a = SimConfig(horizon=100, release=((0, 1), (5, 2)))
+        b = SimConfig(horizon=100, release=tuple([(0, 1), (5, 2)]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != replace(a, release=((0, 1), (6, 2)))
 
 
 class TestProtocolRules:
@@ -529,8 +567,8 @@ class TestProtocolRules:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=300, length=6),
                                 make_flow(2, (0, 0), (1, 1), period=300, length=6))
-        cfg = SimConfig(seed=1, horizon=900, release="periodic",
-                        release_offsets={1: 0, 2: 2}, collect_trace=True)
+        cfg = SimConfig(horizon=900, release=((0, 1), (2, 2), (300, 1), (302, 2),
+                                              (600, 1), (602, 2)), collect_trace=True)
         out = simulate(flowset, cfg, SHARED)
         port_events = [ev for ev in out.trace
                        if ev[0] == "out" and ev[2] == 0 and ev[3] == 0]
@@ -582,8 +620,7 @@ class TestProtocolRules:
         older = make_flow(1, (0, 1), (1, 1), ring=1, period=100_000, length=3)
         newer = make_flow(2, (2, 0), (1, 1), ring=2, period=100_000, length=3)
         flowset = Flowset((older, newer), topo)
-        cfg = SimConfig(seed=0, horizon=200, release="periodic",
-                        release_offsets={1: 0, 2: 1})
+        cfg = SimConfig(horizon=200, release=((0, 1), (1, 2)))
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=5)
         # Both headers reach the shared ejection link on the same cycle; the
         # older flow wins, the newer circles its four-switch ring once.
@@ -597,8 +634,7 @@ class TestProtocolRules:
         older = make_flow(1, (0, 1), (1, 1), ring=1, period=100_000, length=3)
         newer = make_flow(2, (2, 0), (1, 1), ring=2, period=100_000, length=3)
         flowset = Flowset((older, newer), topo)
-        cfg = SimConfig(seed=0, horizon=200, release="periodic",
-                        release_offsets={1: 0, 2: 2})
+        cfg = SimConfig(horizon=200, release=((0, 1), (2, 2)))
         # The newer packet's deflection entry clears a cycle after the older
         # packet is delivered, and only then can the engine hand it back.
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=5)
@@ -632,8 +668,7 @@ class TestProtocolRules:
         long_flow = make_flow(1, (0, 1), (1, 1), ring=1, period=100_000, length=11)
         victim = make_flow(2, (2, 0), (1, 1), ring=2, period=100_000, length=3)
         flowset = Flowset((long_flow, victim), topo)
-        cfg = SimConfig(seed=0, horizon=400, release="periodic",
-                        release_offsets={1: 0, 2: 1})
+        cfg = SimConfig(horizon=400, release=((0, 1), (1, 2)))
         out = closed_form_equals_traced(flowset, cfg, SHARED, stepped=13)
         # Denied on arrival at cycle 3, then again on the returns at 7 and 11,
         # all within the long packet's ejection window (cycles 3 to 13).
@@ -646,8 +681,7 @@ class TestProtocolRules:
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (1, 0), period=5_000,
                                           length=1030))
-        cfg = SimConfig(seed=0, horizon=100, release="periodic",
-                        release_offsets={1: 0}, collect_trace=True)
+        cfg = SimConfig(horizon=100, release=((0, 1),), collect_trace=True)
         out = simulate(flowset, cfg, SHARED)
         assert out.released == out.delivered == 1
         assert out.flits_injected == out.flits_ejected == 1030
@@ -681,8 +715,7 @@ class TestOracle:
         config = parse_profile("0D_IU_SI")
         result = analyze(flowset, config)
         assert result.schedulable
-        cfg = SimConfig(seed=0, horizon=1_000, release="periodic",
-                        release_offsets={1: 0, 2: 1})
+        cfg = SimConfig(horizon=1_000, release=((0, 1), (1, 2)))
         out = simulate(flowset, cfg, hardware_from_config(config))
         assert oracle_check(flowset, result, out).ok
         halved = replace(result, results={
@@ -703,8 +736,7 @@ class TestOracle:
         result = analyze(flowset, config)
         assert result.schedulable
         out = simulate(flowset,
-                       SimConfig(seed=0, horizon=200, release="periodic",
-                                 release_offsets={1: 0, 2: 1}),
+                       SimConfig(horizon=200, release=((0, 1), (1, 2))),
                        hardware_from_config(config))
         assert oracle_check(flowset, result, out).ok
         squeezed = replace(result, results={
@@ -714,17 +746,16 @@ class TestOracle:
         assert not oracle_check(flowset, squeezed, out).ok
 
     def test_flow_without_releases_is_skipped(self, six_ring_topology):
-        # Flow 2's first periodic release would fall at the horizon, so it
-        # releases nothing: empty statistics in the closed-form and the
-        # traced run, and no bound to check, not even one no run could meet.
+        # Flow 2 is not in the schedule, so it releases nothing: empty
+        # statistics in the closed-form and the traced run, and no bound to
+        # check, not even one no run could meet.
         flowset = build_flowset(six_ring_topology,
                                 make_flow(1, (0, 0), (2, 0), period=1_000, length=12),
                                 make_flow(2, (1, 0), (2, 1), period=1_000, length=4))
         config = parse_profile("0D_IU_SI")
         result = analyze(flowset, config)
         assert result.schedulable
-        cfg = SimConfig(seed=0, horizon=5_000, release="periodic",
-                        release_offsets={2: 5_000})
+        cfg = SimConfig(horizon=5_000, release=periodic_releases(1, 872, 1_000, 5_000))
         out = closed_form_equals_traced(flowset, cfg, hardware_from_config(config),
                                         stepped=0)
         assert out.per_flow[2] == FlowStats(0, 0, 0.0, 0)
