@@ -15,8 +15,7 @@ import importlib
 _EXPORTS = {
     "analysis": ("AnalysisConfig", "AnalysisRecord", "FlowResult", "FlowsetResult",
                  "analyze", "parse_profile", "profile_name"),
-    "simulator": ("HardwareProfile", "SimConfig", "SimOutcome", "hardware_from_config",
-                  "oracle_check", "simulate"),
+    "simulator": ("SimConfig", "SimOutcome", "oracle_check", "simulate"),
     "topology": ("Coord", "Ring", "Topology", "generate_multi_ring", "load_topology"),
     "traffic": ("BenchmarkParams", "Flow", "Flowset", "generate_flowset"),
 }
@@ -43,28 +42,4 @@ def data_path(name: str) -> str:
     return str(resources.files(__name__).joinpath("data", name))
 
 
-__all__ = [
-    "AnalysisConfig",
-    "AnalysisRecord",
-    "BenchmarkParams",
-    "Coord",
-    "data_path",
-    "Flow",
-    "FlowResult",
-    "Flowset",
-    "FlowsetResult",
-    "HardwareProfile",
-    "Ring",
-    "SimConfig",
-    "SimOutcome",
-    "Topology",
-    "analyze",
-    "generate_flowset",
-    "generate_multi_ring",
-    "hardware_from_config",
-    "load_topology",
-    "oracle_check",
-    "parse_profile",
-    "profile_name",
-    "simulate",
-]
+__all__ = [*_SOURCE, "data_path"]

@@ -31,7 +31,7 @@ class AnalysisError(ValueError):
     pass
 
 
-class InvariantError(AnalysisError):
+class InvariantError(RuntimeError):
     """A recurrence broke its monotonicity: a defect of the analysis, never
     of its input."""
 
@@ -42,15 +42,6 @@ IposFormula = Literal["tight", "coarse"]
 MaxLoop = int | Literal["oldest_first"]
 
 ITERATION_CAP = 1000  # safety limit on passes; past it: ``iteration_cap_exceeded``
-
-
-def _check_platform(injection, maxloop) -> None:
-    """Reject an injection mode or ``maxloop`` outside the model's vocabulary."""
-    if injection not in ("independent", "shared"):
-        raise AnalysisError(f"bad injection mode {injection!r}")
-    if not (maxloop == "oldest_first" or _is_int(maxloop) and maxloop >= 0):
-        raise AnalysisError(f"maxloop must be an integer >= 0 or 'oldest_first', "
-                            f"got {maxloop!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,11 @@ class AnalysisConfig:
     ipos_formula: IposFormula = "tight"
 
     def __post_init__(self):
-        _check_platform(self.injection, self.maxloop)
+        if self.injection not in ("independent", "shared"):
+            raise AnalysisError(f"bad injection mode {self.injection!r}")
+        if not (self.maxloop == "oldest_first" or _is_int(self.maxloop) and self.maxloop >= 0):
+            raise AnalysisError(f"maxloop must be an integer >= 0 or 'oldest_first', "
+                                f"got {self.maxloop!r}")
         if self.jitter_method not in ("simplified", "iterative"):
             raise AnalysisError(f"bad jitter method {self.jitter_method!r}")
         if self.ipos_formula not in ("tight", "coarse"):

@@ -2,9 +2,10 @@
 
 Subcommands: topo, gen, analyze, simulate, verify, sweep, flowstats, plot.
 Exit codes: 0 success / schedulable / oracle clean; 1 unschedulable flowset or
-oracle violation; 2 usage errors; 3 file or schema errors. Every artifact
-records the resolved configuration and seed in its comment header, and
-identical invocations produce byte-identical artifacts.
+oracle violation; 2 usage errors; 3 file or schema errors. A defect of rlnoc
+(``InvariantError``, ``ProtocolViolation``) propagates with its traceback.
+Every artifact records the resolved configuration and seed in its comment
+header, and identical invocations produce byte-identical artifacts.
 
 Time quantities are cycles everywhere; ``gen`` accepts a microsecond period
 range that is converted at a configurable clock at parse time only.
@@ -268,12 +269,11 @@ def _cmd_simulate(args) -> int:
 
     flowset = _load_flowset(args)
     config = analysis.parse_profile(args.config)
-    hw = simulator.hardware_from_config(config)
     cfg = simulator.SimConfig(seed=args.seed, horizon=args.horizon,
                               release=args.release,
                               collect_trace=args.trace is not None)
-    outcome = simulator.simulate(flowset, cfg, hw)
-    _write(_out_path(args.out), simulator.outcome_to_csv(outcome, cfg, hw))
+    outcome = simulator.simulate(flowset, cfg, config)
+    _write(_out_path(args.out), simulator.outcome_to_csv(outcome, cfg, config))
     if args.trace:
         lines = [" ".join(str(part) for part in event) for event in outcome.trace]
         _write(_out_path(args.trace), "\n".join(lines) + "\n")
@@ -295,13 +295,12 @@ def _cmd_verify(args) -> int:
         _write(_out_path(args.out), "\n".join(lines) + "\n")
         print("flowset is not schedulable; nothing to verify", file=sys.stderr)
         return 1
-    hw = simulator.hardware_from_config(config)
     violations = 0
     for index in range(args.seeds):
         release = "sporadic" if index % 2 == 0 else "periodic"
         cfg = simulator.SimConfig(seed=derive_seed(args.seed, "sim", index),
                                   horizon=args.horizon, release=release)
-        outcome = simulator.simulate(flowset, cfg, hw)
+        outcome = simulator.simulate(flowset, cfg, config)
         report = simulator.oracle_check(flowset, result, outcome)
         for v in report.violations:
             violations += 1

@@ -80,8 +80,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Literal
 
-from .analysis import (AnalysisConfig, AnalysisError, FlowsetResult, Injection, MaxLoop,
-                       _check_platform)
+from .analysis import AnalysisConfig, AnalysisError, FlowsetResult
 from .seeds import derive_seed
 from .topology import _is_int
 from .traffic import Flowset
@@ -91,32 +90,9 @@ class ProtocolViolation(RuntimeError):
     """The engine reached a state the switch protocol rules out."""
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
-    """Link-sharing layout of the simulated platform, in ``AnalysisConfig``'s
-    terms: ``maxloop`` 0 gives each ring its own ejection link at each core,
-    k >= 1 deals each core's flows round-robin over just enough shared links
-    that none serves more than k flows, and ``"oldest_first"`` one per core."""
-
-    injection: Injection = "shared"
-    maxloop: MaxLoop = 0
-
-    def __post_init__(self):
-        _check_platform(self.injection, self.maxloop)
-
-
-def hardware_from_config(config: AnalysisConfig) -> HardwareProfile:
-    """Platform matching an analysis configuration.
-
-    A fixed deflection bound of k is realised by partitioning each core's
-    flows over ejection links serving at most k flows each. The count is
-    deliberately inclusive: a packet can circle more than once per competing
-    packet when packets are longer than their ring (the competitor's ejection
-    outlasts whole loops), so only the per-flow-link endpoint (k = 1) or light
-    sharing keeps the modelled bound structural. The Oldest-First mode keeps
-    the single shared link whose deflections the flow-count analysis targets.
-    """
-    return HardwareProfile(config.injection, config.maxloop)
+def hardware_from_config(config: AnalysisConfig) -> AnalysisConfig:
+    """Deprecated alias: ``simulate`` takes the ``AnalysisConfig`` itself."""
+    return config
 
 
 @dataclass(frozen=True)
@@ -133,8 +109,9 @@ class SimConfig:
         if not _is_int(self.seed):
             raise AnalysisError(f"seed must be an integer, got {self.seed!r}")
         if isinstance(self.release, tuple):
-            if bad := [r for r in self.release if not (isinstance(r, tuple) and len(r) == 2
-                       and all(map(_is_int, r)) and 0 <= r[0] < self.horizon and r[1] >= 0)]:
+            if bad := [r for r in self.release if not (
+                    isinstance(r, tuple) and len(r) == 2 and _is_int(r[0]) and _is_int(r[1])
+                    and 0 <= r[0] < self.horizon and r[1] >= 0)]:
                 raise AnalysisError(f"a release is a pair (cycle, flow id) of integers >= 0, "
                                     f"cycle < horizon {self.horizon}, got {bad[0]!r}")
         elif self.release not in ("periodic", "sporadic"):
@@ -224,8 +201,9 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
 MAX_RELEASES = 5_000_000
 
 
-def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcome:
-    """Run one deterministic simulation and collect per-flow statistics.
+def simulate(flowset: Flowset, cfg: SimConfig, config: AnalysisConfig) -> SimOutcome:
+    """Run one deterministic simulation of the platform ``config`` analyses
+    (its ``injection`` and ``maxloop``) and collect per-flow statistics.
 
     Observed latency is the cycle a packet's last flit crosses the ejection
     link minus its release cycle. The run goes past the horizon until every
@@ -242,7 +220,7 @@ def simulate(flowset: Flowset, cfg: SimConfig, hw: HardwareProfile) -> SimOutcom
         allows = f"horizon {cfg.horizon} allows up to"
     if most > MAX_RELEASES:
         raise AnalysisError(f"{allows} {most} releases, over the limit of {MAX_RELEASES}")
-    return _Engine(flowset, cfg, hw).run()
+    return _Engine(flowset, cfg, config).run()
 
 
 # Most live worms one ring or ejection link holds in closed form. A release
@@ -252,7 +230,7 @@ _MAX_SHARERS = 8
 
 
 class _Engine:
-    def __init__(self, flowset: Flowset, cfg: SimConfig, hw: HardwareProfile):
+    def __init__(self, flowset: Flowset, cfg: SimConfig, config: AnalysisConfig):
         self.flowset = flowset
         self.cfg = cfg
         topo = flowset.topology
@@ -281,20 +259,26 @@ class _Engine:
         self.queue_slots: dict[tuple, list] = {}
         index = flowset.index
         # Under shared ejection, each core's flows, in id order, are dealt
-        # round-robin over its ejection links.
+        # round-robin over its ejection links: one Oldest-First link, or for
+        # a fixed bound of k just enough links that none serves more than k
+        # flows. The count is deliberately inclusive: a packet can circle
+        # more than once per competing packet when packets are longer than
+        # their ring (the competitor's ejection outlasts whole loops), so
+        # only the per-flow-link endpoint (k = 1) or light sharing keeps the
+        # modelled bound structural.
+        maxloop = config.maxloop
         elinks: dict[int, tuple] = {}
-        if hw.maxloop:
+        if maxloop:
             for dst, flows in index.on_dst.items():
-                n_links = (1 if hw.maxloop == "oldest_first"
-                           else -(-len(flows) // hw.maxloop))
+                n_links = 1 if maxloop == "oldest_first" else -(-len(flows) // maxloop)
                 for i, f in enumerate(flows):
                     elinks[f.id] = (dst.row * width + dst.col, i % n_links)
         for f in index.flows.values():
             start, hops = index.route[f.id]
             core_src = f.src.row * width + f.src.col
             core_dst = f.dst.row * width + f.dst.col
-            qkey = (core_src,) if hw.injection == "shared" else (core_src, f.ring)
-            ekey = elinks[f.id] if hw.maxloop else (core_dst, f.ring)
+            qkey = (core_src,) if config.injection == "shared" else (core_src, f.ring)
+            ekey = elinks[f.id] if maxloop else (core_dst, f.ring)
             self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
                                     hops, f.length, qkey, ekey,
                                     self.ring_slots.setdefault(f.ring, [0, []]),
@@ -798,11 +782,16 @@ def oracle_check(flowset: Flowset, analysis: FlowsetResult,
     return OracleReport(tuple(violations))
 
 
-def outcome_to_csv(outcome: SimOutcome, cfg: SimConfig, hw: HardwareProfile) -> str:
+def outcome_to_csv(outcome: SimOutcome, cfg: SimConfig, config: AnalysisConfig) -> str:
+    release = cfg.release
+    if isinstance(release, tuple):
+        # One whitespace-free token, the same for any listing order.
+        blob = repr(sorted(release)).encode("ascii")
+        release = f"schedule:{len(release)}:{hashlib.sha256(blob).hexdigest()[:12]}"
     lines = [
         "# seed={} horizon={} release={} injection={} ejection={} drained=true".format(
-            cfg.seed, cfg.horizon, cfg.release, hw.injection,
-            "shared" if hw.maxloop else "independent")
+            cfg.seed, cfg.horizon, release, config.injection,
+            "shared" if config.maxloop else "independent")
     ]
     lines.append("flow,packets,max_latency,mean_latency,max_deflections")
     for fid in sorted(outcome.per_flow):

@@ -51,10 +51,18 @@ class Flowset:
     topology: Topology
 
     def __post_init__(self):
-        ids = [f.id for f in self.flows]
-        if len(set(ids)) != len(ids):
-            raise TrafficError("flow ids must be unique")
+        # The loader's checks, for flows built in code: exact ints (so no
+        # booleans or floats) and Coord endpoints.
         for f in self.flows:
+            if type(f.id) is not int:
+                raise TrafficError(f"flow id must be an integer, got {f.id!r}")
+            for key, value in (("T", f.period), ("D", f.deadline), ("L", f.length),
+                               ("J", f.jitter)):
+                if type(value) is not int:
+                    raise TrafficError(f"flow {f.id}: {key!r} must be an integer, got {value!r}")
+            for key, value in (("src", f.src), ("dst", f.dst)):
+                if not isinstance(value, Coord):
+                    raise TrafficError(f"flow {f.id}: {key!r} must be a Coord, got {value!r}")
             if f.deadline > f.period:
                 raise TrafficError(f"flow {f.id}: deadline exceeds period")
             if f.length < 1:
@@ -63,6 +71,9 @@ class Flowset:
                 raise TrafficError(f"flow {f.id}: negative or zero timing parameter")
             if f.src == f.dst:
                 raise TrafficError(f"flow {f.id}: source equals destination")
+            if type(f.ring) is not int:
+                raise TrafficError(f"flow {f.id}: 'ring' must name a ring of the topology, "
+                                   f"got {f.ring!r}")
             try:
                 ring = self.topology.ring(f.ring)
             except KeyError:
@@ -70,6 +81,8 @@ class Flowset:
                                    f"must name a ring of the topology)") from None
             if f.src not in ring or f.dst not in ring:
                 raise TrafficError(f"flow {f.id}: ring {f.ring} does not contain both endpoints")
+        if len({f.id for f in self.flows}) != len(self.flows):
+            raise TrafficError("flow ids must be unique")
 
     @cached_property
     def index(self) -> FlowsetIndex:

@@ -24,7 +24,7 @@ from rlnoc.harness import (
     sweep_to_csv,
 )
 from rlnoc.seeds import derive_seed
-from rlnoc.simulator import SimConfig, hardware_from_config, oracle_check, simulate
+from rlnoc.simulator import SimConfig, oracle_check, simulate
 from rlnoc.topology import Coord, Topology, generate_multi_ring, load_topology_file
 from rlnoc.traffic import BenchmarkParams, generate_flowset, interference_table
 
@@ -51,7 +51,6 @@ def campaign():
     cases = []
     for config_name in CAMPAIGN_CONFIGS:
         config = parse_profile(config_name)
-        hw = hardware_from_config(config)
         for index in range(FLOWSETS_PER_CONFIG):
             params = BenchmarkParams(flows_per_set=SIZES[index % len(SIZES)])
             flowset, result, _ = find_schedulable_flowset(
@@ -64,7 +63,7 @@ def campaign():
                     horizon=HORIZON,
                     release="sporadic" if k % 2 == 0 else "periodic",
                 )
-                outcome = simulate(flowset, cfg, hw)
+                outcome = simulate(flowset, cfg, config)
                 assert outcome.drained
                 outcomes.append((cfg, outcome))
             cases.append(CampaignCase(config_name, index, flowset, result, outcomes))
@@ -274,10 +273,10 @@ def test_criterion_7_simulator_protocol_invariants(campaign):
     sample = [campaign[i] for i in (0, len(campaign) // 2, len(campaign) - 1)]
     for case in sample:
         cfg, outcome = case.outcomes[0]
-        hw = hardware_from_config(parse_profile(case.config_name))
-        again = simulate(case.flowset, cfg, hw)
+        config = parse_profile(case.config_name)
+        again = simulate(case.flowset, cfg, config)
         assert again.digest == outcome.digest
-        slow = simulate(case.flowset, replace(cfg, collect_trace=True), hw)
+        slow = simulate(case.flowset, replace(cfg, collect_trace=True), config)
         assert slow.digest == outcome.digest
     print(f"\ncriterion 7 PASS: conservation and quiescence on {runs} runs; "
           f"zero deflections in {deflection_free} independent-ejection runs; "

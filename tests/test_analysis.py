@@ -332,8 +332,9 @@ class TestProfiles:
 
     def test_config_validation(self):
         for fields in ({"maxloop": True}, {"maxloop": False}, {"maxloop": -1},
-                       {"maxloop": 1.0}, {"maxloop": "fixed"}, {"maxloop": "OF"},
-                       {"injection": "both"}):
+                       {"maxloop": 1.0}, {"maxloop": 1.5}, {"maxloop": None},
+                       {"maxloop": "fixed"}, {"maxloop": "OF"}, {"maxloop": "bogus"},
+                       {"injection": "both"}, {"injection": "bogus"}):
             with pytest.raises(AnalysisError):
                 AnalysisConfig(**fields)
 

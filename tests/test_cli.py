@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from rlnoc import data_path
+from rlnoc import analysis, data_path
 from rlnoc.cli import run
 
 
@@ -155,6 +155,21 @@ MALFORMED_FLOWSETS = {
     "grid_contradicts_topology": ({**_topology_doc(), "width": 9, "height": 9},
                                   "field 'width' is 9, but the topology is 3x2"),
 }
+
+
+def test_analysis_defect_propagates_out_of_run(monkeypatch):
+    # A decreasing busy-period iterate is a defect of the analysis, not of
+    # the input, so it leaves run() as an exception (exit 1 with a
+    # traceback) instead of an exit-2 usage error. Negated packet lengths
+    # make the real fixed point's second iterate fall below its first.
+    fixed_point = analysis._fixed_point
+
+    def negated(base, terms, *args):
+        return fixed_point(base, [(t, -length, j, i, n) for t, length, j, i, n in terms], *args)
+
+    monkeypatch.setattr(analysis, "_fixed_point", negated)
+    with pytest.raises(analysis.InvariantError, match="busy-period iterate decreased"):
+        run(["analyze", "--flowset", data_path("five_flow_scenario.json")])
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

@@ -15,10 +15,10 @@ import hashlib
 
 import pytest
 
-from rlnoc.analysis import parse_profile
+from rlnoc.analysis import AnalysisConfig, parse_profile
 from rlnoc.harness import find_schedulable_flowset
 from rlnoc.seeds import derive_seed
-from rlnoc.simulator import HardwareProfile, SimConfig, hardware_from_config, simulate
+from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import BenchmarkParams, generate_flowset
 
 MASTER_SEED = 20260808
@@ -59,7 +59,7 @@ def campaign_outcome(name, flows, release, collect_trace=False):
         derive_seed(MASTER_SEED, "golden", name), max_attempts=500)
     cfg = SimConfig(seed=derive_seed(MASTER_SEED, "golden-sim", name, release),
                     horizon=HORIZON, release=release, collect_trace=collect_trace)
-    outcome = simulate(flowset, cfg, hardware_from_config(config))
+    outcome = simulate(flowset, cfg, config)
     assert outcome.drained
     return outcome
 
@@ -68,7 +68,7 @@ def dense_outcome(flows_per_link, collect_trace):
     flowset = generate_flowset(BenchmarkParams(
         flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
     cfg = SimConfig(seed=3, horizon=3_000, collect_trace=collect_trace)
-    hw = HardwareProfile("shared", flows_per_link or "oldest_first")
+    hw = AnalysisConfig(injection="shared", maxloop=flows_per_link or "oldest_first")
     return simulate(flowset, cfg, hw)
 
 

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow, no_load
-from rlnoc.analysis import AnalysisError, analyze, parse_profile
+from rlnoc.analysis import AnalysisConfig, AnalysisError, analyze, parse_profile
 from rlnoc.harness import find_schedulable_flowset
 from rlnoc.seeds import derive_seed
 from rlnoc.simulator import (
     MAX_RELEASES,
     FlowStats,
-    HardwareProfile,
     SimConfig,
-    hardware_from_config,
     oracle_check,
     outcome_to_csv,
     simulate,
@@ -23,8 +21,8 @@ from rlnoc.simulator import (
 from rlnoc.topology import generate_multi_ring, select_ring
 from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset
 
-SHARED = HardwareProfile(injection="shared", maxloop="oldest_first")
-INDEPENDENT = HardwareProfile(injection="independent", maxloop=0)
+SHARED = AnalysisConfig(injection="shared", maxloop="oldest_first")
+INDEPENDENT = AnalysisConfig(injection="independent", maxloop=0)
 
 
 def periodic_releases(fid, first, period, horizon):
@@ -253,7 +251,7 @@ class TestDeterminism:
         assert fast.deflections == slow.deflections
 
 
-LAYOUTS = [HardwareProfile(injection, maxloop)
+LAYOUTS = [AnalysisConfig(injection=injection, maxloop=maxloop)
            for injection in ("independent", "shared")
            for maxloop in (0, 1, 2, "oldest_first")]
 
@@ -363,15 +361,14 @@ class TestCampaignShape:
         # window, where releases share rings, ejection links and queues
         # with live worms, and some of their flits touch.
         config = parse_profile(name)
-        hw = hardware_from_config(config)
         flowset, _, _ = find_schedulable_flowset(
             BenchmarkParams(flows_per_set=40), config, derive_seed(CAMPAIGN_SEED, name, 1),
             max_attempts=500)
         k = 0 if release == "sporadic" else 1
         cfg = SimConfig(seed=derive_seed(CAMPAIGN_SEED, "sim", name, 1, k),
                         horizon=1_000_000, release=release)
-        fast = simulate(flowset, cfg, hw)
-        slow = simulate(flowset, replace(cfg, collect_trace=True), hw)
+        fast = simulate(flowset, cfg, config)
+        slow = simulate(flowset, replace(cfg, collect_trace=True), config)
         assert fast.digest == slow.digest
         assert fast.per_flow == slow.per_flow
         assert (fast.released, fast.delivered, fast.deflections) == \
@@ -384,7 +381,7 @@ class TestCampaignShape:
 
 class TestConservation:
     @pytest.mark.parametrize("hw", [SHARED, INDEPENDENT,
-                                    HardwareProfile("shared", 2)])
+                                    AnalysisConfig(injection="shared", maxloop=2)])
     def test_every_flit_is_delivered_exactly_once(self, hw):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=4,
                                                    period_range=(500, 5_000)))
@@ -645,7 +642,7 @@ class TestProtocolRules:
             flowset = generate_flowset(BenchmarkParams(flows_per_set=40, seed=seed,
                                                        period_range=(500, 5_000)))
             out = simulate(flowset, SimConfig(seed=seed, horizon=100_000),
-                           HardwareProfile("shared", 0))
+                           AnalysisConfig(injection="shared", maxloop=0))
             assert out.deflections == 0
 
     def test_per_flow_ejection_links_never_deflect(self):
@@ -656,7 +653,7 @@ class TestProtocolRules:
                       for f in flows)
         flowset = Flowset(flows, topo)
         out = simulate(flowset, SimConfig(seed=3, horizon=150_000),
-                       HardwareProfile("shared", maxloop=1))
+                       AnalysisConfig(injection="shared", maxloop=1))
         assert out.deflections == 0
 
     def test_long_packets_can_outlast_a_loop_on_a_shared_link(self):
@@ -700,9 +697,8 @@ class TestOracle:
 
     def test_clean_report_for_schedulable_flowset(self):
         flowset, config, result = self.schedulable_case()
-        hw = hardware_from_config(config)
         for seed in range(3):
-            out = simulate(flowset, SimConfig(seed=seed, horizon=300_000), hw)
+            out = simulate(flowset, SimConfig(seed=seed, horizon=300_000), config)
             assert oracle_check(flowset, result, out).ok
 
     def test_halved_bound_is_flagged(self, six_ring_topology):
@@ -716,7 +712,7 @@ class TestOracle:
         result = analyze(flowset, config)
         assert result.schedulable
         cfg = SimConfig(horizon=1_000, release=((0, 1), (1, 2)))
-        out = simulate(flowset, cfg, hardware_from_config(config))
+        out = simulate(flowset, cfg, config)
         assert oracle_check(flowset, result, out).ok
         halved = replace(result, results={
             **result.results,
@@ -735,9 +731,7 @@ class TestOracle:
         config = parse_profile("OF_IU_SI")
         result = analyze(flowset, config)
         assert result.schedulable
-        out = simulate(flowset,
-                       SimConfig(horizon=200, release=((0, 1), (1, 2))),
-                       hardware_from_config(config))
+        out = simulate(flowset, SimConfig(horizon=200, release=((0, 1), (1, 2))), config)
         assert oracle_check(flowset, result, out).ok
         squeezed = replace(result, results={
             **result.results,
@@ -756,8 +750,7 @@ class TestOracle:
         result = analyze(flowset, config)
         assert result.schedulable
         cfg = SimConfig(horizon=5_000, release=periodic_releases(1, 872, 1_000, 5_000))
-        out = closed_form_equals_traced(flowset, cfg, hardware_from_config(config),
-                                        stepped=0)
+        out = closed_form_equals_traced(flowset, cfg, config, stepped=0)
         assert out.per_flow[2] == FlowStats(0, 0, 0.0, 0)
         assert out.per_flow[1].packets == out.released == 5
         unmeetable = replace(result, results={
@@ -775,22 +768,13 @@ class TestOracle:
 
     def test_unschedulable_analysis_rejected(self):
         flowset, config, result = self.schedulable_case()
-        out = simulate(flowset, SimConfig(seed=0, horizon=10_000),
-                       hardware_from_config(config))
+        out = simulate(flowset, SimConfig(seed=0, horizon=10_000), config)
         bad = replace(result, verdict="unschedulable", results={})
         with pytest.raises(ValueError):
             oracle_check(flowset, bad, out)
 
 
 class TestHardwareMapping:
-    def test_profiles(self):
-        independent = parse_profile("0D_IU_II")
-        assert hardware_from_config(independent) == HardwareProfile("independent", 0)
-        fixed = parse_profile("2D_IU_SI")
-        assert hardware_from_config(fixed) == HardwareProfile("shared", 2)
-        oldest = parse_profile("OF_IU_SI")
-        assert hardware_from_config(oldest) == HardwareProfile("shared", "oldest_first")
-
     @pytest.mark.parametrize("name,header", [
         ("0D_IU_II", "injection=independent ejection=independent"),
         ("2D_IU_SI", "injection=shared ejection=shared"),
@@ -801,18 +785,10 @@ class TestHardwareMapping:
         # profile's own encoding.
         flowset = generate_flowset(BenchmarkParams(flows_per_set=5, seed=1))
         cfg = SimConfig(seed=2, horizon=30_000)
-        hw = hardware_from_config(parse_profile(name))
+        hw = parse_profile(name)
         first = outcome_to_csv(simulate(flowset, cfg, hw), cfg, hw).split("\n")[0]
         assert first == (f"# seed=2 horizon=30000 release=sporadic {header} "
                          f"drained=true")
-
-    @pytest.mark.parametrize("fields", [
-        {"injection": "bogus"}, {"maxloop": "bogus"}, {"maxloop": -1},
-        {"maxloop": 1.5}, {"maxloop": True}, {"maxloop": None},
-    ])
-    def test_rejects_values_outside_the_analysis_vocabulary(self, fields):
-        with pytest.raises(ValueError):
-            HardwareProfile(**fields)
 
 
 def test_outcome_csv_shape():
@@ -824,3 +800,19 @@ def test_outcome_csv_shape():
     assert lines[0].startswith("# seed=2 horizon=30000")
     assert lines[1] == "flow,packets,max_latency,mean_latency,max_deflections"
     assert len(lines) == 2 + 5
+
+
+def test_schedule_header_is_one_token_whatever_the_listing_order():
+    # An explicit schedule appears as its release count and a digest of its
+    # sorted releases, so the header keeps one token per field.
+    flowset = generate_flowset(BenchmarkParams(flows_per_set=5, seed=1))
+    schedule = tuple((t, fid) for fid in (1, 2, 3) for t in range(0, 1_000, 100))
+    headers = set()
+    for release in (schedule, schedule[::-1]):
+        cfg = SimConfig(horizon=1_000, release=release)
+        headers.add(outcome_to_csv(simulate(flowset, cfg, SHARED), cfg, SHARED).split("\n")[0])
+    assert headers == {"# seed=0 horizon=1000 release=schedule:30:7233c5893aba "
+                       "injection=shared ejection=shared drained=true"}
+    cfg = SimConfig(horizon=1_000, release=schedule[:-1])
+    header = outcome_to_csv(simulate(flowset, cfg, SHARED), cfg, SHARED).split("\n")[0]
+    assert header.split()[3] == "release=schedule:29:742579528072"

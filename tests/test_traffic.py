@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_csv, _contexts
-from rlnoc.simulator import HardwareProfile, SimConfig, simulate
+from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import (
     BenchmarkParams,
     Flowset,
@@ -210,7 +210,7 @@ class TestFlowsetIndex:
         in_order = generate_flowset(BenchmarkParams(
             flows_per_set=120, packet_range=(8, 32), period_range=(200, 1_500), seed=7))
         cfg = SimConfig(seed=3, horizon=3_000)
-        hw = HardwareProfile("shared", maxloop=2)
+        hw = AnalysisConfig(injection="shared", maxloop=2)
         outcomes = [simulate(fs, cfg, hw) for fs in (in_order, shuffled(in_order))]
         assert outcomes[0].deflections > 0
         assert outcomes[0].digest == outcomes[1].digest
@@ -353,6 +353,26 @@ class TestFlowsetValidation:
     def test_unknown_ring_rejected_naming_flow_and_ring(self, six_ring_topology):
         with pytest.raises(TrafficError, match=r"flow 7: topology has no ring 99"):
             build_flowset(six_ring_topology, make_flow(7, (0, 0), (1, 0), ring=99))
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"id": True}, "flow id must be an integer"),
+        ({"id": 1.0}, "flow id must be an integer"),
+        ({"period": 10_000.0}, "flow 1: 'T' must be an integer"),
+        ({"deadline": 9_000.5}, "flow 1: 'D' must be an integer"),
+        ({"length": 8.5}, "flow 1: 'L' must be an integer"),
+        ({"jitter": False}, "flow 1: 'J' must be an integer"),
+        ({"src": (0, 0)}, "flow 1: 'src' must be a Coord"),
+        ({"dst": (1, 0)}, "flow 1: 'dst' must be a Coord"),
+        ({"ring": False}, "flow 1: 'ring' must name a ring"),
+    ], ids=["bool_id", "float_id", "float_period", "float_deadline", "float_length",
+            "bool_jitter", "tuple_src", "tuple_dst", "bool_ring"])
+    def test_api_flows_are_type_checked_like_file_flows(self, six_ring_topology, changes,
+                                                        message):
+        # A float T or L would make the bounds fractional, a tuple endpoint
+        # has no .row for the simulator, and ring False would index ring 0.
+        flow = replace(make_flow(1, (0, 0), (1, 0)), **changes)
+        with pytest.raises(TrafficError, match=message):
+            build_flowset(six_ring_topology, flow)
 
 
 class TestFlowsetFiles:
