@@ -790,6 +790,16 @@ class TestHardwareMapping:
         assert first == (f"# seed=2 horizon=30000 release=sporadic {header} "
                          f"drained=true")
 
+    @pytest.mark.parametrize("fields", [
+        {"injection": "bogus"}, {"maxloop": "bogus"}, {"maxloop": -1},
+        {"maxloop": 1.5}, {"maxloop": True}, {"maxloop": None},
+    ])
+    def test_rejects_values_outside_the_analysis_vocabulary(self, fields):
+        # The platform simulate runs on is the AnalysisConfig itself, so
+        # values the analysis cannot check are refused when it is built.
+        with pytest.raises(ValueError):
+            AnalysisConfig(**fields)
+
 
 def test_outcome_csv_shape():
     flowset = generate_flowset(BenchmarkParams(flows_per_set=5, seed=1))
