@@ -88,7 +88,7 @@ def _at_least(low: int, high: float = math.inf):
 
 _count = _at_least(1)
 _side = _at_least(2, topology.MAX_GRID_SIDE)
-_count_range = _range(int, 1)
+_packets = _range(int, 1, traffic.MAX_PACKET_LENGTH)
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -120,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_at_least(0), required=True)
     p.add_argument("--width", type=_side, default=4)
     p.add_argument("--height", type=_side, default=4)
-    p.add_argument("--packets", type=_count_range, default=(16, 48), metavar="LO:HI")
-    p.add_argument("--periods", type=_count_range, default=None, metavar="LO:HI",
+    p.add_argument("--packets", type=_packets, default=(16, 48), metavar="LO:HI")
+    p.add_argument("--periods", type=_range(int, 1), default=None, metavar="LO:HI",
                    help="period range in cycles (default 1000:100000)")
     p.add_argument("--periods-us", type=_range(float, 0.0), default=None, metavar="LO:HI",
                    help="period range in microseconds, converted at --clock-ghz")
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("fast", "full"), default="fast")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grids", type=_grid, nargs="+", default=None, metavar="WxH")
-    p.add_argument("--packets", type=_count_range, nargs="+", default=None, metavar="LO:HI")
+    p.add_argument("--packets", type=_packets, nargs="+", default=None, metavar="LO:HI")
     p.add_argument("--flows", type=_at_least(0), nargs="+", default=None)
     p.add_argument("--flowsets", type=_count, default=None, help="flowsets per point")
     p.add_argument("--configs", nargs="+", default=None)
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_count, nargs="+", default=(25, 50, 75, 100))
     p.add_argument("--flowsets", type=_count, default=1, help="flowsets per point")
     p.add_argument("--grid", type=_grid, default=(4, 4), metavar="WxH")
-    p.add_argument("--packets", type=_count_range, default=(16, 48), metavar="LO:HI")
+    p.add_argument("--packets", type=_packets, default=(16, 48), metavar="LO:HI")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--attempts", type=_count, default=200)
     p.add_argument("--out", metavar="FILE")

@@ -315,7 +315,9 @@ class _Engine:
         n_rel = len(releases)
         ptr = 0
         t = 0
-        guard = 2 * self.cfg.horizon + 10_000_000
+        # horizon + 10M cycles to drain past the horizon or a later, jittered release
+        last = releases[-1][0] if releases else 0
+        guard = max(last, self.cfg.horizon) + self.cfg.horizon + 10_000_000
         settled = 0  # flits of the packets that became worms at release
         # Closed form (see the module docstring), off while stepping. Each
         # ring's slot is [until, worms] with each worm (end, pkt, e, h),

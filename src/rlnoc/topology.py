@@ -97,10 +97,10 @@ class Topology:
 
     def __post_init__(self) -> None:
         rings = tuple(self.rings)
-        if self.width < 1 or self.height < 1:
-            raise InvalidDimensionError("grid dimensions must be positive")
-        _check_side_limit(self.width, self.height)
+        _check_grid(self.width, self.height)
         ids = [ring.id for ring in rings]
+        if not all(map(_is_int, ids)):
+            raise SchemaError("ring is missing an integer 'id'")
         if len(set(ids)) != len(ids):
             raise SchemaError("ring ids must be unique")
         for ring in rings:
@@ -163,6 +163,9 @@ def _validate_ring(ring: Ring, width: int, height: int) -> None:
         raise AdjacencyError(f"ring {ring.id} has fewer than 2 switches")
     seen = set()
     for coord in ring.switches:
+        if not (isinstance(coord, Coord) and _is_int(coord.col) and _is_int(coord.row)):
+            raise SchemaError(f"ring {ring.id}: switch entries must be [col, row] Coords "
+                              f"of integers, got {coord!r}")
         if not (0 <= coord.col < width and 0 <= coord.row < height):
             raise SchemaError(f"ring {ring.id} switch {tuple(coord)} is outside the grid")
         if coord in seen:
@@ -173,8 +176,10 @@ def _validate_ring(ring: Ring, width: int, height: int) -> None:
             raise AdjacencyError(
                 f"ring {ring.id}: switches {tuple(a)} and {tuple(b)} are not neighbours"
             )
-    if ring.buffer_capacity is not None and ring.buffer_capacity < 1:
-        raise SchemaError(f"ring {ring.id} buffer_capacity must be >= 1")
+    capacity = ring.buffer_capacity
+    if capacity is not None and not (_is_int(capacity) and capacity >= 1):
+        raise SchemaError(f"ring {ring.id}: buffer_capacity must be an integer >= 1, "
+                          f"got {capacity!r}")
 
 
 def _perimeter(c1: int, r1: int, c2: int, r2: int) -> tuple[Coord, ...]:
@@ -200,7 +205,13 @@ def _canonical(switches: tuple[Coord, ...]) -> tuple[Coord, ...]:
 MAX_GRID_SIDE = 16
 
 
-def _check_side_limit(width: int, height: int) -> None:
+def _check_grid(width, height) -> None:
+    """Integer sides from 1 to ``MAX_GRID_SIDE``, checked before any ring is read."""
+    for key, value in (("width", width), ("height", height)):
+        if not _is_int(value):
+            raise SchemaError(f"missing or non-integer field {key!r}")
+    if width < 1 or height < 1:
+        raise InvalidDimensionError("grid dimensions must be positive")
     if width > MAX_GRID_SIDE or height > MAX_GRID_SIDE:
         raise InvalidDimensionError(f"grid {width}x{height} exceeds the side limit "
                                     f"of {MAX_GRID_SIDE}")
@@ -220,9 +231,9 @@ def generate_multi_ring(width: int, height: int) -> Topology:
     is safe as a topology is immutable, so the routes that ``select_ring``
     memoises on it stay warm; the last eight grids are kept.
     """
+    _check_grid(width, height)
     if width < 2 or height < 2:
         raise InvalidDimensionError("generate_multi_ring requires width >= 2 and height >= 2")
-    _check_side_limit(width, height)
     loops: list[tuple[Coord, ...]] = []
     k = 0
     while width - 2 * k >= 2 and height - 2 * k >= 2:
@@ -264,43 +275,30 @@ def _is_int(value) -> bool:
 
 
 def load_topology(doc: dict) -> Topology:
-    """Build a topology from a parsed document, rejecting unknown fields,
-    non-integer (including boolean) numbers and, before any ring is read, a
-    side over ``MAX_GRID_SIDE``."""
+    """Build a topology from a document whose shape, and grid sides before any
+    ring is read, are checked here; ``Topology`` checks every field."""
     if not isinstance(doc, dict):
         raise SchemaError("topology document must be a mapping")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         raise SchemaError(f"unknown topology fields: {sorted(unknown)}")
-    for key in ("width", "height"):
-        if not _is_int(doc.get(key)):
-            raise SchemaError(f"missing or non-integer field {key!r}")
-    _check_side_limit(doc["width"], doc["height"])
+    _check_grid(doc.get("width"), doc.get("height"))
     entries = doc.get("rings")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("field 'rings' must be a non-empty list")
     rings = []
-    for entry in entries:
+    for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError("each ring must be a mapping")
         unknown = set(entry) - _RING_FIELDS
         if unknown:
             raise SchemaError(f"unknown ring fields: {sorted(unknown)}")
-        if not _is_int(entry.get("id")):
-            raise SchemaError("ring is missing an integer 'id'")
         raw = entry.get("switches")
-        if not isinstance(raw, list):
-            raise SchemaError(f"ring {entry['id']}: 'switches' must be a list")
-        switches = []
-        for item in raw:
-            if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or not all(map(_is_int, item))):
-                raise SchemaError(f"ring {entry['id']}: switch entries must be [col, row]")
-            switches.append(Coord(item[0], item[1]))
-        capacity = entry.get("buffer_capacity")
-        if capacity is not None and not _is_int(capacity):
-            raise SchemaError(f"ring {entry['id']}: buffer_capacity must be an integer")
-        rings.append(Ring(id=entry["id"], switches=tuple(switches), buffer_capacity=capacity))
+        if not (isinstance(raw, list) and all(isinstance(item, (list, tuple)) and len(item) == 2
+                                              for item in raw)):
+            raise SchemaError(f"rings[{k}]: 'switches' must be a list of [col, row] pairs")
+        rings.append(Ring(id=entry.get("id"), switches=tuple(Coord(*item) for item in raw),
+                          buffer_capacity=entry.get("buffer_capacity")))
     return Topology(doc["width"], doc["height"], rings)
 
 

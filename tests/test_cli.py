@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlnoc import analysis, data_path
 from rlnoc.cli import run
+from rlnoc.topology import TopologyError, load_topology
+from rlnoc.traffic import MAX_PACKET_LENGTH, TrafficError, load_flowset
 
 
 def test_topo_generate_and_validate(capsys):
@@ -436,3 +443,134 @@ def test_trace_file(tmp_path):
                 "--trace", str(trace_file), "--out", str(tmp_path / "s.csv")]) == 0
     text = trace_file.read_text()
     assert "release" in text and "deliver" in text
+
+
+def test_packet_length_over_the_limit(tmp_path, capsys):
+    # Three flows of a million flits on one ring: the file is refused before
+    # any flit is stepped, and the same length as a flag is a usage error.
+    doc = {"width": 2, "height": 2, "flows": [
+        {"id": k, "T": 10_000_000, "D": 10_000_000, "L": 1_000_000, "J": 0,
+         "src": src, "dst": [1, 0]} for k, src in enumerate([[0, 0], [0, 1], [1, 1]], 1)]}
+    probe = tmp_path / "long.json"
+    probe.write_text(json.dumps(doc))
+    for argv in (["analyze"], ["simulate", "--release", "periodic", "--horizon", "10000000"]):
+        start = time.perf_counter()
+        assert run(argv + ["--flowset", str(probe)]) == 3, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert err == (f"error: flow 1: packet length must be from 1 to {MAX_PACKET_LENGTH} "
+                       f"flits, got 1000000\n"), err
+    over = f"1:{MAX_PACKET_LENGTH + 1}"
+    for argv in (["gen", "--flows", "1", "--packets", over], ["sweep", "--packets", over],
+                 ["flowstats", "--mode", "shares", "--packets", over]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
+        assert f"<= {MAX_PACKET_LENGTH}" in capsys.readouterr().err, argv
+    out = tmp_path / "longest.json"
+    at_limit = f"{MAX_PACKET_LENGTH}:{MAX_PACKET_LENGTH}"
+    assert run(["gen", "--flows", "1", "--packets", at_limit, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["flows"][0]["L"] == MAX_PACKET_LENGTH
+
+
+def _bundled(name):
+    with open(data_path(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+# Values a fuzzed field may take: wrong types, booleans, floats, huge and
+# negative numbers and nested lists. Integers come from a fixed menu, so a
+# fuzzed packet is short or refused and no run steps for long.
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.integers(-3, 12),
+    st.sampled_from([-10**30, -2**63, 2**31, 2**63, 10**30, MAX_PACKET_LENGTH + 1]),
+    st.recursive(st.integers(-1, 3), lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.sampled_from(["id", "x"]), inner, max_size=2),
+                 max_leaves=6),
+)
+
+
+def _slots(node):
+    """Every (container, key) pair below node: dict keys and list indexes."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def _mutated(draw, name):
+    """A bundled document with one to three fields replaced, deleted or added."""
+    root = [copy.deepcopy(_bundled(name))]
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = draw(st.sampled_from(list(_slots(root))))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace" or parent is root:
+            parent[key] = draw(_ODD_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["id", "T", "ring", "rings", "extra"]))] = (
+                draw(_ODD_VALUES))
+        else:
+            parent.insert(key, draw(_ODD_VALUES))
+    return root[0]
+
+
+def _run_cleanly(argv):
+    """Run the CLI; it must exit 0-3 with at most one error: line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert err.getvalue().count("error:") <= 1, err.getvalue()
+
+
+# A short horizon, so that a fuzzed T = 1 draws 2,000 releases, not millions.
+_SIMULATE = [["simulate", "--horizon", "2000", "--release", release]
+             for release in ("sporadic", "periodic")]
+
+
+def _with_first_flow(**changes):
+    doc = _bundled("five_flow_scenario.json")
+    doc["flows"][0].update(changes)
+    return doc
+
+
+class TestFuzzedDocuments:
+    """Mutated bundled documents either load or raise the module's own error,
+    and the CLI answers them with an exit code, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_mutated("five_flow_scenario.json"))
+    # A periodic release jittered far past the horizon once outran the
+    # simulator's drain guard and ended in a ProtocolViolation traceback.
+    @example(doc=_with_first_flow(T=1000, D=1000, J=10**30))
+    def test_flowset_documents(self, tmp_path_factory, doc):
+        try:
+            load_flowset(doc)
+        except (TopologyError, TrafficError):
+            pass
+        path = tmp_path_factory.mktemp("fuzz") / "flows.json"
+        path.write_text(json.dumps(doc))
+        out = ["--flowset", str(path), "--out", str(path.with_suffix(".csv"))]
+        for command in [["analyze"]] + _SIMULATE:
+            _run_cleanly(command + out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.sampled_from(["six_switch_ring.json", "grid4x4_ten_rings.json"])
+           .flatmap(_mutated))
+    def test_topology_documents(self, tmp_path_factory, doc):
+        try:
+            load_topology(doc)
+        except TopologyError:
+            pass
+        path = tmp_path_factory.mktemp("fuzz") / "topology.json"
+        path.write_text(json.dumps(doc))
+        _run_cleanly(["topo", "--load", str(path), "--validate"])
+        out = ["--flowset", data_path("five_flow_scenario.json"), "--topology", str(path),
+               "--out", str(path.with_suffix(".csv"))]
+        for command in [["analyze"]] + _SIMULATE:
+            _run_cleanly(command + out)

@@ -260,6 +260,30 @@ class TestRingInvariants:
         with pytest.raises(SchemaError):
             Topology(2, 2, (ring,))
 
+    # Built in code, so no loader sees these fields: the constructor checks
+    # each one, with the message a file's loader gives.
+    SQUARE = (Coord(0, 0), Coord(1, 0), Coord(1, 1), Coord(0, 1))
+    SIX = (Coord(0, 0), Coord(1, 0), Coord(2, 0), Coord(2, 1), Coord(1, 1), Coord(0, 1))
+
+    @pytest.mark.parametrize("width,ring,message", [
+        (2, Ring(0, tuple(tuple(c) for c in SQUARE)),
+         r"^ring 0: switch entries must be \[col, row\] Coords of integers, got \(0, 0\)$"),
+        (2, Ring(True, SQUARE), r"^ring is missing an integer 'id'$"),
+        (2, Ring("0", SQUARE), r"^ring is missing an integer 'id'$"),
+        (2, Ring(0, SQUARE, buffer_capacity=4.0),
+         r"^ring 0: buffer_capacity must be an integer >= 1, got 4\.0$"),
+        (2, Ring(0, SQUARE, buffer_capacity=True),
+         r"^ring 0: buffer_capacity must be an integer >= 1, got True$"),
+        (2.0, Ring(0, SQUARE), r"^missing or non-integer field 'width'$"),
+        # At the six-switch ring this capacity once gave a coarse bound of 133.5.
+        (3, Ring(0, SIX, buffer_capacity=40.5),
+         r"^ring 0: buffer_capacity must be an integer >= 1, got 40\.5$"),
+    ], ids=["tuple_switches", "bool_id", "str_id", "float_buffer_capacity",
+            "bool_buffer_capacity", "float_width", "fractional_buffer_capacity"])
+    def test_fields_built_in_code_are_type_checked(self, width, ring, message):
+        with pytest.raises(SchemaError, match=message):
+            Topology(width, 2, (ring,))
+
 
 def test_replace_rechecks_and_rederives():
     topo = generate_multi_ring(4, 4)

@@ -14,6 +14,7 @@ from conftest import build_flowset, make_flow
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_csv, _contexts
 from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import (
+    MAX_PACKET_LENGTH,
     BenchmarkParams,
     Flowset,
     TrafficError,
@@ -373,6 +374,23 @@ class TestFlowsetValidation:
         flow = replace(make_flow(1, (0, 0), (1, 0)), **changes)
         with pytest.raises(TrafficError, match=message):
             build_flowset(six_ring_topology, flow)
+
+    def test_packet_length_is_bounded(self, six_ring_topology):
+        # One check in the constructor covers code-built, generated and
+        # loaded flowsets alike.
+        longest = make_flow(1, (0, 0), (1, 0), length=MAX_PACKET_LENGTH)
+        assert build_flowset(six_ring_topology, longest).flows == (longest,)
+        message = (f"^flow 1: packet length must be from 1 to {MAX_PACKET_LENGTH} flits, "
+                   f"got {MAX_PACKET_LENGTH + 1}$")
+        with pytest.raises(TrafficError, match=message):
+            build_flowset(six_ring_topology, replace(longest, length=MAX_PACKET_LENGTH + 1))
+        over = (MAX_PACKET_LENGTH + 1, MAX_PACKET_LENGTH + 1)
+        with pytest.raises(TrafficError, match=message):
+            generate_flowset(BenchmarkParams(flows_per_set=1, packet_range=over))
+        doc = flowset_to_doc(build_flowset(six_ring_topology, longest))
+        doc["flows"][0]["L"] += 1
+        with pytest.raises(TrafficError, match=message):
+            load_flowset(doc, six_ring_topology)
 
 
 class TestFlowsetFiles:
