@@ -35,12 +35,12 @@ engine moves from release to release, keeping per ring its live worms, per
 ejection link their intervals [e, e + length - 1] and per queue the first
 cycle its next packet may send a header. Each ring, ejection link and queue
 keeps these in one small mutable slot that its flows share, so admission
-reads and writes list entries rather than keyed maps. Most releases are
-solo: their ring, link and queue are idle, so h = t and the release is
-booked at once, with its flow's latency hops + length - 1 and no
-deflection. The per-flow statistics therefore count that latency for every
-release and walk only the other packets: those admitted by the rule below,
-those released while stepping and those materialised.
+reads and writes list entries rather than keyed maps. Every release is
+admitted by the one rule below. Most find their queue ready and no live band
+at their source port, so h = t: such a worm has its flow's latency hops +
+length - 1 and no deflection, shared ring or not. The per-flow statistics
+count that latency for every release and walk only the packets admitted
+with h > t, released while stepping or materialised.
 
 A release at t starts from h = max(t, h' + max(length' - 1, 1)), where
 (h', length') is its queue's previous packet: a head is dequeued in the port
@@ -209,7 +209,8 @@ def simulate(flowset: Flowset, cfg: SimConfig, config: AnalysisConfig) -> SimOut
     link minus its release cycle. The run goes past the horizon until every
     released packet is delivered. A schedule naming no flow raises AnalysisError,
     as does one of over MAX_RELEASES releases or a horizon at which a model
-    could draw more (at most ceil(horizon / T) per flow), before any is drawn.
+    could draw more (at most ceil(horizon / T) per flow), before any is drawn;
+    so does one owing a queue more flits than the run's cycles, before stepping.
     """
     if isinstance(cfg.release, tuple):
         if unknown := sorted({fid for _, fid in cfg.release} - flowset.index.flows.keys()):
@@ -295,15 +296,28 @@ class _Engine:
         self.pkt_info = [self.flow_info[fid] for _, fid in self.releases]
         self.pkt_deflections = [0] * len(self.releases)
         self.pkt_delivery = [-1] * len(self.releases)
-        # Packets whose latency may differ from their flow's solo latency:
-        # those admitted off the solo path, released while stepping, or
+        # Packets whose latency may differ from their flow's unhindered
+        # latency: those admitted with h > t, released while stepping, or
         # materialised.
         self.deviants: set[int] = set()
+        self.released = Counter(map(itemgetter(1), self.releases))
+        # horizon + 10M cycles to drain past the horizon or a later, jittered release
+        last = self.releases[-1][0] if self.releases else 0
+        self.guard = max(last, cfg.horizon) + cfg.horizon + 10_000_000
+        # A queue sends at most one flit per cycle, so one owing more flits
+        # than cycles 0 to guard can never drain.
+        owed: Counter = Counter()
+        for fid, n in self.released.items():
+            owed[self.flow_info[fid][5]] += n * self.flow_info[fid][4]
+        for qkey, flits in owed.items():
+            if flits > self.guard + 1:
+                core = (qkey[0] % width, qkey[0] // width)
+                raise AnalysisError(f"an injection queue of core {core} must send {flits} "
+                                    f"flits, over the {self.guard + 1} cycles a run may take")
 
         self.flits_injected = 0
         self.flits_ejected = 0
         self.trace: list = []
-        self.fast = not cfg.collect_trace
         self.freed = False  # set by a dequeue, a delivery or a cleared entry
         self.stepped_cycles = 0
 
@@ -311,13 +325,10 @@ class _Engine:
 
     def run(self) -> SimOutcome:
         releases, pkt_info, pkt_delivery = self.releases, self.pkt_info, self.pkt_delivery
-        deviants = self.deviants
+        deviants, guard, traced = self.deviants, self.guard, self.cfg.collect_trace
         n_rel = len(releases)
         ptr = 0
         t = 0
-        # horizon + 10M cycles to drain past the horizon or a later, jittered release
-        last = releases[-1][0] if releases else 0
-        guard = max(last, self.cfg.horizon) + self.cfg.horizon + 10_000_000
         settled = 0  # flits of the packets that became worms at release
         # Closed form (see the module docstring), off while stepping. Each
         # ring's slot is [until, worms] with each worm (end, pkt, e, h),
@@ -327,58 +338,45 @@ class _Engine:
         # send a header. A slot is idle from t >= until (or ready) on, and
         # a worm is live while t < end; its delivery and flits are booked
         # when it becomes a worm.
-        closed = self.fast
+        closed = not traced
         while True:
             if closed:
                 # Admit each release as a worm until its flits could touch a
-                # live worm's on a ring port or an ejection link.
+                # live worm's on a ring port or an ejection link: wait for the
+                # queue, then for or among the live worms (module docstring).
                 while ptr < n_rel:
                     t = releases[ptr][0]
                     _, _, _, hops, length, _, _, rs, ls, qs = pkt_info[ptr]
-                    if t >= rs[0] and t >= ls[0] and t >= qs[0] and t <= guard:
-                        # Solo: ring, link and queue are idle, so h = t.
-                        e = t + hops
-                        end = e + length
-                        rs[0] = ls[0] = end
-                        rs[1] = [(end, ptr, e, t)]
-                        ls[1] = [(e, end)]
-                        qs[0] = t + length - 1 if length > 1 else t + 1
-                        pkt_delivery[ptr] = end - 1
-                        settled += length
-                        ptr += 1
-                        continue
-                    # Otherwise wait for the queue, then for or among the
-                    # live worms (module docstring).
                     h = qs[0]
                     if h < t:
                         h = t
-                    if t >= rs[0]:
-                        rs[1] = []
-                    else:
+                    if t < rs[0]:
                         h = self._place(rs[1], ptr, h, t)
                         if h is None:
                             break
                     e = h + hops
                     end = e + length
-                    if t >= ls[0]:
-                        ls[1] = []
-                    else:
+                    if t < ls[0]:
                         spans = ls[1]
                         spans[:] = [span for span in spans if span[1] > t]
                         if len(spans) >= _MAX_SHARERS or any(
                                 s_e < end and e < s_end for s_e, s_end in spans):
                             break
-                    if t > guard:
-                        break
-                    rs[1].append((end, ptr, e, h))
-                    if end > rs[0]:
-                        rs[0] = end
-                    ls[1].append((e, end))
-                    if end > ls[0]:
-                        ls[0] = end
+                        spans.append((e, end))
+                        if end > ls[0]:
+                            ls[0] = end
+                    else:
+                        ls[0], ls[1] = end, [(e, end)]
+                    if t < rs[0]:
+                        rs[1].append((end, ptr, e, h))
+                        if end > rs[0]:
+                            rs[0] = end
+                    else:
+                        rs[0], rs[1] = end, [(end, ptr, e, h)]
                     qs[0] = h + length - 1 if length > 1 else h + 1
                     pkt_delivery[ptr] = end - 1
-                    deviants.add(ptr)
+                    if h != t:
+                        deviants.add(ptr)
                     settled += length
                     ptr += 1
                 else:
@@ -394,14 +392,14 @@ class _Engine:
             while ptr < n_rel and releases[ptr][0] == t:
                 self.queues.setdefault(pkt_info[ptr][5], deque()).append(ptr)
                 deviants.add(ptr)
-                if self.cfg.collect_trace:
+                if traced:
                     self.trace.append(("release", t, ptr, releases[ptr][1]))
                 ptr += 1
             self._cycle(t)
             self.stepped_cycles += 1
             t += 1
             # Only a cycle that freed something can enable a handover (module docstring).
-            if self.fast and self.freed:
+            if self.freed and not traced:
                 self.freed = False
                 closed = self._handover(t)
         self.flits_injected += settled
@@ -699,9 +697,9 @@ class _Engine:
         if -1 in self.pkt_delivery:
             raise ProtocolViolation("a released packet has no delivery cycle")
         releases = self.releases
-        # Every packet but the deviants took the solo path, with its flow's
-        # solo latency hops + length - 1 and no deflection; the deviants are
-        # walked one by one.
+        # Every packet but the deviants was admitted in closed form with
+        # h = t, so it has its flow's unhindered latency hops + length - 1
+        # and no deflection; the deviants are walked one by one.
         flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
         for pkt in self.deviants:
             release, fid = releases[pkt]
@@ -714,14 +712,13 @@ class _Engine:
             defl = self.pkt_deflections[pkt]
             if defl > stats[3]:
                 stats[3] = defl
-        released = Counter(map(itemgetter(1), releases))
         for fid, stats in flow_stats.items():
-            solo = released[fid] - stats[0]
-            if solo:
+            rest = self.released[fid] - stats[0]
+            if rest:
                 info = self.flow_info[fid]
                 latency = info[3] + info[4] - 1
-                stats[0] += solo
-                stats[1] += solo * latency
+                stats[0] += rest
+                stats[1] += rest * latency
                 if latency > stats[2]:
                     stats[2] = latency
         per_flow = {fid: FlowStats(count, worst, total / count if count else 0.0, defl)

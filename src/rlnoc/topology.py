@@ -217,7 +217,7 @@ def _check_grid(width, height) -> None:
                                     f"of {MAX_GRID_SIDE}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def generate_multi_ring(width: int, height: int) -> Topology:
     """Deterministic multi-ring generator guaranteeing full connectivity.
 
@@ -229,7 +229,8 @@ def generate_multi_ring(width: int, height: int) -> Topology:
     C(height,2) + C(width,2) + floor(min(width,height)/2) - 2. Sides run from
     2 to ``MAX_GRID_SIDE``. It returns one shared instance per grid, which
     is safe as a topology is immutable, so the routes that ``select_ring``
-    memoises on it stay warm; the last eight grids are kept.
+    memoises on it stay warm; the last eight grids are kept, keyed by value
+    and type, so a float side is rejected even after its integer's call.
     """
     _check_grid(width, height)
     if width < 2 or height < 2:

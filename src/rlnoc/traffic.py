@@ -225,10 +225,15 @@ class BenchmarkParams:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("flows_per_set", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise TrafficError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.flows_per_set < 0:
             raise TrafficError("flows_per_set must be >= 0")
-        if self.packet_range[0] < 1 or self.packet_range[0] > self.packet_range[1]:
-            raise TrafficError("invalid packet range")
+        lo, hi = self.packet_range
+        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi <= MAX_PACKET_LENGTH):
+            raise TrafficError(f"packet_range must be integers from 1 to {MAX_PACKET_LENGTH} "
+                               f"flits with LO <= HI, got {self.packet_range!r}")
         if self.period_range[0] < 1 or self.period_range[0] > self.period_range[1]:
             raise TrafficError("invalid period range")
         lo, hi = self.jitter_fraction_range

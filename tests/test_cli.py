@@ -344,6 +344,21 @@ def test_release_count_over_the_limit_exits_two(capsys):
         assert err.count("error:") == 1 and "500000000 releases" in err, err
 
 
+def test_undrainable_queue_exits_two(tmp_path, capsys):
+    # Periodic packets of 4,096 flits every cycle owe one queue more flits
+    # than the run has cycles: refused before any cycle is stepped.
+    probe = tmp_path / "over.json"
+    probe.write_text(json.dumps({"width": 2, "height": 2, "flows": [
+        {"id": 1, "T": 1, "D": 1, "L": MAX_PACKET_LENGTH, "J": 0, "src": [0, 0],
+         "dst": [1, 0]}]}))
+    start = time.perf_counter()
+    assert run(["simulate", "--flowset", str(probe), "--horizon", "3000",
+                "--release", "periodic"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "must send 12288000 flits" in err, err
+
+
 def test_grid_side_over_the_limit(tmp_path, capsys):
     # A 41-byte file asks for a 32x32 grid: refused before any ring is built.
     probe = tmp_path / "huge.json"

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from rlnoc.simulator import (
     _release_schedule,
 )
 from rlnoc.topology import generate_multi_ring, select_ring
-from rlnoc.traffic import BenchmarkParams, Flowset, generate_flowset
+from rlnoc.traffic import MAX_PACKET_LENGTH, BenchmarkParams, Flowset, generate_flowset
 
 SHARED = AnalysisConfig(injection="shared", maxloop="oldest_first")
 INDEPENDENT = AnalysisConfig(injection="independent", maxloop=0)
@@ -303,8 +304,8 @@ def sparse_flowsets(draw):
     topo = generate_multi_ring(width, width)
     cores = [(col, row) for col in range(width) for row in range(width)]
     # Long periods make most releases meet an idle ring, link and queue, and
-    # a few meet live worms, so runs switch between the solo and the general
-    # admission and stepping.
+    # a few meet live worms, so runs admit packets at their release cycle,
+    # admit them later, and step.
     flows = []
     for fid in range(1, draw(st.integers(1, 12)) + 1):
         src, dst = draw(st.lists(st.sampled_from(cores), min_size=2, max_size=2,
@@ -474,6 +475,19 @@ class TestReleaseSchedule:
         simulate(flowset, SimConfig(horizon=20_000), SHARED)
         with pytest.raises(AnalysisError, match=f"limit of {MAX_RELEASES}"):
             simulate(flowset, SimConfig(horizon=MAX_RELEASES + 1), SHARED)
+
+    def test_undrainable_queue_is_rejected_before_stepping(self):
+        # A queue sends one flit per cycle, and 3,000 periodic releases of
+        # the longest packet owe it more flits than the run has cycles.
+        topo = generate_multi_ring(2, 2)
+        flowset = build_flowset(topo, make_flow(1, (0, 0), (1, 0), period=1,
+                                                length=MAX_PACKET_LENGTH,
+                                                ring=select_ring(topo, (0, 0), (1, 0))))
+        start = time.perf_counter()
+        with pytest.raises(AnalysisError, match=r"core \(0, 0\) must send 12288000 flits, "
+                                                r"over the 10006001 cycles"):
+            simulate(flowset, SimConfig(horizon=3_000, release="periodic"), SHARED)
+        assert time.perf_counter() - start < 1
 
     def test_periodic_jitter_can_release_after_the_horizon(self):
         # Only offset + n*T is kept below the horizon; the jitter added to it

@@ -60,6 +60,11 @@ class TestGenerator:
         with pytest.raises(InvalidDimensionError):
             generate_multi_ring(*dims)
 
+    def test_float_side_is_rejected_after_its_integers_call(self):
+        generate_multi_ring(2, 2)
+        with pytest.raises(SchemaError, match="'width'"):
+            generate_multi_ring(2.0, 2)
+
 
 class TestPathFunctions:
     """Ring paths: positions along the switch order and hop counts."""

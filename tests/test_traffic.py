@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -312,6 +313,19 @@ class TestGenerator:
             ring = flowset.topology.ring(f.ring)
             assert f.src in ring and f.dst in ring
 
+    @pytest.mark.parametrize("field, value", [
+        ("packet_range", (1, 10**6)),
+        ("packet_range", (1, MAX_PACKET_LENGTH + 1)),
+        ("packet_range", (1.5, 3)),
+        ("flows_per_set", 1.5),
+        ("flows_per_set", True),
+        ("seed", "x"),
+    ])
+    def test_params_reject_a_bad_field_naming_it(self, field, value):
+        with pytest.raises(TrafficError, match=field):
+            BenchmarkParams(**{"flows_per_set": 3, field: value})
+        assert BenchmarkParams(flows_per_set=3, packet_range=(1, MAX_PACKET_LENGTH))
+
     def test_packet_sizes_uniform_within_three_sigma(self):
         # 10000 draws over 33 equiprobable bins against the multinomial law.
         params = BenchmarkParams(flows_per_set=10_000, seed=2, packet_range=(16, 48))
@@ -376,8 +390,9 @@ class TestFlowsetValidation:
             build_flowset(six_ring_topology, flow)
 
     def test_packet_length_is_bounded(self, six_ring_topology):
-        # One check in the constructor covers code-built, generated and
-        # loaded flowsets alike.
+        # One check in the constructor covers code-built and loaded flowsets
+        # alike; generation parameters over the limit are refused before any
+        # flow is drawn.
         longest = make_flow(1, (0, 0), (1, 0), length=MAX_PACKET_LENGTH)
         assert build_flowset(six_ring_topology, longest).flows == (longest,)
         message = (f"^flow 1: packet length must be from 1 to {MAX_PACKET_LENGTH} flits, "
@@ -385,7 +400,7 @@ class TestFlowsetValidation:
         with pytest.raises(TrafficError, match=message):
             build_flowset(six_ring_topology, replace(longest, length=MAX_PACKET_LENGTH + 1))
         over = (MAX_PACKET_LENGTH + 1, MAX_PACKET_LENGTH + 1)
-        with pytest.raises(TrafficError, match=message):
+        with pytest.raises(TrafficError, match=f"^packet_range .* got {re.escape(repr(over))}$"):
             generate_flowset(BenchmarkParams(flows_per_set=1, packet_range=over))
         doc = flowset_to_doc(build_flowset(six_ring_topology, longest))
         doc["flows"][0]["L"] += 1
