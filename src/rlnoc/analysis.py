@@ -48,11 +48,9 @@ ITERATION_CAP = 1000  # safety limit on passes; past it: ``iteration_cap_exceede
 class AnalysisConfig:
     """Configuration switches selecting the model variant to analyse.
 
-    ``maxloop`` selects the ejection links and with them the deflection
-    bound: 0 for independent links (no deflection), k >= 1 for links shared
-    by at most k flows (k deflections), or ``"oldest_first"`` for one
-    Oldest-First link per core (as many deflections as other flows to the
-    same core).
+    ``injection`` and ``maxloop`` (0, k >= 1 or ``"oldest_first"``) select
+    the platform: its queues, ejection links and deflection bounds, which
+    ``traffic.Platform`` derives.
     """
 
     injection: Injection = "shared"
@@ -179,7 +177,8 @@ class _FlowContext(NamedTuple):
     flow: Flow
     no_load: int        # C: contention-free traversal, hops + length
     loop: int           # C_loop: one full circle, ring size + length
-    in_sum: int         # total length of the others its switch injects into its ring
+    queue: tuple        # its injection queue's key
+    in_sum: int         # length of the others in its queue (independent injection only, else 0)
     maxloop: int
     post: int
     fixed: int          # C + C_loop * maxloop + I_pos
@@ -193,17 +192,15 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     id that builds each context on first use: a pass that stops at a failing
     flow never builds the contexts of the flows after it.
 
-    ``maxloop`` is the configured constant, zero under independent ejection,
-    or under Oldest-First the number of other flows to the same core, each of
-    which can win the arbitration once. ``I_pos`` charges each downstream
-    switch its backlog bound (tight) or the buffer capacity (coarse), plus
-    one whole-ring bound per deflection.
+    The platform view (``Platform``) gives each flow its queue and its
+    ``maxloop``. ``I_pos`` charges each downstream switch its backlog bound
+    (tight) or the buffer capacity (coarse), plus one whole-ring bound per
+    deflection.
     """
     index = flowset.index
-    if config.maxloop == "oldest_first":
-        maxloops = {fid: len(index.on_dst[f.dst]) - 1 for fid, f in index.flows.items()}
-    else:
-        maxloops = dict.fromkeys(index.flows, config.maxloop)
+    platform = index.platform(config.injection, config.maxloop)
+    maxloops, queue = platform.maxloop, platform.queue
+    lengths = None if config.injection == "shared" else platform.queued_length
     # Every flow of a ring that may deflect enters the busy period of each
     # flow of the ring (itself included) as maxloop_j replicas, in addition
     # to its upstream term.
@@ -233,8 +230,9 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
         terms, (num, den) = replicas[flow.ring]
         switch = (flow.ring, start)
         up_num, up_den = index.up_load.get(switch, (0, 1))
-        return _FlowContext(flow, no_load, loop,
-                            index.injected[flow.src, flow.ring] - flow.length,
+        key = queue[fid]
+        return _FlowContext(flow, no_load, loop, key,
+                            lengths[key] - flow.length if lengths else 0,
                             maxloop, post, fixed, flow.deadline - fixed,
                             terms + index.up_terms.get(switch, ()),
                             num * up_den + up_num * den >= den * up_den)
@@ -295,19 +293,18 @@ def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
     changed = False
     rows: dict[int, tuple[int, int, int]] = {}
     idle: dict[int, int] = {}
-    queued: dict = {}  # per source core, the sum of length + idle of its flows
+    queued: dict = {}  # per injection queue, the sum of length + idle of its flows
     if shared:
         for ctx in map(context, flows):
             value = _busy(ctx, 1, jk, record)
             if value is None:
                 return ctx.flow.id
             idle[ctx.flow.id] = value
-            src = ctx.flow.src
-            queued[src] = queued.get(src, 0) + ctx.flow.length + value
+            queued[ctx.queue] = queued.get(ctx.queue, 0) + ctx.flow.length + value
     for ctx in map(context, flows):
         fid = ctx.flow.id
         if shared:
-            queue = queued[ctx.flow.src] - ctx.flow.length - idle[fid]
+            queue = queued[ctx.queue] - ctx.flow.length - idle[fid]
             pre = idle[fid] + queue
             rows[fid] = (idle[fid], queue, pre)
             if pre > ctx.budget:

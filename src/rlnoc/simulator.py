@@ -210,7 +210,8 @@ def simulate(flowset: Flowset, cfg: SimConfig, config: AnalysisConfig) -> SimOut
     released packet is delivered. A schedule naming no flow raises AnalysisError,
     as does one of over MAX_RELEASES releases or a horizon at which a model
     could draw more (at most ceil(horizon / T) per flow), before any is drawn;
-    so does one owing a queue more flits than the run's cycles, before stepping.
+    so does one owing a queue or a link more flits than the run's cycles, before
+    stepping.
     """
     if isinstance(cfg.release, tuple):
         if unknown := sorted({fid for _, fid in cfg.release} - flowset.index.flows.keys()):
@@ -250,36 +251,20 @@ class _Engine:
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
         # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key and ejection-link key, then the closed-form slots (see
-        # ``run``) of its ring, ejection link and queue, shared with the
-        # flows on the same ring, link or queue. Keys are tuples so that a
-        # traced run sorts them uniformly.
+        # queue key and ejection-link key (from the ``Platform`` view), then
+        # the closed-form slots (see ``run``) of its ring, ejection link and
+        # queue, shared with the flows on the same ring, link or queue. Keys
+        # are tuples so that a traced run sorts them uniformly.
         self.flow_info: dict[int, tuple] = {}
         self.ring_slots: dict[int, list] = {}
         self.link_slots: dict[tuple, list] = {}
         self.queue_slots: dict[tuple, list] = {}
         index = flowset.index
-        # Under shared ejection, each core's flows, in id order, are dealt
-        # round-robin over its ejection links: one Oldest-First link, or for
-        # a fixed bound of k just enough links that none serves more than k
-        # flows. The count is deliberately inclusive: a packet can circle
-        # more than once per competing packet when packets are longer than
-        # their ring (the competitor's ejection outlasts whole loops), so
-        # only the per-flow-link endpoint (k = 1) or light sharing keeps the
-        # modelled bound structural.
-        maxloop = config.maxloop
-        elinks: dict[int, tuple] = {}
-        if maxloop:
-            for dst, flows in index.on_dst.items():
-                n_links = 1 if maxloop == "oldest_first" else -(-len(flows) // maxloop)
-                for i, f in enumerate(flows):
-                    elinks[f.id] = (dst.row * width + dst.col, i % n_links)
+        platform = index.platform(config.injection, config.maxloop)
+        queue, link = platform.queue, platform.link
         for f in index.flows.values():
             start, hops = index.route[f.id]
-            core_src = f.src.row * width + f.src.col
-            core_dst = f.dst.row * width + f.dst.col
-            qkey = (core_src,) if config.injection == "shared" else (core_src, f.ring)
-            ekey = elinks[f.id] if maxloop else (core_dst, f.ring)
+            qkey, ekey = queue[f.id], link[f.id]
             self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
                                     hops, f.length, qkey, ekey,
                                     self.ring_slots.setdefault(f.ring, [0, []]),
@@ -304,16 +289,18 @@ class _Engine:
         # horizon + 10M cycles to drain past the horizon or a later, jittered release
         last = self.releases[-1][0] if self.releases else 0
         self.guard = max(last, cfg.horizon) + cfg.horizon + 10_000_000
-        # A queue sends at most one flit per cycle, so one owing more flits
-        # than cycles 0 to guard can never drain.
-        owed: Counter = Counter()
-        for fid, n in self.released.items():
-            owed[self.flow_info[fid][5]] += n * self.flow_info[fid][4]
-        for qkey, flits in owed.items():
-            if flits > self.guard + 1:
-                core = (qkey[0] % width, qkey[0] // width)
-                raise AnalysisError(f"an injection queue of core {core} must send {flits} "
-                                    f"flits, over the {self.guard + 1} cycles a run may take")
+        # A queue sends and a link ejects at most one flit per cycle, so one
+        # owing more flits than cycles 0 to guard can never drain.
+        for slot, what in ((5, "an injection queue of core {} must send"),
+                           (6, "an ejection link of core {} must eject")):
+            owed: Counter = Counter()
+            for fid, n in self.released.items():
+                owed[self.flow_info[fid][slot]] += n * self.flow_info[fid][4]
+            for key, flits in owed.items():
+                if flits > self.guard + 1:
+                    core = (key[0] % width, key[0] // width)
+                    raise AnalysisError(f"{what.format(core)} {flits} flits, over the "
+                                        f"{self.guard + 1} cycles a run may take")
 
         self.flits_injected = 0
         self.flits_ejected = 0

@@ -147,19 +147,19 @@ class FlowsetIndex:
     one flowset, each stored once under what it depends on: flows by id (in
     id order), by ring, by source core and by destination core; each flow's
     route, ``(start, hops)``: its source position on its ring and its hop
-    count; per (source core, ring), the injected length; per ring, the worst
-    backlog at each switch position (the largest payload, length - 1,
-    injected there) and the prefix sums of the bounds taken twice over, so a
-    path's backlog is one difference and the ring's total is entry ``size``;
-    per (ring, position) switch, the busy-period terms ``(T, L, J, id, 1)``
-    of the flows passing it, in id order, and their exact load; and, built
-    on first use, each ring's packet-buffer capacity. Map values are
+    count; per ring, the worst backlog at each switch position (the largest
+    payload, length - 1, injected there) and the prefix sums of the bounds
+    taken twice over, so a path's backlog is one difference and the ring's
+    total is entry ``size``; per (ring, position) switch, the busy-period
+    terms ``(T, L, J, id, 1)`` of the flows passing it, in id order, and
+    their exact load; and, built on first use, each ring's packet-buffer
+    capacity and each platform's ``Platform`` view. Map values are
     immutable, so extending a copy by flows with larger ids (``_extended``)
     rewrites no earlier flow's entry; a fresh index is an empty one extended
     by all flows in id order."""
 
-    _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
-             "buffer_bounds", "backlog_sums", "up_terms", "up_load")
+    _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "buffer_bounds",
+             "backlog_sums", "up_terms", "up_load")
 
     def __init__(self, flowset: Flowset):
         self.topology = flowset.topology
@@ -179,7 +179,6 @@ class FlowsetIndex:
             self.on_ring[f.ring] = self.on_ring.get(f.ring, ()) + (f,)
             self.on_core[f.src] = self.on_core.get(f.src, ()) + (f,)
             self.on_dst[f.dst] = self.on_dst.get(f.dst, ()) + (f,)
-            self.injected[f.src, f.ring] = self.injected.get((f.src, f.ring), 0) + f.length
             bounds = self.buffer_bounds[f.ring]
             if f.length - 1 > bounds[start]:
                 bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
@@ -211,6 +210,85 @@ class FlowsetIndex:
                             else ring.buffer_capacity)
         return out
 
+    def platform(self, injection: str, maxloop: int | str) -> Platform:
+        """The ``Platform`` of an ``(injection, maxloop)`` pair, built on first
+        use and kept for the index's lifetime."""
+        views = self.__dict__.setdefault("_platforms", {})
+        if (injection, maxloop) not in views:
+            views[injection, maxloop] = Platform(self, injection, maxloop)
+        return views[injection, maxloop]
+
+
+class Platform:
+    """Which flows share an injection queue or an ejection link, and each
+    flow's deflection bound, on the platform of an ``(injection, maxloop)``
+    pair: the one place the analysis and the simulator learn them from.
+    ``queue``, ``link`` and ``maxloop`` map each flow id to its queue key,
+    link key and bound, and ``queues`` and ``links`` each key to its flows
+    in id order; each map is built on first read.
+
+    Keys start with a core, ``row * width + col``. A queue is ``(core,)``
+    under shared injection, else ``(core, ring)``. A link is ``(core, ring)``
+    when maxloop is 0; otherwise each core's flows, in id order, are dealt
+    round-robin over its links ``(core, i)``: one Oldest-First link, or for a
+    bound of k just enough that none serves more than k flows. The bound is
+    k, or under Oldest-First the link's other flows, each of which can win
+    the arbitration once. It is the analysis's premise, not a property of
+    the links: a header denied a busy link returns one loop later, so one
+    competing packet longer than the ring denies it about ceil(length / ring
+    size) times. Only a link that serves one flow rules deflection out.
+    """
+
+    def __init__(self, index: FlowsetIndex, injection: str, maxloop: int | str):
+        self._flows, self._on_dst, self._width = index.flows, index.on_dst, index.topology.width
+        self._shared, self._maxloop = injection == "shared", maxloop
+
+    @cached_property
+    def queue(self) -> dict[int, tuple]:
+        width, shared = self._width, self._shared
+        return {fid: (f.src.row * width + f.src.col,) if shared
+                else (f.src.row * width + f.src.col, f.ring) for fid, f in self._flows.items()}
+
+    @cached_property
+    def link(self) -> dict[int, tuple]:
+        width, maxloop = self._width, self._maxloop
+        if not maxloop:
+            return {fid: (f.dst.row * width + f.dst.col, f.ring) for fid, f in self._flows.items()}
+        out = {}
+        for dst, flows in self._on_dst.items():
+            n_links = 1 if maxloop == "oldest_first" else -(-len(flows) // maxloop)
+            for i, f in enumerate(flows):
+                out[f.id] = (dst.row * width + dst.col, i % n_links)
+        return out
+
+    @cached_property
+    def maxloop(self) -> dict[int, int]:
+        if self._maxloop == "oldest_first":
+            return {fid: len(self.links[key]) - 1 for fid, key in self.link.items()}
+        return dict.fromkeys(self._flows, self._maxloop)
+
+    @cached_property
+    def queues(self) -> dict[tuple, tuple[Flow, ...]]:
+        return self._members(self.queue)
+
+    @cached_property
+    def links(self) -> dict[tuple, tuple[Flow, ...]]:
+        return self._members(self.link)
+
+    @cached_property
+    def queued_length(self) -> dict[tuple, int]:
+        """Per queue key, the total length of its flows' packets."""
+        out: dict[tuple, int] = {}
+        for fid, key in self.queue.items():
+            out[key] = out.get(key, 0) + self._flows[fid].length
+        return out
+
+    def _members(self, keys: dict[int, tuple]) -> dict[tuple, tuple[Flow, ...]]:
+        out: dict[tuple, tuple[Flow, ...]] = {}
+        for fid, f in self._flows.items():
+            out[keys[fid]] = out.get(keys[fid], ()) + (f,)
+        return out
+
 
 @dataclass(frozen=True)
 class BenchmarkParams:
@@ -234,11 +312,14 @@ class BenchmarkParams:
         if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi <= MAX_PACKET_LENGTH):
             raise TrafficError(f"packet_range must be integers from 1 to {MAX_PACKET_LENGTH} "
                                f"flits with LO <= HI, got {self.packet_range!r}")
-        if self.period_range[0] < 1 or self.period_range[0] > self.period_range[1]:
-            raise TrafficError("invalid period range")
+        lo, hi = self.period_range
+        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
+            raise TrafficError(f"period_range must be integers >= 1 with LO <= HI, "
+                               f"got {self.period_range!r}")
         lo, hi = self.jitter_fraction_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise TrafficError("invalid jitter fraction range")
+        if not (type(lo) in (int, float) and type(hi) in (int, float) and 0 <= lo <= hi <= 1):
+            raise TrafficError(f"jitter_fraction_range must be numbers from 0 to 1 with "
+                               f"LO <= HI, got {self.jitter_fraction_range!r}")
 
 
 def generate_flowset(params: BenchmarkParams) -> Flowset:

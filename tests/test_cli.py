@@ -345,18 +345,22 @@ def test_release_count_over_the_limit_exits_two(capsys):
 
 
 def test_undrainable_queue_exits_two(tmp_path, capsys):
-    # Periodic packets of 4,096 flits every cycle owe one queue more flits
-    # than the run has cycles: refused before any cycle is stepped.
-    probe = tmp_path / "over.json"
-    probe.write_text(json.dumps({"width": 2, "height": 2, "flows": [
-        {"id": 1, "T": 1, "D": 1, "L": MAX_PACKET_LENGTH, "J": 0, "src": [0, 0],
-         "dst": [1, 0]}]}))
-    start = time.perf_counter()
-    assert run(["simulate", "--flowset", str(probe), "--horizon", "3000",
-                "--release", "periodic"]) == 2
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "must send 12288000 flits" in err, err
+    # Periodic packets of 4,096 flits every cycle owe one queue, or under
+    # OF_IU_SI the shared ejection link of core (1, 0), more flits than the
+    # run has cycles: refused before any cycle is stepped.
+    for sources, argv, owed in (
+            ([(0, 0)], ["--horizon", "3000"], "must send 12288000 flits"),
+            ([(0, 0), (0, 1), (1, 1)], ["--config", "OF_IU_SI", "--horizon", "2000"],
+             "ejection link of core (1, 0) must eject 24576000 flits")):
+        probe = tmp_path / "over.json"
+        probe.write_text(json.dumps({"width": 2, "height": 2, "flows": [
+            {"id": fid, "T": 1, "D": 1, "L": MAX_PACKET_LENGTH, "J": 0, "src": list(src),
+             "dst": [1, 0]} for fid, src in enumerate(sources, 1)]}))
+        start = time.perf_counter()
+        assert run(["simulate", "--flowset", str(probe), *argv, "--release", "periodic"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and owed in err, err
 
 
 def test_grid_side_over_the_limit(tmp_path, capsys):

@@ -476,17 +476,24 @@ class TestReleaseSchedule:
         with pytest.raises(AnalysisError, match=f"limit of {MAX_RELEASES}"):
             simulate(flowset, SimConfig(horizon=MAX_RELEASES + 1), SHARED)
 
-    def test_undrainable_queue_is_rejected_before_stepping(self):
-        # A queue sends one flit per cycle, and 3,000 periodic releases of
-        # the longest packet owe it more flits than the run has cycles.
+    @pytest.mark.parametrize("sources, horizon, message", [
+        ([(0, 0)], 3_000, r"an injection queue of core \(0, 0\) must send 12288000 flits, "
+                          r"over the 10006001 cycles"),
+        ([(0, 0), (0, 1), (1, 1)], 2_000, r"an ejection link of core \(1, 0\) must eject "
+                                          r"24576000 flits, over the 10004001 cycles"),
+    ], ids=["queue", "link"])
+    def test_undrainable_queue_is_rejected_before_stepping(self, sources, horizon, message):
+        # A queue sends and a link ejects one flit per cycle. Periodic
+        # releases of the longest packet every cycle owe more flits than the
+        # run has cycles to the queue of one flow, or to the Oldest-First link
+        # of core (1, 0) that three flows from three cores share.
         topo = generate_multi_ring(2, 2)
-        flowset = build_flowset(topo, make_flow(1, (0, 0), (1, 0), period=1,
-                                                length=MAX_PACKET_LENGTH,
-                                                ring=select_ring(topo, (0, 0), (1, 0))))
+        flowset = Flowset(tuple(make_flow(fid, src, (1, 0), period=1, length=MAX_PACKET_LENGTH,
+                                          ring=select_ring(topo, src, (1, 0)))
+                                for fid, src in enumerate(sources, 1)), topo)
         start = time.perf_counter()
-        with pytest.raises(AnalysisError, match=r"core \(0, 0\) must send 12288000 flits, "
-                                                r"over the 10006001 cycles"):
-            simulate(flowset, SimConfig(horizon=3_000, release="periodic"), SHARED)
+        with pytest.raises(AnalysisError, match=message):
+            simulate(flowset, SimConfig(horizon=horizon, release="periodic"), SHARED)
         assert time.perf_counter() - start < 1
 
     def test_periodic_jitter_can_release_after_the_horizon(self):
@@ -673,8 +680,8 @@ class TestProtocolRules:
     def test_long_packets_can_outlast_a_loop_on_a_shared_link(self):
         # A packet longer than the ring holds the link across whole circuits
         # of a denied packet, so the loop count can exceed the number of
-        # competing flows. This is the behaviour that makes light link
-        # sharing the only structural way to honour a fixed deflection bound.
+        # competing flows: sharing a link caps deflections at no fixed count,
+        # and only a link of one flow rules them out.
         topo = generate_multi_ring(3, 2)
         long_flow = make_flow(1, (0, 1), (1, 1), ring=1, period=100_000, length=11)
         victim = make_flow(2, (2, 0), (1, 1), ring=2, period=100_000, length=3)
@@ -778,6 +785,37 @@ class TestOracle:
         config = parse_profile("0D_IU_SI")
         result = analyze(flowset, config)
         out = simulate(flowset, SimConfig(seed=0, horizon=1_000), SHARED)
+        assert oracle_check(flowset, result, out).ok
+
+    @staticmethod
+    def long_competitor_case():
+        # Flow 1's 100-flit packet holds the shared ejection link of core
+        # (1, 1) while flow 2's header circles its 8-switch ring, denied on
+        # every return: 13 deflections, delivered 106 cycles after release.
+        topo = generate_multi_ring(4, 4)
+        flowset = Flowset((make_flow(1, (0, 0), (1, 1), ring=7, period=10**6, length=100),
+                           make_flow(2, (0, 1), (1, 1), ring=4, period=10**6, length=2)), topo)
+        return flowset, SimConfig(horizon=1_000, release=((0, 1), (1, 2)))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="shared-ejection bounds charge one loop per competing flow, "
+                              "not one per loop its packet holds the link")
+    @pytest.mark.parametrize("name", ["OF_IU_SI", "2D_IU_SI", "3D_IU_II"])
+    def test_shared_link_bounds_hold_against_a_packet_longer_than_the_ring(self, name):
+        flowset, cfg = self.long_competitor_case()
+        config = parse_profile(name)
+        result = analyze(flowset, config)
+        assert oracle_check(flowset, result, simulate(flowset, cfg, config)).ok
+
+    @pytest.mark.parametrize("name", ["1D_IU_SI", "0D_IU_SI"])
+    def test_a_link_per_flow_is_clean_against_the_same_packet(self, name):
+        flowset, cfg = self.long_competitor_case()
+        config = parse_profile(name)
+        platform = flowset.index.platform(config.injection, config.maxloop)
+        assert platform.link[1] != platform.link[2]
+        result = analyze(flowset, config)
+        out = simulate(flowset, cfg, config)
+        assert out.deflections == 0
         assert oracle_check(flowset, result, out).ok
 
     def test_unschedulable_analysis_rejected(self):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_csv, _contexts
+from rlnoc.harness import FULL_PROFILE
 from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import (
     MAX_PACKET_LENGTH,
@@ -151,8 +153,15 @@ class TestFlowsetIndex:
 
     # Every map of an index; test_grown_index_equals_fresh_index fails when
     # the index gains one that is not listed here.
-    INDEX_MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "injected",
-                  "buffer_bounds", "backlog_sums", "up_terms", "up_load")
+    INDEX_MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "buffer_bounds",
+                  "backlog_sums", "up_terms", "up_load")
+    # Platform pairs and fields whose views must not carry over a growth.
+    PLATFORMS = (("shared", 0), ("independent", 2), ("shared", "oldest_first"))
+    VIEW_FIELDS = ("queue", "queues", "queued_length", "link", "links", "maxloop")
+
+    def views(self, index):
+        return {pair: {name: getattr(index.platform(*pair), name) for name in self.VIEW_FIELDS}
+                for pair in self.PLATFORMS}
 
     @settings(max_examples=30, deadline=None)
     @given(grid=st.sampled_from([(4, 4), (5, 5)]), seed=st.integers(0, 10_000),
@@ -163,8 +172,9 @@ class TestFlowsetIndex:
         splits = sorted(data.draw(st.lists(st.integers(0, flows), max_size=4)))
         prefix = Flowset((), full.topology)
         for count in splits + [flows]:
-            # A capacity cached on the earlier index must not carry over.
+            # A capacity or view cached on the earlier index must not carry over.
             prefix.index.capacity
+            self.views(prefix.index)
             before = copy.deepcopy({name: getattr(prefix.index, name)
                                     for name in self.INDEX_MAPS})
             grown = _extended(prefix, full.flows[len(prefix.flows):count])
@@ -176,7 +186,49 @@ class TestFlowsetIndex:
             assert grown.index.capacity == fresh.index.capacity
             for name in self.INDEX_MAPS:
                 assert getattr(prefix.index, name) == before[name], name
+            assert self.views(grown.index) == self.views(fresh.index)
             prefix = grown
+
+    @pytest.mark.parametrize("name", FULL_PROFILE.configs + ("OF_IU_SI", "OF_NI_II"))
+    def test_platform_rules(self, name):
+        config = parse_profile(name)
+        k = config.maxloop
+        checked = 0
+        for flows, seed in itertools.product((12, 40), range(4)):
+            flowset = generate_flowset(BenchmarkParams(flows_per_set=flows, seed=seed))
+            in_order = sorted(flowset.flows, key=lambda f: f.id)
+            view = flowset.index.platform(config.injection, k)
+            src = {f.id: f.src.row * 4 + f.src.col for f in in_order}
+            dst = {f.id: f.dst.row * 4 + f.dst.col for f in in_order}
+            for keys, groups, core in ((view.queue, view.queues, src),
+                                       (view.link, view.links, dst)):
+                # A key's members are the flows mapped to it, in id order, all at its core.
+                assert groups == {key: tuple(f for f in in_order if keys[f.id] == key)
+                                  for key in keys.values()}
+                assert all(key[0] == core[f.id] for key, group in groups.items() for f in group)
+            assert view.queued_length == {key: sum(f.length for f in group)
+                                          for key, group in view.queues.items()}
+            if config.injection == "shared":
+                assert set(view.queues) == {(src[f.id],) for f in in_order}
+            else:
+                assert set(view.queues) == {(src[f.id], f.ring) for f in in_order}
+            if k == "oldest_first":
+                assert set(view.links) == {(dst[f.id], 0) for f in in_order}
+                assert all(view.maxloop[f.id] == len(group) - 1
+                           for group in view.links.values() for f in group)
+            else:
+                assert set(view.maxloop.values()) == {k}
+            if k == 0:
+                assert set(view.links) == {(dst[f.id], f.ring) for f in in_order}
+            elif k != "oldest_first":
+                # Just enough links per core that none serves more than k flows.
+                assert max(map(len, view.links.values())) <= k
+                assert len(view.links) == sum(-(-n // k) for n in Counter(dst.values()).values())
+            result = analyze(flowset, config)
+            for fid, row in result.results.items():
+                assert row.maxloop == view.maxloop[fid]
+                checked += 1
+        assert checked
 
     def test_growth_needs_larger_ids(self):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=10, seed=1))
@@ -320,6 +372,13 @@ class TestGenerator:
         ("flows_per_set", 1.5),
         ("flows_per_set", True),
         ("seed", "x"),
+        ("period_range", (1.5, 3)),
+        ("period_range", ("a", "b")),
+        ("period_range", (True, 3)),
+        ("period_range", (0, 3)),
+        ("jitter_fraction_range", ("a", "b")),
+        ("jitter_fraction_range", (True, 0.5)),
+        ("jitter_fraction_range", (0.0, 1.5)),
     ])
     def test_params_reject_a_bad_field_naming_it(self, field, value):
         with pytest.raises(TrafficError, match=field):
