@@ -144,7 +144,8 @@ class AnalysisRecord:
 
 def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
                  trace: list | None = None) -> int | None:
-    """Smallest w with w = base + sum of ceil((w + J + Jk)/T)*L over the terms.
+    """Smallest w with w = base + sum of ceil((w + J + Jk)/T)*L*n over the
+    terms, each pre-folded as (T, L * n, J + T - 1, id) to one floor division.
 
     Iterates from w = base; every step is non-decreasing. Returns None as an
     exceeds-deadline signal once w would pass the budget (the recurrence has
@@ -157,8 +158,8 @@ def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
         return None
     while True:
         nxt = base
-        for period, length, jit, jid, copies in terms:
-            nxt += ((w + jit + jk[jid] + period - 1) // period) * length * copies
+        for period, load, offset, jid in terms:
+            nxt += ((w + offset + jk[jid]) // period) * load
         if trace is not None:
             trace.append(nxt)
         if nxt == w:
@@ -183,7 +184,7 @@ class _FlowContext(NamedTuple):
     post: int
     fixed: int          # C + C_loop * maxloop + I_pos
     budget: int         # what I_pre may take before the deadline is missed
-    terms: tuple        # busy-period terms: the ring's replicas, then up
+    terms: tuple        # busy-period terms (T, L * n, J + T - 1, id): replicas, then up
     diverges: bool      # the terms' load sum(L * n / T) reaches 1
 
 
@@ -206,7 +207,7 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     # to its upstream term.
     replicas = {}
     for ring_id, members in index.on_ring.items():
-        terms = tuple((g.period, g.length, g.jitter, g.id, maxloops[g.id])
+        terms = tuple((g.period, g.length * maxloops[g.id], g.jitter + g.period - 1, g.id)
                       for g in members if maxloops[g.id])
         replicas[ring_id] = (terms, term_load(terms))
     # Reading the capacities rejects an undersized override before any flow

@@ -77,7 +77,6 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from typing import Literal
 
 from .analysis import AnalysisConfig, AnalysisError, FlowsetResult
@@ -157,8 +156,9 @@ class _RingState:
         self.thru: dict[int, int] = {}
 
 
-def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]:
-    """Every release the model draws, as (cycle, flow id), in time order.
+def _release_schedule(flowset: Flowset, cfg: SimConfig, shift: int) -> list[int]:
+    """Every release the model draws, in time order, packed as ``cycle <<
+    shift | rank``, its flow's rank in id order (``shift`` bits hold any rank).
 
     Sporadic releases all fall before the horizon. A periodic release is
     ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon,
@@ -167,12 +167,13 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
     other. Each draw past a flow's first inlines ``randrange(n)``, n >= 1:
     ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below n.
     """
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
     append, horizon = out.append, cfg.horizon
-    for f in flowset.flows:
-        fid, period = f.id, f.period
-        rng = random.Random(derive_seed(cfg.seed, "rel", fid))
-        getrandbits = rng.getrandbits
+    rng = random.Random()
+    getrandbits = rng.getrandbits
+    for rank, f in enumerate(flowset.index.flows.values()):
+        period = f.period
+        rng.seed(derive_seed(cfg.seed, "rel", f.id))
         if cfg.release == "periodic":
             n = f.jitter + 1
             k = n.bit_length()
@@ -180,13 +181,13 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig) -> list[tuple[int, int]]
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                append((base + r, fid))
+                append((base + r) << shift | rank)
         else:
             n = period + 1
             k = n.bit_length()
             t = rng.randrange(n)
             while t < horizon:
-                append((t, fid))
+                append(t << shift | rank)
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
@@ -274,20 +275,27 @@ class _Engine:
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
 
-        # Packet registry: a packet's id is its index in the sorted release
-        # schedule of (cycle, flow id), and pkt_info holds its flow_info tuple.
-        self.releases = (sorted(cfg.release) if isinstance(cfg.release, tuple)
-                         else _release_schedule(flowset, cfg))
-        self.pkt_info = [self.flow_info[fid] for _, fid in self.releases]
+        # Packet registry: a packet's id is its index in the sorted releases, each
+        # packed as cycle << shift | its flow's index in fids, which sorts as
+        # (cycle, flow id); pkt_info holds its flow_info tuple.
+        self.fids = fids = list(index.flows)
+        self.shift = shift = len(fids).bit_length()
+        self.mask = mask = (1 << shift) - 1
+        if isinstance(cfg.release, tuple):
+            rank = {fid: i for i, fid in enumerate(fids)}
+            self.releases = sorted(t << shift | rank[fid] for t, fid in cfg.release)
+        else:
+            self.releases = _release_schedule(flowset, cfg, shift)
+        self.pkt_info = [self.flow_info[fids[r & mask]] for r in self.releases]
         self.pkt_deflections = [0] * len(self.releases)
         self.pkt_delivery = [-1] * len(self.releases)
         # Packets whose latency may differ from their flow's unhindered
         # latency: those admitted with h > t, released while stepping, or
         # materialised.
         self.deviants: set[int] = set()
-        self.released = Counter(map(itemgetter(1), self.releases))
+        self.released = Counter(fids[r & mask] for r in self.releases)
         # horizon + 10M cycles to drain past the horizon or a later, jittered release
-        last = self.releases[-1][0] if self.releases else 0
+        last = self.releases[-1] >> shift if self.releases else 0
         self.guard = max(last, cfg.horizon) + cfg.horizon + 10_000_000
         # A queue sends and a link ejects at most one flit per cycle, so one
         # owing more flits than cycles 0 to guard can never drain.
@@ -313,7 +321,7 @@ class _Engine:
     def run(self) -> SimOutcome:
         releases, pkt_info, pkt_delivery = self.releases, self.pkt_info, self.pkt_delivery
         deviants, guard, traced = self.deviants, self.guard, self.cfg.collect_trace
-        n_rel = len(releases)
+        n_rel, shift = len(releases), self.shift
         ptr = 0
         t = 0
         settled = 0  # flits of the packets that became worms at release
@@ -332,7 +340,7 @@ class _Engine:
                 # live worm's on a ring port or an ejection link: wait for the
                 # queue, then for or among the live worms (module docstring).
                 while ptr < n_rel:
-                    t = releases[ptr][0]
+                    t = releases[ptr] >> shift
                     _, _, _, hops, length, _, _, rs, ls, qs = pkt_info[ptr]
                     h = qs[0]
                     if h < t:
@@ -373,14 +381,14 @@ class _Engine:
             elif not (self.queues or self.ebusy or self.busy_rings):
                 if ptr >= n_rel:
                     break
-                t = releases[ptr][0]
+                t = releases[ptr] >> shift
             if t > guard:
                 raise ProtocolViolation("simulation failed to drain within its guard window")
-            while ptr < n_rel and releases[ptr][0] == t:
+            while ptr < n_rel and releases[ptr] >> shift == t:
                 self.queues.setdefault(pkt_info[ptr][5], deque()).append(ptr)
                 deviants.add(ptr)
                 if traced:
-                    self.trace.append(("release", t, ptr, releases[ptr][1]))
+                    self.trace.append(("release", t, ptr, self.fids[releases[ptr] & self.mask]))
                 ptr += 1
             self._cycle(t)
             self.stepped_cycles += 1
@@ -666,7 +674,7 @@ class _Engine:
             self.freed = True
             self.pkt_delivery[pkt] = t
             if trace is not None:
-                trace.append(("deliver", t, pkt, t - self.releases[pkt][0]))
+                trace.append(("deliver", t, pkt, t - (self.releases[pkt] >> self.shift)))
         else:
             self.ebusy[ekey] = [pkt, idx + 1]
 
@@ -683,14 +691,14 @@ class _Engine:
             raise ProtocolViolation("network failed to drain after the last release")
         if -1 in self.pkt_delivery:
             raise ProtocolViolation("a released packet has no delivery cycle")
-        releases = self.releases
+        releases, shift, mask, fids = self.releases, self.shift, self.mask, self.fids
         # Every packet but the deviants was admitted in closed form with
         # h = t, so it has its flow's unhindered latency hops + length - 1
         # and no deflection; the deviants are walked one by one.
         flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
         for pkt in self.deviants:
-            release, fid = releases[pkt]
-            stats = flow_stats[fid]
+            release = releases[pkt] >> shift
+            stats = flow_stats[fids[releases[pkt] & mask]]
             latency = self.pkt_delivery[pkt] - release
             stats[0] += 1
             stats[1] += latency
@@ -710,9 +718,9 @@ class _Engine:
                     stats[2] = latency
         per_flow = {fid: FlowStats(count, worst, total / count if count else 0.0, defl)
                     for fid, (count, total, worst, defl) in sorted(flow_stats.items())}
-        blob = ("%d:%d:%d;" * len(self.pkt_info) % tuple(chain.from_iterable(zip(
+        blob = (b"%d:%d:%d;" * len(self.pkt_info) % tuple(chain.from_iterable(zip(
             range(len(self.pkt_info)), self.pkt_delivery, self.pkt_deflections))))[:-1]
-        digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
+        digest = hashlib.sha256(blob).hexdigest()
         return SimOutcome(
             per_flow=per_flow,
             released=len(self.pkt_info),

@@ -71,11 +71,13 @@ class Ring:
     def _positions(self) -> dict[Coord, int]:
         return {coord: pos for pos, coord in enumerate(self.switches)}
 
+    # A Coord argument is looked up as it is; any other is wrapped first.
     def __contains__(self, coord) -> bool:
-        return Coord(*coord) in self._positions
+        return (coord if type(coord) is Coord else Coord(*coord)) in self._positions
 
     def position(self, coord) -> int:
-        coord = Coord(*coord)
+        if type(coord) is not Coord:
+            coord = Coord(*coord)
         try:
             return self._positions[coord]
         except KeyError:
@@ -83,7 +85,7 @@ class Ring:
 
     def hops(self, src, dst) -> int:
         """Number of ring links crossed from src's switch to dst's switch."""
-        return (self.position(dst) - self.position(src)) % self.size
+        return (self.position(dst) - self.position(src)) % len(self.switches)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ class Topology:
 
 def select_ring(topology: Topology, src, dst) -> int:
     """Hop-minimal ring for the pair, lowest id on ties; memoised per pair."""
-    src, dst = Coord(*src), Coord(*dst)
+    if not (type(src) is Coord and type(dst) is Coord):
+        src, dst = Coord(*src), Coord(*dst)
     if src == dst:
         raise ValueError("select_ring requires distinct source and destination")
     ring_id = topology._routes.get((src, dst))

@@ -133,11 +133,11 @@ class InterferenceSets:
 
 
 def term_load(terms) -> tuple[int, int]:
-    """Exact sum of L * n / T over busy-period terms (T, L, J, id, n), as a
-    fraction (numerator, denominator)."""
+    """Exact sum of L * n / T over busy-period terms (T, L * n, J + T - 1, id),
+    as a fraction (numerator, denominator)."""
     num, den = 0, 1
-    for period, length, _, _, n in terms:
-        num = num * period + length * n * den
+    for period, load, _, _ in terms:
+        num = num * period + load * den
         den *= period
     return num, den
 
@@ -151,12 +151,12 @@ class FlowsetIndex:
     payload, length - 1, injected there) and the prefix sums of the bounds
     taken twice over, so a path's backlog is one difference and the ring's
     total is entry ``size``; per (ring, position) switch, the busy-period
-    terms ``(T, L, J, id, 1)`` of the flows passing it, in id order, and
-    their exact load; and, built on first use, each ring's packet-buffer
-    capacity and each platform's ``Platform`` view. Map values are
-    immutable, so extending a copy by flows with larger ids (``_extended``)
-    rewrites no earlier flow's entry; a fresh index is an empty one extended
-    by all flows in id order."""
+    terms of the flows passing it, in id order, each pre-folded as
+    ``(T, L * n, J + T - 1, id)`` with n = 1 copy, and their exact load;
+    and, built on first use, each ring's packet-buffer capacity and each
+    platform's ``Platform`` view. Map values are immutable, so extending a
+    copy by flows with larger ids (``_extended``) rewrites no earlier flow's
+    entry; a fresh index is an empty one extended by all flows in id order."""
 
     _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "buffer_bounds",
              "backlog_sums", "up_terms", "up_load")
@@ -173,7 +173,8 @@ class FlowsetIndex:
     def _add(self, flows) -> None:
         for f in flows:
             ring = self.topology.ring(f.ring)
-            start, hops = ring.position(f.src), ring.hops(f.src, f.dst)
+            start, size = ring.position(f.src), ring.size
+            hops = (ring.position(f.dst) - start) % size
             self.flows[f.id] = f
             self.route[f.id] = (start, hops)
             self.on_ring[f.ring] = self.on_ring.get(f.ring, ()) + (f,)
@@ -184,9 +185,9 @@ class FlowsetIndex:
                 bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
                 self.buffer_bounds[f.ring] = bounds
                 self.backlog_sums[f.ring] = tuple(accumulate(bounds * 2, initial=0))
-            term = (f.period, f.length, f.jitter, f.id, 1)
+            term = (f.period, f.length, f.jitter + f.period - 1, f.id)
             for d in range(1, hops):
-                switch = (f.ring, (start + d) % ring.size)
+                switch = (f.ring, (start + d) % size)
                 self.up_terms[switch] = self.up_terms.get(switch, ()) + (term,)
                 num, den = self.up_load.get(switch, (0, 1))
                 self.up_load[switch] = (num * f.period + f.length * den, den * f.period)
@@ -225,7 +226,8 @@ class Platform:
     pair: the one place the analysis and the simulator learn them from.
     ``queue``, ``link`` and ``maxloop`` map each flow id to its queue key,
     link key and bound, and ``queues`` and ``links`` each key to its flows
-    in id order; each map is built on first read.
+    in id order; each map is built on first read, the queue maps, which
+    depend on the injection alone, once per injection.
 
     Keys start with a core, ``row * width + col``. A queue is ``(core,)``
     under shared injection, else ``(core, ring)``. A link is ``(core, ring)``
@@ -242,9 +244,12 @@ class Platform:
     def __init__(self, index: FlowsetIndex, injection: str, maxloop: int | str):
         self._flows, self._on_dst, self._width = index.flows, index.on_dst, index.topology.width
         self._shared, self._maxloop = injection == "shared", maxloop
+        self._base = None if maxloop == 0 else index.platform(injection, 0)
 
     @cached_property
     def queue(self) -> dict[int, tuple]:
+        if self._base is not None:
+            return self._base.queue
         width, shared = self._width, self._shared
         return {fid: (f.src.row * width + f.src.col,) if shared
                 else (f.src.row * width + f.src.col, f.ring) for fid, f in self._flows.items()}
@@ -269,7 +274,7 @@ class Platform:
 
     @cached_property
     def queues(self) -> dict[tuple, tuple[Flow, ...]]:
-        return self._members(self.queue)
+        return self._members(self.queue) if self._base is None else self._base.queues
 
     @cached_property
     def links(self) -> dict[tuple, tuple[Flow, ...]]:
@@ -278,6 +283,8 @@ class Platform:
     @cached_property
     def queued_length(self) -> dict[tuple, int]:
         """Per queue key, the total length of its flows' packets."""
+        if self._base is not None:
+            return self._base.queued_length
         out: dict[tuple, int] = {}
         for fid, key in self.queue.items():
             out[key] = out.get(key, 0) + self._flows[fid].length
@@ -329,21 +336,41 @@ def generate_flowset(params: BenchmarkParams) -> Flowset:
     so for the same seed a larger flowset extends a smaller one flow-for-flow
     (the prefix property the paired sweeps rely on). Deadlines equal periods.
     Flows are routed on the grid's shared ``generate_multi_ring`` topology.
+    Its ``randint``, ``uniform`` and ``randrange`` draws are inlined:
+    ``randrange(n)`` is ``getrandbits(n.bit_length())`` until below n, and
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``.
     """
     topology = generate_multi_ring(params.width, params.height)
     rng = random.Random(params.seed)
-    cells = params.width * params.height
+    getrandbits, unit = rng.getrandbits, rng.random
+    width, cells = params.width, params.width * params.height
+    coords = [Coord(i % width, i // width) for i in range(cells)]
+    (t_lo, t_hi), (l_lo, l_hi) = params.period_range, params.packet_range
+    j_lo, j_hi = params.jitter_fraction_range
+    n_t, n_l, j_span = t_hi - t_lo + 1, l_hi - l_lo + 1, j_hi - j_lo
+    # The topology has at least 2x2 cells, so every range below is non-empty.
+    k_t, k_l, k_src, k_dst = (n_t.bit_length(), n_l.bit_length(), cells.bit_length(),
+                              (cells - 1).bit_length())
     flows = []
     for k in range(params.flows_per_set):
-        period = rng.randint(*params.period_range)
-        length = rng.randint(*params.packet_range)
-        fraction = rng.uniform(*params.jitter_fraction_range)
-        src_i = rng.randrange(cells)
-        dst_i = rng.randrange(cells - 1)
+        r = getrandbits(k_t)
+        while r >= n_t:
+            r = getrandbits(k_t)
+        period = t_lo + r
+        r = getrandbits(k_l)
+        while r >= n_l:
+            r = getrandbits(k_l)
+        length = l_lo + r
+        fraction = j_lo + j_span * unit()
+        src_i = getrandbits(k_src)
+        while src_i >= cells:
+            src_i = getrandbits(k_src)
+        dst_i = getrandbits(k_dst)
+        while dst_i >= cells - 1:
+            dst_i = getrandbits(k_dst)
         if dst_i >= src_i:
             dst_i += 1
-        src = Coord(src_i % params.width, src_i // params.width)
-        dst = Coord(dst_i % params.width, dst_i // params.width)
+        src, dst = coords[src_i], coords[dst_i]
         flows.append(Flow(
             id=k + 1,
             period=period,
@@ -359,14 +386,15 @@ def generate_flowset(params: BenchmarkParams) -> Flowset:
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     """Interference sets for every flow of the flowset: ``up`` from the ids of
-    its busy-period terms, ``in_ring`` from its source core's flows."""
+    its busy-period terms, ``in_ring`` from its queue under independent
+    injection."""
     index = flowset.index
     up = {f.id: frozenset(term[3] for term in
                           index.up_terms.get((f.ring, index.route[f.id][0]), ()))
           for f in index.flows.values()}
-    in_ring = {f.id: frozenset(g.id for g in index.on_core[f.src]
-                               if g.ring == f.ring and g is not f)
-               for f in index.flows.values()}
+    view = index.platform("independent", 0)
+    in_ring = {fid: frozenset(g.id for g in view.queues[key] if g.id != fid)
+               for fid, key in view.queue.items()}
     down_map: dict[int, frozenset[int]] = {}
     # Ring links occupied by each flow, as a bitmask over link positions
     # (link p runs from switch p to switch p+1).

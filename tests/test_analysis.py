@@ -181,7 +181,7 @@ class TestBusyPeriods:
 
     def test_iterates_strictly_increase_until_cutoff(self):
         trace = []
-        result = _fixed_point(1, ((10, 5, 0, 2, 1), (10, 5, 0, 3, 1)),
+        result = _fixed_point(1, ((10, 5, 9, 2), (10, 5, 9, 3)),
                               {2: 0, 3: 0}, budget=60, trace=trace)
         assert result is None
         assert trace == sorted(trace)
@@ -191,7 +191,7 @@ class TestBusyPeriods:
         # A negative length makes the second iterate fall below the first,
         # which no valid flowset can produce.
         with pytest.raises(InvariantError):
-            _fixed_point(5, ((10, -3, 0, 2, 1),), {2: 0}, budget=100)
+            _fixed_point(5, ((10, -3, 9, 2),), {2: 0}, budget=100)
 
     def test_deflecting_interferer_adds_one_replica(self, six_ring_topology):
         # Every flow may deflect once: the interferer (T=100, L=5) enters as

@@ -172,7 +172,7 @@ def test_analysis_defect_propagates_out_of_run(monkeypatch):
     fixed_point = analysis._fixed_point
 
     def negated(base, terms, *args):
-        return fixed_point(base, [(t, -length, j, i, n) for t, length, j, i, n in terms], *args)
+        return fixed_point(base, [(t, -load, offset, i) for t, load, offset, i in terms], *args)
 
     monkeypatch.setattr(analysis, "_fixed_point", negated)
     with pytest.raises(analysis.InvariantError, match="busy-period iterate decreased"):

@@ -412,6 +412,14 @@ def randrange_schedule(flowset, cfg):
     return sorted(out)
 
 
+def drawn_schedule(flowset, cfg):
+    """``_release_schedule``'s packed releases as (cycle, flow id) pairs."""
+    ids = sorted(f.id for f in flowset.flows)
+    shift = len(ids).bit_length()
+    return [(r >> shift, ids[r & ((1 << shift) - 1)])
+            for r in _release_schedule(flowset, cfg, shift)]
+
+
 # Small values reach period 1 and jitter 0 (a draw from U[0,1)); large
 # ones draw more than 32 bits at a time.
 TIMES = st.one_of(st.integers(1, 70), st.integers(1, 2**40))
@@ -448,7 +456,7 @@ class TestReleaseSchedule:
     @given(case=release_cases())
     def test_draws_equal_the_randrange_reference(self, case):
         flowset, cfg = case
-        assert _release_schedule(flowset, cfg) == randrange_schedule(flowset, cfg)
+        assert drawn_schedule(flowset, cfg) == randrange_schedule(flowset, cfg)
 
     def test_release_count_is_bounded_before_drawing(self, six_ring_topology, monkeypatch):
         # At most ceil(horizon / T) releases per flow, under either model.
@@ -496,6 +504,28 @@ class TestReleaseSchedule:
             simulate(flowset, SimConfig(horizon=horizon, release="periodic"), SHARED)
         assert time.perf_counter() - start < 1
 
+    def test_flow_ids_of_any_sign_and_size_keep_their_order(self):
+        # Releases are packed by their flow's rank in id order, so ids that
+        # are negative, zero or wider than a machine word run as 1, 2, ...
+        # would: the same packets in the same order, stepped alike.
+        small = generate_flowset(BenchmarkParams(flows_per_set=30, seed=23,
+                                                 period_range=(200, 2_000)))
+        relabel = {fid: -2**70 + (fid - 1) * 2**66 for fid in range(1, 31)}
+        wide = Flowset(tuple(replace(f, id=relabel[f.id]) for f in small.flows),
+                       small.topology)
+        original = {new: old for old, new in relabel.items()}
+        drawn = SimConfig(seed=5, horizon=4_000, release="periodic")
+        listed = tuple((t, original[fid]) for t, fid in drawn_schedule(wide, drawn))
+        listed = SimConfig(horizon=max(t for t, _ in listed) + 1, release=listed)
+        for trace in (False, True):
+            a = simulate(wide, replace(drawn, collect_trace=trace), SHARED)
+            b = simulate(small, replace(listed, collect_trace=trace), SHARED)
+            assert a.stepped_cycles == b.stepped_cycles > 0
+            assert (a.digest, a.per_flow) == (b.digest, {relabel[fid]: stats for fid, stats
+                                                         in b.per_flow.items()})
+            assert a.trace == [ev[:3] + (relabel[ev[3]],) if ev[0] == "release" else ev
+                               for ev in b.trace]
+
     def test_periodic_jitter_can_release_after_the_horizon(self):
         # Only offset + n*T is kept below the horizon; the jitter added to it
         # can carry the release past, and the packet still runs.
@@ -504,12 +534,12 @@ class TestReleaseSchedule:
         late = []
         for seed in range(5):
             periodic = SimConfig(seed=seed, horizon=20_000, release="periodic")
-            releases = _release_schedule(flowset, periodic)
+            releases = drawn_schedule(flowset, periodic)
             late.append(sum(t >= 20_000 for t, _ in releases))
             assert all(t < 20_000 + jitter[fid] for t, fid in releases)
             assert simulate(flowset, periodic, SHARED).released == len(releases)
             sporadic = replace(periodic, release="sporadic")
-            assert all(t < 20_000 for t, _ in _release_schedule(flowset, sporadic))
+            assert all(t < 20_000 for t, _ in drawn_schedule(flowset, sporadic))
         assert late == [1, 4, 3, 5, 1]
 
     def test_offsets_for_every_jitter_free_flow_give_exact_periods(self, six_ring_topology):
@@ -517,7 +547,7 @@ class TestReleaseSchedule:
                                 make_flow(1, (0, 0), (2, 0), period=300),
                                 make_flow(2, (0, 0), (1, 1), period=500))
         # The periodic model draws each offset below the period.
-        drawn = _release_schedule(flowset, SimConfig(seed=4, horizon=6_000, release="periodic"))
+        drawn = drawn_schedule(flowset, SimConfig(seed=4, horizon=6_000, release="periodic"))
         for f in flowset.flows:
             times = [t for t, fid in drawn if fid == f.id]
             assert times == list(range(times[0], 6_000, f.period)) and times[0] < f.period
@@ -541,7 +571,7 @@ class TestReleaseSchedule:
     def test_a_shuffled_drawn_schedule_reproduces_the_drawn_run(self, flowset, hw, seed,
                                                                  horizon, release, shuffle):
         drawn = SimConfig(seed=seed, horizon=horizon, release=release)
-        releases = _release_schedule(flowset, drawn)
+        releases = drawn_schedule(flowset, drawn)
         shuffle.shuffle(releases)
         # Periodic jitter can put a drawn release at or after the horizon,
         # and every listed release lies below it.

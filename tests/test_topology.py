@@ -105,6 +105,26 @@ class TestPathFunctions:
         with pytest.raises(NotOnRingError):
             ring.hops((0, 0), (0, 3))
 
+    def test_lookups_take_a_coord_a_tuple_or_a_list_alike(self, ten_ring_fixture):
+        # A Coord is looked up as it is; any other argument is wrapped first.
+        topo = ten_ring_fixture
+        ring = topo.ring(0)
+        for a in ring.switches:
+            for form in (tuple, list):
+                assert form(a) in ring
+                assert ring.position(form(a)) == ring.position(a)
+                for b in ring.switches:
+                    assert ring.hops(form(a), form(b)) == ring.hops(a, b)
+                    if a != b:
+                        assert (select_ring(topo, form(a), form(b))
+                                == select_ring(topo, a, b))
+        for off in (Coord(0, 3), (0, 3), [0, 3]):
+            assert off not in ring
+            with pytest.raises(NotOnRingError, match=r"switch \(0, 3\) is not on ring 0"):
+                ring.position(off)
+        with pytest.raises(TypeError):
+            ring.position((0, 0, 0))
+
     def test_same_endpoints_rejected(self, six_ring_topology):
         assert six_ring_topology.rings[0].hops((0, 0), (0, 0)) == 0
         with pytest.raises(ValueError):

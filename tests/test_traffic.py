@@ -19,6 +19,7 @@ from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import (
     MAX_PACKET_LENGTH,
     BenchmarkParams,
+    Flow,
     Flowset,
     TrafficError,
     _extended,
@@ -29,7 +30,7 @@ from rlnoc.traffic import (
     load_flowset_file,
     save_flowset_file,
 )
-from rlnoc.topology import NotOnRingError, Topology, generate_multi_ring
+from rlnoc.topology import Coord, NotOnRingError, Topology, generate_multi_ring, select_ring
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -123,7 +124,8 @@ class TestFlowsetIndex:
                 assert ctx.loop == ring.size + f.length
                 assert table[f.id].up == {g.id for g in up}
                 assert table[f.id].in_ring == {g.id for g in in_ring}
-                up_terms = tuple((g.period, g.length, g.jitter, g.id, 1) for g in up)
+                up_terms = tuple((g.period, g.length, g.jitter + g.period - 1, g.id)
+                                 for g in up)
                 assert index.up_terms.get(switch, ()) == up_terms
                 assert ctx.terms == up_terms
                 assert (Fraction(*index.up_load.get(switch, (0, 1)))
@@ -208,6 +210,10 @@ class TestFlowsetIndex:
                 assert all(key[0] == core[f.id] for key, group in groups.items() for f in group)
             assert view.queued_length == {key: sum(f.length for f in group)
                                           for key, group in view.queues.items()}
+            # The queue maps depend on the injection alone, so its views share them.
+            base = flowset.index.platform(config.injection, 0)
+            assert all(getattr(view, name) is getattr(base, name)
+                       for name in ("queue", "queues", "queued_length"))
             if config.injection == "shared":
                 assert set(view.queues) == {(src[f.id],) for f in in_order}
             else:
@@ -330,7 +336,54 @@ class TestInterferenceProperties:
                     <= ids(flowset.index.on_ring[flow.ring]))
 
 
+def randint_flowset(params):
+    """The flowset drawn with plain ``randint``, ``uniform`` and ``randrange``
+    calls: the reference for the generator's inlined draws."""
+    topology = generate_multi_ring(params.width, params.height)
+    rng = random.Random(params.seed)
+    cells = params.width * params.height
+    flows = []
+    for k in range(params.flows_per_set):
+        period = rng.randint(*params.period_range)
+        length = rng.randint(*params.packet_range)
+        fraction = rng.uniform(*params.jitter_fraction_range)
+        src_i = rng.randrange(cells)
+        dst_i = rng.randrange(cells - 1)
+        if dst_i >= src_i:
+            dst_i += 1
+        src = Coord(src_i % params.width, src_i // params.width)
+        dst = Coord(dst_i % params.width, dst_i // params.width)
+        flows.append(Flow(k + 1, period, period, length, int(fraction * period), src, dst,
+                          select_ring(topology, src, dst)))
+    return Flowset(tuple(flows), topology)
+
+
+@st.composite
+def generator_params(draw):
+    def bounds(values):
+        lo, hi = sorted((draw(values), draw(values)))
+        return (lo, lo) if draw(st.booleans()) else (lo, hi)
+
+    # Small periods give narrow widths, which the rejection loop often
+    # redraws; large ones draw more than 32 bits at a time.
+    periods = st.one_of(st.integers(1, 70), st.integers(1, 2**40))
+    return BenchmarkParams(
+        flows_per_set=draw(st.integers(0, 60)),
+        width=draw(st.integers(2, 6)),
+        height=draw(st.integers(2, 6)),
+        packet_range=bounds(st.integers(1, MAX_PACKET_LENGTH)),
+        period_range=bounds(periods),
+        jitter_fraction_range=bounds(st.one_of(st.integers(0, 1), st.floats(0, 1))),
+        seed=draw(st.one_of(st.integers(-2**70, 2**70), st.integers(2**64, 2**80))),
+    )
+
+
 class TestGenerator:
+    @settings(max_examples=150, deadline=None)
+    @given(params=generator_params())
+    def test_inlined_draws_equal_the_randint_reference(self, params):
+        assert generate_flowset(params) == randint_flowset(params)
+
     def test_deterministic(self):
         params = BenchmarkParams(flows_per_set=30, seed=99)
         a = generate_flowset(params)
