@@ -49,8 +49,8 @@ class AnalysisConfig:
     """Configuration switches selecting the model variant to analyse.
 
     ``injection`` and ``maxloop`` (0, k >= 1 or ``"oldest_first"``) select
-    the platform: its queues, ejection links and deflection bounds, which
-    ``traffic.Platform`` derives.
+    the platform: each flow's injection queue, ejection link and deflection
+    bound, which ``FlowsetIndex.platform`` builds as a ``traffic.Platform``.
     """
 
     injection: Injection = "shared"
@@ -193,7 +193,7 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     id that builds each context on first use: a pass that stops at a failing
     flow never builds the contexts of the flows after it.
 
-    The platform view (``Platform``) gives each flow its queue and its
+    The platform record (``Platform``) gives each flow its queue and its
     ``maxloop``. ``I_pos`` charges each downstream switch its backlog bound
     (tight) or the buffer capacity (coarse), plus one whole-ring bound per
     deflection.
@@ -201,7 +201,10 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
     index = flowset.index
     platform = index.platform(config.injection, config.maxloop)
     maxloops, queue = platform.maxloop, platform.queue
-    lengths = None if config.injection == "shared" else platform.queued_length
+    lengths: dict[tuple, int] = {}
+    if config.injection == "independent":
+        for fid, key in queue.items():
+            lengths[key] = lengths.get(key, 0) + index.flows[fid].length
     # Every flow of a ring that may deflect enters the busy period of each
     # flow of the ring (itself included) as maxloop_j replicas, in addition
     # to its upstream term.

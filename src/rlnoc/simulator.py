@@ -110,9 +110,9 @@ class SimConfig:
         if isinstance(self.release, tuple):
             if bad := [r for r in self.release if not (
                     isinstance(r, tuple) and len(r) == 2 and _is_int(r[0]) and _is_int(r[1])
-                    and 0 <= r[0] < self.horizon and r[1] >= 0)]:
-                raise AnalysisError(f"a release is a pair (cycle, flow id) of integers >= 0, "
-                                    f"cycle < horizon {self.horizon}, got {bad[0]!r}")
+                    and 0 <= r[0] < self.horizon)]:
+                raise AnalysisError(f"a release is a pair (cycle, flow id) of integers, "
+                                    f"0 <= cycle < horizon {self.horizon}, got {bad[0]!r}")
         elif self.release not in ("periodic", "sporadic"):
             raise AnalysisError(f"bad release model {self.release!r}")
 
@@ -252,7 +252,7 @@ class _Engine:
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
         # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key and ejection-link key (from the ``Platform`` view), then
+        # queue key and ejection-link key (from the ``Platform`` record), then
         # the closed-form slots (see ``run``) of its ring, ejection link and
         # queue, shared with the flows on the same ring, link or queue. Keys
         # are tuples so that a traced run sorts them uniformly.

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .topology import (
     Coord,
@@ -145,7 +146,7 @@ def term_load(terms) -> tuple[int, int]:
 class FlowsetIndex:
     """Config-independent lookups shared by the analyses and simulations of
     one flowset, each stored once under what it depends on: flows by id (in
-    id order), by ring, by source core and by destination core; each flow's
+    id order), by ring and by destination core; each flow's
     route, ``(start, hops)``: its source position on its ring and its hop
     count; per ring, the worst backlog at each switch position (the largest
     payload, length - 1, injected there) and the prefix sums of the bounds
@@ -154,11 +155,11 @@ class FlowsetIndex:
     terms of the flows passing it, in id order, each pre-folded as
     ``(T, L * n, J + T - 1, id)`` with n = 1 copy, and their exact load;
     and, built on first use, each ring's packet-buffer capacity and each
-    platform's ``Platform`` view. Map values are immutable, so extending a
+    platform's ``Platform`` record. Map values are immutable, so extending a
     copy by flows with larger ids (``_extended``) rewrites no earlier flow's
     entry; a fresh index is an empty one extended by all flows in id order."""
 
-    _MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "buffer_bounds",
+    _MAPS = ("flows", "on_ring", "on_dst", "route", "buffer_bounds",
              "backlog_sums", "up_terms", "up_load")
 
     def __init__(self, flowset: Flowset):
@@ -178,7 +179,6 @@ class FlowsetIndex:
             self.flows[f.id] = f
             self.route[f.id] = (start, hops)
             self.on_ring[f.ring] = self.on_ring.get(f.ring, ()) + (f,)
-            self.on_core[f.src] = self.on_core.get(f.src, ()) + (f,)
             self.on_dst[f.dst] = self.on_dst.get(f.dst, ()) + (f,)
             bounds = self.buffer_bounds[f.ring]
             if f.length - 1 > bounds[start]:
@@ -212,22 +212,36 @@ class FlowsetIndex:
         return out
 
     def platform(self, injection: str, maxloop: int | str) -> Platform:
-        """The ``Platform`` of an ``(injection, maxloop)`` pair, built on first
-        use and kept for the index's lifetime."""
+        """The ``Platform`` of an ``(injection, maxloop)`` pair, built in one
+        pass over each destination core's flows on first use and kept for
+        the index's lifetime."""
         views = self.__dict__.setdefault("_platforms", {})
         if (injection, maxloop) not in views:
-            views[injection, maxloop] = Platform(self, injection, maxloop)
+            width, shared = self.topology.width, injection == "shared"
+            queue, link, loops = {}, {}, {}
+            for dst, flows in self.on_dst.items():
+                core = dst.row * width + dst.col
+                if maxloop == "oldest_first":
+                    n_links, k = 1, len(flows) - 1
+                elif maxloop:
+                    n_links, k = -(-len(flows) // maxloop), maxloop
+                else:
+                    n_links, k = 0, 0
+                for i, f in enumerate(flows):
+                    src = f.src.row * width + f.src.col
+                    queue[f.id] = (src,) if shared else (src, f.ring)
+                    link[f.id] = (core, i % n_links) if n_links else (core, f.ring)
+                    loops[f.id] = k
+            views[injection, maxloop] = Platform(queue, link, loops)
         return views[injection, maxloop]
 
 
-class Platform:
-    """Which flows share an injection queue or an ejection link, and each
-    flow's deflection bound, on the platform of an ``(injection, maxloop)``
-    pair: the one place the analysis and the simulator learn them from.
-    ``queue``, ``link`` and ``maxloop`` map each flow id to its queue key,
-    link key and bound, and ``queues`` and ``links`` each key to its flows
-    in id order; each map is built on first read, the queue maps, which
-    depend on the injection alone, once per injection.
+class Platform(NamedTuple):
+    """Which injection queue and ejection link each flow uses, and its
+    deflection bound, on the platform of an ``(injection, maxloop)`` pair:
+    the one place the analysis and the simulator learn them from. ``queue``,
+    ``link`` and ``maxloop`` map each flow id to its queue key, link key and
+    bound.
 
     Keys start with a core, ``row * width + col``. A queue is ``(core,)``
     under shared injection, else ``(core, ring)``. A link is ``(core, ring)``
@@ -241,60 +255,9 @@ class Platform:
     size) times. Only a link that serves one flow rules deflection out.
     """
 
-    def __init__(self, index: FlowsetIndex, injection: str, maxloop: int | str):
-        self._flows, self._on_dst, self._width = index.flows, index.on_dst, index.topology.width
-        self._shared, self._maxloop = injection == "shared", maxloop
-        self._base = None if maxloop == 0 else index.platform(injection, 0)
-
-    @cached_property
-    def queue(self) -> dict[int, tuple]:
-        if self._base is not None:
-            return self._base.queue
-        width, shared = self._width, self._shared
-        return {fid: (f.src.row * width + f.src.col,) if shared
-                else (f.src.row * width + f.src.col, f.ring) for fid, f in self._flows.items()}
-
-    @cached_property
-    def link(self) -> dict[int, tuple]:
-        width, maxloop = self._width, self._maxloop
-        if not maxloop:
-            return {fid: (f.dst.row * width + f.dst.col, f.ring) for fid, f in self._flows.items()}
-        out = {}
-        for dst, flows in self._on_dst.items():
-            n_links = 1 if maxloop == "oldest_first" else -(-len(flows) // maxloop)
-            for i, f in enumerate(flows):
-                out[f.id] = (dst.row * width + dst.col, i % n_links)
-        return out
-
-    @cached_property
-    def maxloop(self) -> dict[int, int]:
-        if self._maxloop == "oldest_first":
-            return {fid: len(self.links[key]) - 1 for fid, key in self.link.items()}
-        return dict.fromkeys(self._flows, self._maxloop)
-
-    @cached_property
-    def queues(self) -> dict[tuple, tuple[Flow, ...]]:
-        return self._members(self.queue) if self._base is None else self._base.queues
-
-    @cached_property
-    def links(self) -> dict[tuple, tuple[Flow, ...]]:
-        return self._members(self.link)
-
-    @cached_property
-    def queued_length(self) -> dict[tuple, int]:
-        """Per queue key, the total length of its flows' packets."""
-        if self._base is not None:
-            return self._base.queued_length
-        out: dict[tuple, int] = {}
-        for fid, key in self.queue.items():
-            out[key] = out.get(key, 0) + self._flows[fid].length
-        return out
-
-    def _members(self, keys: dict[int, tuple]) -> dict[tuple, tuple[Flow, ...]]:
-        out: dict[tuple, tuple[Flow, ...]] = {}
-        for fid, f in self._flows.items():
-            out[keys[fid]] = out.get(keys[fid], ()) + (f,)
-        return out
+    queue: dict[int, tuple]
+    link: dict[int, tuple]
+    maxloop: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -392,9 +355,11 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     up = {f.id: frozenset(term[3] for term in
                           index.up_terms.get((f.ring, index.route[f.id][0]), ()))
           for f in index.flows.values()}
-    view = index.platform("independent", 0)
-    in_ring = {fid: frozenset(g.id for g in view.queues[key] if g.id != fid)
-               for fid, key in view.queue.items()}
+    queue = index.platform("independent", 0).queue
+    mates: dict[tuple, list[int]] = {}
+    for fid, key in queue.items():
+        mates.setdefault(key, []).append(fid)
+    in_ring = {fid: frozenset(mates[key]) - {fid} for fid, key in queue.items()}
     down_map: dict[int, frozenset[int]] = {}
     # Ring links occupied by each flow, as a bitmask over link positions
     # (link p runs from switch p to switch p+1).

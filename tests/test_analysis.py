@@ -270,7 +270,7 @@ class TestQueueWait:
                 if basic is None:
                     continue
                 queue = sum(g.length + idle[g.id]
-                            for g in flowset.index.on_core[ctx.flow.src] if g is not ctx.flow)
+                            for g in flowset.flows if g.src == ctx.flow.src and g is not ctx.flow)
                 assert idle[ctx.flow.id] + queue >= basic, (trial, ctx.flow.id)
                 checked += 1
         assert checked > 1000
@@ -349,7 +349,7 @@ class TestAnalyze:
         for flow in flowset.flows:
             sets = table[flow.id]
             assert not (sets.up | sets.down | sets.in_ring)
-            assert flowset.index.on_core[flow.src] == (flow,)
+            assert [g for g in flowset.flows if g.src == flow.src] == [flow]
         for config in (parse_profile("0D_IU_II"), parse_profile("0D_IU_SI")):
             result = analyze(flowset, config)
             assert result.schedulable

@@ -513,18 +513,23 @@ class TestReleaseSchedule:
         relabel = {fid: -2**70 + (fid - 1) * 2**66 for fid in range(1, 31)}
         wide = Flowset(tuple(replace(f, id=relabel[f.id]) for f in small.flows),
                        small.topology)
-        original = {new: old for old, new in relabel.items()}
         drawn = SimConfig(seed=5, horizon=4_000, release="periodic")
-        listed = tuple((t, original[fid]) for t, fid in drawn_schedule(wide, drawn))
+        # The small flowset's drawn releases, listed under the wide ids.
+        listed = tuple((t, relabel[fid]) for t, fid in drawn_schedule(small, drawn))
         listed = SimConfig(horizon=max(t for t, _ in listed) + 1, release=listed)
         for trace in (False, True):
-            a = simulate(wide, replace(drawn, collect_trace=trace), SHARED)
-            b = simulate(small, replace(listed, collect_trace=trace), SHARED)
+            a = simulate(wide, replace(listed, collect_trace=trace), SHARED)
+            b = simulate(small, replace(drawn, collect_trace=trace), SHARED)
             assert a.stepped_cycles == b.stepped_cycles > 0
             assert (a.digest, a.per_flow) == (b.digest, {relabel[fid]: stats for fid, stats
                                                          in b.per_flow.items()})
             assert a.trace == [ev[:3] + (relabel[ev[3]],) if ev[0] == "release" else ev
                                for ev in b.trace]
+        # The wide ids seed draws of their own, which run as their listing does.
+        own = tuple(drawn_schedule(wide, drawn))
+        own = SimConfig(horizon=max(t for t, _ in own) + 1, release=own)
+        a, b = simulate(wide, drawn, SHARED), simulate(wide, own, SHARED)
+        assert (a.digest, a.per_flow, a.stepped_cycles) == (b.digest, b.per_flow, b.stepped_cycles)
 
     def test_periodic_jitter_can_release_after_the_horizon(self):
         # Only offset + n*T is kept below the horizon; the jitter added to it
@@ -586,12 +591,12 @@ class TestSimConfigValidation:
     @pytest.mark.parametrize("fields", [
         {"release": "bogus"}, {"horizon": -5}, {"horizon": 0}, {"horizon": True},
         {"horizon": 1e6}, {"seed": 1.5}, {"seed": True},
-        # A schedule is a tuple of (cycle, flow id) pairs of integers >= 0,
-        # each cycle below the horizon.
+        # A schedule is a tuple of (cycle, flow id) pairs of integers, each
+        # cycle from 0 to below the horizon.
         {"release": [(0, 1)]}, {"release": (0, 1)}, {"release": ((0, 1, 2),)},
         {"release": ([0, 1],)}, {"release": ((True, 1),)}, {"release": ((0, False),)},
         {"release": ((0.0, 1),)}, {"release": ((0, 1.0),)}, {"release": ((-1, 1),)},
-        {"release": ((0, -1),)}, {"horizon": 10, "release": ((0, 1), (10, 1))},
+        {"horizon": 10, "release": ((0, 1), (10, 1))},
     ])
     def test_rejects_bad_values(self, fields):
         with pytest.raises(AnalysisError):

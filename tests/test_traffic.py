@@ -54,7 +54,9 @@ class TestFiveFlowScenario:
 
     def test_in_core_and_ring_all(self, five_flow_fixture):
         index = five_flow_fixture.index
-        on_core = {core: [f.id for f in flows] for core, flows in index.on_core.items()}
+        on_core = {}
+        for f in five_flow_fixture.flows:
+            on_core.setdefault(f.src, []).append(f.id)
         assert on_core == {(2, 0): [1, 5], (1, 0): [2], (0, 1): [3], (0, 0): [4]}
         assert list(index.on_ring) == [0]
         assert [f.id for f in index.on_ring[0]] == sorted(EXPECTED_SETS)
@@ -131,9 +133,6 @@ class TestFlowsetIndex:
                 assert (Fraction(*index.up_load.get(switch, (0, 1)))
                         == sum((Fraction(g.length, g.period) for g in up), Fraction(0)))
                 assert ctx.in_sum == sum(g.length for g in in_ring)
-                assert (tuple(g.id for g in index.on_core[f.src] if g is not f)
-                        == tuple(sorted(g.id for g in flowset.flows
-                                        if g.src == f.src and g.id != f.id)))
                 assert ctx.post == sum(bounds[ring.position(c)] for c in path(f)[1:])
 
     def test_queue_term_sums_the_core_mates(self):
@@ -155,14 +154,14 @@ class TestFlowsetIndex:
 
     # Every map of an index; test_grown_index_equals_fresh_index fails when
     # the index gains one that is not listed here.
-    INDEX_MAPS = ("flows", "on_ring", "on_core", "on_dst", "route", "buffer_bounds",
+    INDEX_MAPS = ("flows", "on_ring", "on_dst", "route", "buffer_bounds",
                   "backlog_sums", "up_terms", "up_load")
-    # Platform pairs and fields whose views must not carry over a growth.
+    # Platform pairs whose records must not carry over a growth.
     PLATFORMS = (("shared", 0), ("independent", 2), ("shared", "oldest_first"))
-    VIEW_FIELDS = ("queue", "queues", "queued_length", "link", "links", "maxloop")
 
     def views(self, index):
-        return {pair: {name: getattr(index.platform(*pair), name) for name in self.VIEW_FIELDS}
+        return {pair: {name: getattr(index.platform(*pair), name)
+                       for name in ("queue", "link", "maxloop")}
                 for pair in self.PLATFORMS}
 
     @settings(max_examples=30, deadline=None)
@@ -182,6 +181,7 @@ class TestFlowsetIndex:
             grown = _extended(prefix, full.flows[len(prefix.flows):count])
             fresh = Flowset(full.flows[:count], full.topology)
             assert grown == fresh
+            assert set(vars(grown.index)) == {"topology", *self.INDEX_MAPS}
             assert set(vars(fresh.index)) == {"topology", *self.INDEX_MAPS}
             for name in self.INDEX_MAPS:
                 assert getattr(grown.index, name) == getattr(fresh.index, name), name
@@ -202,34 +202,29 @@ class TestFlowsetIndex:
             view = flowset.index.platform(config.injection, k)
             src = {f.id: f.src.row * 4 + f.src.col for f in in_order}
             dst = {f.id: f.dst.row * 4 + f.dst.col for f in in_order}
-            for keys, groups, core in ((view.queue, view.queues, src),
-                                       (view.link, view.links, dst)):
-                # A key's members are the flows mapped to it, in id order, all at its core.
-                assert groups == {key: tuple(f for f in in_order if keys[f.id] == key)
-                                  for key in keys.values()}
-                assert all(key[0] == core[f.id] for key, group in groups.items() for f in group)
-            assert view.queued_length == {key: sum(f.length for f in group)
-                                          for key, group in view.queues.items()}
-            # The queue maps depend on the injection alone, so its views share them.
-            base = flowset.index.platform(config.injection, 0)
-            assert all(getattr(view, name) is getattr(base, name)
-                       for name in ("queue", "queues", "queued_length"))
+            assert set(view.queue) == set(view.link) == set(view.maxloop) == set(src)
+            # Each key's members: the flows mapped to it, in id order.
+            queues, links = ({key: tuple(f for f in in_order if keys[f.id] == key)
+                              for key in keys.values()} for keys in (view.queue, view.link))
+            for keys, core in ((view.queue, src), (view.link, dst)):
+                assert all(key[0] == core[fid] for fid, key in keys.items())
             if config.injection == "shared":
-                assert set(view.queues) == {(src[f.id],) for f in in_order}
+                assert set(queues) == {(src[f.id],) for f in in_order}
             else:
-                assert set(view.queues) == {(src[f.id], f.ring) for f in in_order}
+                assert set(queues) == {(src[f.id], f.ring) for f in in_order}
             if k == "oldest_first":
-                assert set(view.links) == {(dst[f.id], 0) for f in in_order}
-                assert all(view.maxloop[f.id] == len(group) - 1
-                           for group in view.links.values() for f in group)
+                assert set(links) == {(dst[f.id], 0) for f in in_order}
+                # One link per core: a flow's competitors are the other flows sending to its core.
+                assert all(view.maxloop[f.id] == sum(g.dst == f.dst for g in flowset.flows) - 1
+                           for f in in_order)
             else:
                 assert set(view.maxloop.values()) == {k}
             if k == 0:
-                assert set(view.links) == {(dst[f.id], f.ring) for f in in_order}
+                assert set(links) == {(dst[f.id], f.ring) for f in in_order}
             elif k != "oldest_first":
                 # Just enough links per core that none serves more than k flows.
-                assert max(map(len, view.links.values())) <= k
-                assert len(view.links) == sum(-(-n // k) for n in Counter(dst.values()).values())
+                assert max(map(len, links.values())) <= k
+                assert len(links) == sum(-(-n // k) for n in Counter(dst.values()).values())
             result = analyze(flowset, config)
             for fid, row in result.results.items():
                 assert row.maxloop == view.maxloop[fid]
@@ -247,7 +242,7 @@ class TestFlowsetIndex:
         assert [f.id for f in flowset.flows] != list(range(1, 41))
         index = flowset.index
         assert list(index.flows) == list(range(1, 41))
-        for groups in (index.on_ring, index.on_core, index.on_dst):
+        for groups in (index.on_ring, index.on_dst):
             for flows in groups.values():
                 assert [f.id for f in flows] == sorted(f.id for f in flows)
 
@@ -287,7 +282,7 @@ class TestInterferenceProperties:
             table = interference_table(flowset)
             for flow in flowset.flows:
                 s = table[flow.id]
-                in_core = {f.id for f in flowset.index.on_core[flow.src]} - {flow.id}
+                in_core = {f.id for f in flowset.flows if f.src == flow.src} - {flow.id}
                 assert flow.id not in s.up | s.down | s.in_ring | s.upind
                 assert not (s.up & s.down) and not (s.up & s.in_ring)
                 assert not (s.down & s.in_ring) and not (s.upind & (s.up | s.down | s.in_ring))
@@ -330,8 +325,6 @@ class TestInterferenceProperties:
             assert after.down <= before.down
             assert after.in_ring <= before.in_ring
             assert after.upind <= before.upind
-            assert (ids(reduced.index.on_core[flow.src])
-                    <= ids(flowset.index.on_core[flow.src]))
             assert (ids(reduced.index.on_ring[flow.ring])
                     <= ids(flowset.index.on_ring[flow.ring]))
 
