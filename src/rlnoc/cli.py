@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import analysis, topology, traffic
@@ -99,6 +100,8 @@ def _grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
 
 
+# Built once per process: a dropped parser is cyclic garbage.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlnoc",
@@ -404,8 +407,7 @@ def _file_error(exc: Exception) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except analysis.AnalysisError as exc:

@@ -20,11 +20,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 class PlotError(ValueError):
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
+    """A CSV that cannot be plotted; a bad row's message starts ``row N: ``."""
 
 
 def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -39,7 +35,7 @@ def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
             header = cells
         else:
             if len(cells) != len(header):
-                raise PlotError(f"expected {len(header)} cells, got {len(cells)}", lineno)
+                raise PlotError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
             rows.append((lineno, cells))
     if header is None:
         raise PlotError("document has no header row")
@@ -52,7 +48,7 @@ def _number(cell: str, lineno: int) -> float:
             return value
     except ValueError:
         pass
-    raise PlotError(f"not a finite number: {cell!r}", lineno)
+    raise PlotError(f"row {lineno}: not a finite number: {cell!r}")
 
 
 def _fmt(value: float) -> str:
@@ -157,7 +153,8 @@ def _render_boxes(rows) -> str:
         flows, metric = cells[0], cells[1]
         values = tuple(_number(c, lineno) for c in cells[2:7])
         if sorted(values) != list(values):
-            raise PlotError("box statistics not ordered min<=q1<=median<=q3<=max", lineno)
+            raise PlotError(f"row {lineno}: box statistics not ordered "
+                            "min<=q1<=median<=q3<=max")
         points.setdefault(metric, []).append((_number(flows, lineno), values))
     xs = [x for pts in points.values() for x, _ in pts]
     ys = [v for pts in points.values() for _, vals in pts for v in vals]

@@ -22,31 +22,7 @@ class Coord(NamedTuple):
 
 
 class TopologyError(ValueError):
-    """Base class for all topology validation failures."""
-
-
-class InvalidDimensionError(TopologyError):
-    pass
-
-
-class NotOnRingError(TopologyError):
-    pass
-
-
-class DuplicateSwitchError(TopologyError):
-    pass
-
-
-class AdjacencyError(TopologyError):
-    """Consecutive ring switches are not grid neighbours."""
-
-
-class ConnectivityError(TopologyError):
-    """A core is on no ring, or some ordered core pair shares none."""
-
-
-class SchemaError(TopologyError):
-    """Topology document violates the file schema."""
+    """A topology, or a topology file, breaks a rule; the message names the rule."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +57,7 @@ class Ring:
         try:
             return self._positions[coord]
         except KeyError:
-            raise NotOnRingError(f"switch {tuple(coord)} is not on ring {self.id}") from None
+            raise TopologyError(f"switch {tuple(coord)} is not on ring {self.id}") from None
 
     def hops(self, src, dst) -> int:
         """Number of ring links crossed from src's switch to dst's switch."""
@@ -102,9 +78,9 @@ class Topology:
         _check_grid(self.width, self.height)
         ids = [ring.id for ring in rings]
         if not all(map(_is_int, ids)):
-            raise SchemaError("ring is missing an integer 'id'")
+            raise TopologyError("ring is missing an integer 'id'")
         if len(set(ids)) != len(ids):
-            raise SchemaError("ring ids must be unique")
+            raise TopologyError("ring ids must be unique")
         for ring in rings:
             _validate_ring(ring, self.width, self.height)
         object.__setattr__(self, "rings", rings)
@@ -152,37 +128,37 @@ def _check_connectivity(width: int, height: int, rings_at: dict[Coord, list[Ring
     # Coverage first: a grid far larger than its rings fails at once.
     for core in cells:
         if core not in rings_at:
-            raise ConnectivityError(f"core {tuple(core)} is on no ring")
+            raise TopologyError(f"core {tuple(core)} is on no ring")
     # A core reaches exactly the switches of the rings through it.
     for src in cells:
         reach = set().union(*(ring.switches for ring in rings_at[src]))
         if len(reach) < len(cells):
             dst = next(dst for dst in cells if dst not in reach)
-            raise ConnectivityError(f"cores {tuple(src)} and {tuple(dst)} share no ring")
+            raise TopologyError(f"cores {tuple(src)} and {tuple(dst)} share no ring")
 
 
 def _validate_ring(ring: Ring, width: int, height: int) -> None:
     if ring.size < 2:
-        raise AdjacencyError(f"ring {ring.id} has fewer than 2 switches")
+        raise TopologyError(f"ring {ring.id} has fewer than 2 switches")
     seen = set()
     for coord in ring.switches:
         if not (isinstance(coord, Coord) and _is_int(coord.col) and _is_int(coord.row)):
-            raise SchemaError(f"ring {ring.id}: switch entries must be [col, row] Coords "
-                              f"of integers, got {coord!r}")
+            raise TopologyError(f"ring {ring.id}: switch entries must be [col, row] Coords "
+                                f"of integers, got {coord!r}")
         if not (0 <= coord.col < width and 0 <= coord.row < height):
-            raise SchemaError(f"ring {ring.id} switch {tuple(coord)} is outside the grid")
+            raise TopologyError(f"ring {ring.id} switch {tuple(coord)} is outside the grid")
         if coord in seen:
-            raise DuplicateSwitchError(f"ring {ring.id} lists switch {tuple(coord)} twice")
+            raise TopologyError(f"ring {ring.id} lists switch {tuple(coord)} twice")
         seen.add(coord)
     for a, b in zip(ring.switches, ring.switches[1:] + ring.switches[:1]):
         if abs(a.col - b.col) + abs(a.row - b.row) != 1:
-            raise AdjacencyError(
+            raise TopologyError(
                 f"ring {ring.id}: switches {tuple(a)} and {tuple(b)} are not neighbours"
             )
     capacity = ring.buffer_capacity
     if capacity is not None and not (_is_int(capacity) and capacity >= 1):
-        raise SchemaError(f"ring {ring.id}: buffer_capacity must be an integer >= 1, "
-                          f"got {capacity!r}")
+        raise TopologyError(f"ring {ring.id}: buffer_capacity must be an integer >= 1, "
+                            f"got {capacity!r}")
 
 
 def _perimeter(c1: int, r1: int, c2: int, r2: int) -> tuple[Coord, ...]:
@@ -212,12 +188,11 @@ def _check_grid(width, height) -> None:
     """Integer sides from 1 to ``MAX_GRID_SIDE``, checked before any ring is read."""
     for key, value in (("width", width), ("height", height)):
         if not _is_int(value):
-            raise SchemaError(f"missing or non-integer field {key!r}")
+            raise TopologyError(f"missing or non-integer field {key!r}")
     if width < 1 or height < 1:
-        raise InvalidDimensionError("grid dimensions must be positive")
+        raise TopologyError("grid dimensions must be positive")
     if width > MAX_GRID_SIDE or height > MAX_GRID_SIDE:
-        raise InvalidDimensionError(f"grid {width}x{height} exceeds the side limit "
-                                    f"of {MAX_GRID_SIDE}")
+        raise TopologyError(f"grid {width}x{height} exceeds the side limit of {MAX_GRID_SIDE}")
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -237,7 +212,7 @@ def generate_multi_ring(width: int, height: int) -> Topology:
     """
     _check_grid(width, height)
     if width < 2 or height < 2:
-        raise InvalidDimensionError("generate_multi_ring requires width >= 2 and height >= 2")
+        raise TopologyError("generate_multi_ring requires width >= 2 and height >= 2")
     loops: list[tuple[Coord, ...]] = []
     k = 0
     while width - 2 * k >= 2 and height - 2 * k >= 2:
@@ -282,25 +257,25 @@ def load_topology(doc: dict) -> Topology:
     """Build a topology from a document whose shape, and grid sides before any
     ring is read, are checked here; ``Topology`` checks every field."""
     if not isinstance(doc, dict):
-        raise SchemaError("topology document must be a mapping")
+        raise TopologyError("topology document must be a mapping")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
-        raise SchemaError(f"unknown topology fields: {sorted(unknown)}")
+        raise TopologyError(f"unknown topology fields: {sorted(unknown)}")
     _check_grid(doc.get("width"), doc.get("height"))
     entries = doc.get("rings")
     if not isinstance(entries, list) or not entries:
-        raise SchemaError("field 'rings' must be a non-empty list")
+        raise TopologyError("field 'rings' must be a non-empty list")
     rings = []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise SchemaError("each ring must be a mapping")
+            raise TopologyError("each ring must be a mapping")
         unknown = set(entry) - _RING_FIELDS
         if unknown:
-            raise SchemaError(f"unknown ring fields: {sorted(unknown)}")
+            raise TopologyError(f"unknown ring fields: {sorted(unknown)}")
         raw = entry.get("switches")
         if not (isinstance(raw, list) and all(isinstance(item, (list, tuple)) and len(item) == 2
                                               for item in raw)):
-            raise SchemaError(f"rings[{k}]: 'switches' must be a list of [col, row] pairs")
+            raise TopologyError(f"rings[{k}]: 'switches' must be a list of [col, row] pairs")
         rings.append(Ring(id=entry.get("id"), switches=tuple(Coord(*item) for item in raw),
                           buffer_capacity=entry.get("buffer_capacity")))
     return Topology(doc["width"], doc["height"], rings)

@@ -334,7 +334,8 @@ class TestProfiles:
         for fields in ({"maxloop": True}, {"maxloop": False}, {"maxloop": -1},
                        {"maxloop": 1.0}, {"maxloop": 1.5}, {"maxloop": None},
                        {"maxloop": "fixed"}, {"maxloop": "OF"}, {"maxloop": "bogus"},
-                       {"injection": "both"}, {"injection": "bogus"}):
+                       {"injection": "both"}, {"injection": "bogus"},
+                       {"jitter_method": "x"}, {"ipos_formula": "x"}):
             with pytest.raises(AnalysisError):
                 AnalysisConfig(**fields)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlnoc import analysis, data_path
+from rlnoc import analysis, cli, data_path, simulator
 from rlnoc.cli import run
 from rlnoc.topology import TopologyError, load_topology
 from rlnoc.traffic import MAX_PACKET_LENGTH, TrafficError, load_flowset
@@ -52,6 +52,30 @@ def test_gen_analyze_simulate_verify_pipeline(tmp_path):
                 "--seeds", "3", "--horizon", "100000",
                 "--out", str(report_file)]) == 0
     assert "ok" in report_file.read_text()
+
+
+def test_verify_reports_each_violation(tmp_path, monkeypatch):
+    # The bounds hold on the bundled scenario, so a stand-in oracle reports
+    # one latency violation per run; the report lists each and exits 1.
+    def one_violation(flowset, result, outcome):
+        return simulator.OracleReport((simulator.OracleViolation(3, "latency", 120, 100),))
+
+    monkeypatch.setattr(simulator, "oracle_check", one_violation)
+    report_file = tmp_path / "verify.txt"
+    assert run(["verify", "--flowset", data_path("five_flow_scenario.json"),
+                "--seeds", "2", "--horizon", "50000", "--out", str(report_file)]) == 1
+    lines = report_file.read_text().splitlines()
+    assert lines[1:] == ["violation seed_index=0 flow=3 kind=latency observed=120 limit=100",
+                         "violation seed_index=1 flow=3 kind=latency observed=120 limit=100",
+                         "checked 2 runs: 2 violations"]
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert run(["topo", "--width", "2", "--height", "2", "--validate"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert capsys.readouterr().out == "topology ok: 2x2, 1 rings\n" * 2
 
 
 def test_analyze_diagnostics_reports_interference_sets(tmp_path):
@@ -129,6 +153,7 @@ def _topology_doc(top=(), ring=()):
 # what is wrong with each.
 MALFORMED_FLOWSETS = {
     "float_period": (_flow_doc(T=1000.5), "'T' must be an integer"),
+    "negative_jitter": (_flow_doc(J=-1), "flow 1: negative or zero timing parameter"),
     "float_deadline": (_flow_doc(D=900.5), "'D' must be an integer"),
     "string_length": (_flow_doc(L="4"), "'L' must be an integer"),
     "bool_length": (_flow_doc(L=True), "'L' must be an integer"),
@@ -146,6 +171,8 @@ MALFORMED_FLOWSETS = {
     "bool_seed": ({**_flow_doc(), "seed": True}, "field 'seed' must be an integer"),
     "flows_not_a_list": ({"width": 4, "height": 4, "flows": 5},
                          "'flows' must be a list"),
+    "no_topology_no_width": ({"height": 4, "flows": _flow_doc()["flows"]},
+                             "missing or non-integer field 'width'"),
     "missing_field": ({"width": 4, "height": 4, "flows": [{"id": 1}]},
                       "missing field 'T'"),
     "topology_bool_width": (_topology_doc(top={"width": True}),
@@ -226,7 +253,7 @@ def test_undecodable_file_is_named(tmp_path, capsys, bad_option, content):
     assert err.startswith(f"error: {files[bad_option]}: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
 def test_plot_rejects_non_finite_cells(tmp_path, capsys, cell):
     csv_file = tmp_path / "sweep.csv"
     csv_file.write_text(f"grid,packet_min,packet_max,flows,config,ratio\n"

@@ -30,7 +30,7 @@ from rlnoc.traffic import (
     load_flowset_file,
     save_flowset_file,
 )
-from rlnoc.topology import Coord, NotOnRingError, Topology, generate_multi_ring, select_ring
+from rlnoc.topology import Coord, Topology, TopologyError, generate_multi_ring, select_ring
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -68,7 +68,7 @@ class TestClassifySwitchFlows:
         flowset = Flowset((), ten_ring_fixture)
         ring = flowset.topology.ring(0)
         assert not flowset.index.on_ring
-        with pytest.raises(NotOnRingError):
+        with pytest.raises(TopologyError, match=r"^switch \(0, 3\) is not on ring 0$"):
             ring.position((0, 3))
 
 
@@ -425,6 +425,7 @@ class TestGenerator:
         ("jitter_fraction_range", ("a", "b")),
         ("jitter_fraction_range", (True, 0.5)),
         ("jitter_fraction_range", (0.0, 1.5)),
+        ("flows_per_set", -1),
     ])
     def test_params_reject_a_bad_field_naming_it(self, field, value):
         with pytest.raises(TrafficError, match=field):
