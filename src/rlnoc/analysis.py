@@ -21,6 +21,7 @@ from collections import UserDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from itertools import count
 from typing import Literal, NamedTuple
 
 from .topology import _is_int
@@ -40,8 +41,6 @@ Injection = Literal["independent", "shared"]
 JitterMethod = Literal["simplified", "iterative"]
 IposFormula = Literal["tight", "coarse"]
 MaxLoop = int | Literal["oldest_first"]
-
-ITERATION_CAP = 1000  # safety limit on passes; past it: ``iteration_cap_exceeded``
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,15 @@ class FlowResult:
     deadline: int
 
 
-Verdict = Literal["schedulable", "unschedulable", "iteration_cap_exceeded"]
+Verdict = Literal["schedulable", "unschedulable"]
 
 
 @dataclass(frozen=True)
 class FlowsetResult:
+    """A verdict, its per-flow results (empty unless schedulable) and its
+    pass count. ``failing_flow`` is set exactly when the verdict is
+    ``unschedulable``: the flow whose bound first passed its deadline."""
+
     verdict: Verdict
     results: Mapping[int, FlowResult]
     iterations: int
@@ -263,10 +266,14 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     indirect jitter fixed at deadline minus no-load latency. The iterative
     method starts from zero jitter and repeats passes, feeding each flow's
     bound minus its no-load latency back in, until no bound changes
-    (schedulable), a bound passes its deadline (unschedulable, empty result),
-    or the iteration cap trips. Bounds never decrease across passes. Shared
-    injection needs a two-phase pass: head-of-queue waits for all flows
-    first, then the queue terms that consume them.
+    (schedulable) or a bound passes its deadline (unschedulable, empty
+    result). Shared injection needs a two-phase pass: head-of-queue waits
+    for all flows first, then the queue terms that consume them.
+
+    The loop needs no cap: bounds are integers that never decrease (else
+    ``InvariantError``), a pass that does not fail leaves each flow's within
+    [C_f, D_f], and one that does not end the loop raises at least one, so
+    there are at most 1 + sum(D_f - C_f) passes.
     """
     if not flowset.flows:
         return FlowsetResult("schedulable", {}, 0)
@@ -280,14 +287,13 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     jk = {fid: 0 if iterative else f.deadline - (index.route[fid][1] + f.length)
           for fid, f in flows.items()}
     bounds = dict.fromkeys(flows, 0)
-    for iteration in range(1, ITERATION_CAP + 1):
+    for iteration in count(1):
         outcome = _run_pass(context, flows, jk, bounds, shared, record, iterative)
         if isinstance(outcome, int):
             return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
         rows, changed = outcome
         if not changed:
             return FlowsetResult("schedulable", _Results(context, flows, rows, jk), iteration)
-    return FlowsetResult("iteration_cap_exceeded", {}, ITERATION_CAP)
 
 
 def _run_pass(context, flows, jk, bounds, shared, record, update_jk):

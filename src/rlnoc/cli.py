@@ -260,9 +260,7 @@ def _cmd_analyze(args) -> int:
     _write(_out_path(args.out),
            analysis.results_to_csv(result, config, diagnostics=diagnostics))
     if not result.schedulable:
-        print(f"verdict: {result.verdict}"
-              + ("" if result.failing_flow is None else f" (flow {result.failing_flow})"),
-              file=sys.stderr)
+        print(f"verdict: {result.verdict} (flow {result.failing_flow})", file=sys.stderr)
         return 1
     return 0
 
@@ -292,9 +290,7 @@ def _cmd_verify(args) -> int:
     lines = [f"# config={analysis.profile_name(config)} seeds={args.seeds} "
              f"horizon={args.horizon} master_seed={args.seed}"]
     if not result.schedulable:
-        failing = result.failing_flow
-        lines.append(f"verdict {result.verdict}"
-                     + ("" if failing is None else f" flow {failing}"))
+        lines.append(f"verdict {result.verdict} flow {result.failing_flow}")
         _write(_out_path(args.out), "\n".join(lines) + "\n")
         print("flowset is not schedulable; nothing to verify", file=sys.stderr)
         return 1

@@ -69,9 +69,7 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     order, and an analysis is skipped once its verdict is known:
     a configuration found unschedulable stays unschedulable on every longer
     prefix, because adding flows only adds interference, and so does each
-    configuration that it dominates (`_settled_by`). Only an
-    ``unschedulable`` verdict settles anything; a larger flowset may still
-    converge where ``iteration_cap_exceeded`` was reported.
+    configuration that it dominates (`_settled_by`).
 
     Raises AnalysisError for an unknown or repeated configuration name, a
     negative flow count, or fewer than one flowset per point.
@@ -111,10 +109,9 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
                     for name, config in configs:
                         if name in dead:
                             continue
-                        verdict = analyze(flowset, config).verdict
-                        if verdict == "schedulable":
+                        if analyze(flowset, config).schedulable:
                             verdicts[flows][name] += 1
-                        elif verdict == "unschedulable":
+                        else:
                             dead |= settled_by[name]
             for flows in spec.flows_schedule:
                 for name, _ in configs:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from rlnoc import data_path
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, _contexts
@@ -48,6 +49,18 @@ def no_load(flowset, fid):
 @pytest.fixture
 def flowset_factory():
     return build_flowset
+
+
+@st.composite
+def small_benchmarks(draw):
+    """Benchmark parameters for a few flows on a 2x2 to 4x4 grid, with
+    periods short enough that some flowsets are unschedulable."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    shortest = draw(st.sampled_from([30, 100, 300]))
+    return BenchmarkParams(flows_per_set=draw(st.integers(1, 8)), width=width,
+                           height=height, packet_range=(1, 32),
+                           period_range=(shortest, 4 * shortest),
+                           seed=draw(st.integers(0, 2**16)))
 
 
 def plain_sweep(spec):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flowset, make_flow
+from conftest import build_flowset, make_flow, small_benchmarks
 from rlnoc import analysis
 from rlnoc.analysis import (
     AnalysisConfig,
@@ -374,10 +374,19 @@ class TestAnalyze:
         assert result.results == {}
         assert result.failing_flow in {1, 2, 3}
 
-    def test_iteration_cap_verdict(self, five_flow_fixture, monkeypatch):
-        monkeypatch.setattr("rlnoc.analysis.ITERATION_CAP", 1)
-        result = analyze(five_flow_fixture, parse_profile("0D_IU_II"))
-        assert result.verdict == "iteration_cap_exceeded"
+    def test_long_jitter_feedback_reaches_its_fixed_point(self):
+        # Eight passes, one more than any analysis of the full sweep profile
+        # takes: the loop needs no cap to end.
+        flowset = generate_flowset(BenchmarkParams(
+            flows_per_set=32, width=4, height=4, packet_range=(1, 8),
+            period_range=(300, 1200), seed=981581211))
+        record = AnalysisRecord()
+        result = analyze(flowset, parse_profile("2D_IU_SI"), record=record)
+        assert result.verdict == "schedulable" and result.iterations == 8
+        assert sorted(record.bound_traces) == sorted(result.results)
+        for fid, r in result.results.items():
+            assert len(record.bound_traces[fid]) == result.iterations
+            assert r.indirect_jitter == r.bound - r.no_load, fid
 
     def test_empty_flowset_is_schedulable(self, six_ring_topology):
         result = analyze(Flowset((), six_ring_topology), parse_profile("0D_IU_SI"))
@@ -471,28 +480,22 @@ VARIANTS = [(f"{ej}_NI_{inj}", f"{ej}_IU_{inj}")
             for ej, inj in itertools.product(("0D", "1D", "2D", "OF"), ("II", "SI"))]
 
 
-@st.composite
-def small_benchmarks(draw):
-    """Benchmark parameters for a few flows on a 2x2 to 4x4 grid, with
-    periods short enough that some flowsets are unschedulable."""
-    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    shortest = draw(st.sampled_from([30, 100, 300]))
-    return BenchmarkParams(flows_per_set=draw(st.integers(1, 8)), width=width,
-                           height=height, packet_range=(1, 32),
-                           period_range=(shortest, 4 * shortest),
-                           seed=draw(st.integers(0, 2**16)))
-
-
 class TestJitterLoopProperties:
     @settings(max_examples=200, deadline=None)
     @given(params=small_benchmarks())
     def test_iterative_dominates_simplified(self, params):
+        # Also: every unschedulable verdict names its failing flow, and an
+        # iterative verdict ends on the fixed point of the jitter feedback.
         flowset = generate_flowset(params)
         for simplified_name, iterative_name in VARIANTS:
             simplified = analyze(flowset, parse_profile(simplified_name))
+            iterative = analyze(flowset, parse_profile(iterative_name))
+            for result in (simplified, iterative):
+                assert (result.failing_flow is None) == result.schedulable
+            for fid, r in iterative.results.items():
+                assert r.indirect_jitter == r.bound - r.no_load, (iterative_name, fid)
             if not simplified.schedulable:
                 continue
-            iterative = analyze(flowset, parse_profile(iterative_name))
             assert iterative.schedulable, iterative_name
             for fid, r in iterative.results.items():
                 assert r.bound <= simplified.results[fid].bound, (iterative_name, fid)

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy
 import pytest
+from hypothesis import given, settings
 
-from conftest import plain_sweep
+from conftest import plain_sweep, small_benchmarks
 from rlnoc import harness, topology
-from rlnoc.analysis import AnalysisError, FlowsetResult, analyze, parse_profile, profile_name
+from rlnoc.analysis import AnalysisError, analyze, parse_profile, profile_name
 from rlnoc.harness import (
     FAST_PROFILE,
     BoxStats,
@@ -45,6 +46,10 @@ PROFILES_SPEC = SweepSpec(
         ("0D", "1D", "2D", "OF"), ("NI", "IU"), ("II", "SI"))),
     master_seed=5,
 )
+
+# Every {0D,1D,2D,3D} x {NI,IU} x {II,SI} profile, and the Oldest-First ones.
+SETTLED_PROFILES = tuple(f"{ej}_{jit}_{inj}" for ej, jit, inj in itertools.product(
+    ("0D", "1D", "2D", "3D", "OF"), ("NI", "IU"), ("II", "SI")))
 
 
 @pytest.fixture(scope="module")
@@ -131,20 +136,21 @@ class TestSweep:
         assert float(cells[5]) == ratio(small_sweep, int(cells[3]), cells[4])
 
 
-def counting_analyze(monkeypatch, verdict_for=None):
+def counting_analyze(monkeypatch):
     """Replace the sweep's `analyze` with one that records the profile name
-    of every call, and optionally rewrites each result through
-    ``verdict_for(name, result)``; returns the list of names."""
+    of every call; returns the list of names."""
     calls = []
 
     def counted(flowset, config):
-        name = profile_name(config)
-        calls.append(name)
-        result = analyze(flowset, config)
-        return verdict_for(name, result) if verdict_for else result
+        calls.append(profile_name(config))
+        return analyze(flowset, config)
 
     monkeypatch.setattr(harness, "analyze", counted)
     return calls
+
+
+def settled_pairs():
+    return harness._settled_by([(name, parse_profile(name)) for name in SETTLED_PROFILES])
 
 
 class TestPruning:
@@ -162,26 +168,26 @@ class TestPruning:
                        * spec.flowsets_per_point * len(spec.configs))
         assert len(calls) < plain_calls
 
-    def test_iteration_cap_verdict_settles_nothing(self, monkeypatch):
-        # 1D_IU_SI dominates the other two, and neither of them dominates it.
-        # Reported as iteration_cap_exceeded wherever it is unschedulable, it
-        # must be analysed at every point and settle no other configuration.
-        spec = replace(PROFILES_SPEC, configs=("1D_IU_SI", "2D_IU_SI", "1D_NI_SI"))
-        capped = []
+    def test_oldest_first_settles_only_itself(self):
+        for a, settled in settled_pairs().items():
+            assert (settled == {a} if a.startswith("OF")
+                    else not any(b.startswith("OF") for b in settled)), a
 
-        def cap(name, result):
-            if name == "1D_IU_SI" and result.verdict == "unschedulable":
-                capped.append(name)
-                return FlowsetResult("iteration_cap_exceeded", {}, 1000)
-            return result
-
-        calls = counting_analyze(monkeypatch, cap)
-        pruned = sweep_to_csv(sweep_schedulability(spec), spec)
-        assert capped
-        assert pruned == sweep_to_csv(plain_sweep(spec), spec)
-        points = spec.flowsets_per_point * len(spec.flows_schedule)
-        assert calls.count("1D_IU_SI") == points
-        assert calls.count("2D_IU_SI") < points
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks())
+    def test_settled_pairs_keep_verdicts_and_grow_bounds(self, params):
+        # Whenever `_settled_by` lets a's unschedulable verdict settle b's,
+        # b schedulable must imply a schedulable, with no bound of a above
+        # b's.
+        settled_by = settled_pairs()
+        flowset = generate_flowset(params)
+        results = {name: analyze(flowset, parse_profile(name)) for name in SETTLED_PROFILES}
+        for a, settled in settled_by.items():
+            for b in settled:
+                if results[b].schedulable:
+                    assert results[a].schedulable, (a, b)
+                    for fid, r in results[a].results.items():
+                        assert r.bound <= results[b].results[fid].bound, (a, b, fid)
 
 
 class TestFindSchedulable:
