@@ -252,7 +252,7 @@ class _Engine:
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
         # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key and ejection-link key (from the ``Platform`` record), then
+        # queue key and ejection-link key (from the flowset index), then
         # the closed-form slots (see ``run``) of its ring, ejection link and
         # queue, shared with the flows on the same ring, link or queue. Keys
         # are tuples so that a traced run sorts them uniformly.
@@ -261,8 +261,7 @@ class _Engine:
         self.link_slots: dict[tuple, list] = {}
         self.queue_slots: dict[tuple, list] = {}
         index = flowset.index
-        platform = index.platform(config.injection, config.maxloop)
-        queue, link = platform.queue, platform.link
+        queue, link = index.queues(config.injection), index.links(config.maxloop)
         for f in index.flows.values():
             start, hops = index.route[f.id]
             qkey, ekey = queue[f.id], link[f.id]

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .topology import (
     Coord,
@@ -154,10 +153,11 @@ class FlowsetIndex:
     total is entry ``size``; per (ring, position) switch, the busy-period
     terms of the flows passing it, in id order, each pre-folded as
     ``(T, L * n, J + T - 1, id)`` with n = 1 copy, and their exact load;
-    and, built on first use, each ring's packet-buffer capacity and each
-    platform's ``Platform`` record. Map values are immutable, so extending a
-    copy by flows with larger ids (``_extended``) rewrites no earlier flow's
-    entry; a fresh index is an empty one extended by all flows in id order."""
+    and, built on first use, each ring's packet-buffer capacity, each flow's
+    queue key per injection mode and its link key per deflection bound. Map
+    values are immutable, so extending a copy by flows with larger ids
+    (``_extended``) rewrites no earlier flow's entry; a fresh index is an
+    empty one extended by all flows in id order."""
 
     _MAPS = ("flows", "on_ring", "on_dst", "route", "buffer_bounds",
              "backlog_sums", "up_terms", "up_load")
@@ -211,53 +211,38 @@ class FlowsetIndex:
                             else ring.buffer_capacity)
         return out
 
-    def platform(self, injection: str, maxloop: int | str) -> Platform:
-        """The ``Platform`` of an ``(injection, maxloop)`` pair, built in one
-        pass over each destination core's flows on first use and kept for
-        the index's lifetime."""
-        views = self.__dict__.setdefault("_platforms", {})
-        if (injection, maxloop) not in views:
+    def queues(self, injection: str) -> dict[int, tuple]:
+        """Each flow's injection-queue key under ``injection``: ``(core,)``
+        when shared, else ``(core, ring)``, with cores numbered ``row * width
+        + col``. Built on first use and kept for the index's lifetime."""
+        memo = self.__dict__.setdefault("_queues", {})
+        if injection not in memo:
             width, shared = self.topology.width, injection == "shared"
-            queue, link, loops = {}, {}, {}
+            memo[injection] = {
+                fid: (f.src.row * width + f.src.col,) if shared
+                else (f.src.row * width + f.src.col, f.ring)
+                for fid, f in self.flows.items()}
+        return memo[injection]
+
+    def links(self, maxloop: int | str) -> dict[int, tuple]:
+        """Each flow's ejection-link key under ``maxloop``: ``(core, ring)``
+        when it is 0; otherwise each destination core's flows, in id order,
+        dealt round-robin over its links ``(core, i)``: one Oldest-First link,
+        or for a bound of k just enough that none serves more than k flows.
+        Built on first use and kept for the index's lifetime."""
+        memo = self.__dict__.setdefault("_links", {})
+        if maxloop not in memo:
+            width, link = self.topology.width, {}
             for dst, flows in self.on_dst.items():
                 core = dst.row * width + dst.col
                 if maxloop == "oldest_first":
-                    n_links, k = 1, len(flows) - 1
-                elif maxloop:
-                    n_links, k = -(-len(flows) // maxloop), maxloop
+                    n_links = 1
                 else:
-                    n_links, k = 0, 0
+                    n_links = -(-len(flows) // maxloop) if maxloop else 0
                 for i, f in enumerate(flows):
-                    src = f.src.row * width + f.src.col
-                    queue[f.id] = (src,) if shared else (src, f.ring)
                     link[f.id] = (core, i % n_links) if n_links else (core, f.ring)
-                    loops[f.id] = k
-            views[injection, maxloop] = Platform(queue, link, loops)
-        return views[injection, maxloop]
-
-
-class Platform(NamedTuple):
-    """Which injection queue and ejection link each flow uses, and its
-    deflection bound, on the platform of an ``(injection, maxloop)`` pair:
-    the one place the analysis and the simulator learn them from. ``queue``,
-    ``link`` and ``maxloop`` map each flow id to its queue key, link key and
-    bound.
-
-    Keys start with a core, ``row * width + col``. A queue is ``(core,)``
-    under shared injection, else ``(core, ring)``. A link is ``(core, ring)``
-    when maxloop is 0; otherwise each core's flows, in id order, are dealt
-    round-robin over its links ``(core, i)``: one Oldest-First link, or for a
-    bound of k just enough that none serves more than k flows. The bound is
-    k, or under Oldest-First the link's other flows, each of which can win
-    the arbitration once. It is the analysis's premise, not a property of
-    the links: a header denied a busy link returns one loop later, so one
-    competing packet longer than the ring denies it about ceil(length / ring
-    size) times. Only a link that serves one flow rules deflection out.
-    """
-
-    queue: dict[int, tuple]
-    link: dict[int, tuple]
-    maxloop: dict[int, int]
+            memo[maxloop] = link
+        return memo[maxloop]
 
 
 @dataclass(frozen=True)
@@ -355,7 +340,7 @@ def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
     up = {f.id: frozenset(term[3] for term in
                           index.up_terms.get((f.ring, index.route[f.id][0]), ()))
           for f in index.flows.values()}
-    queue = index.platform("independent", 0).queue
+    queue = index.queues("independent")
     mates: dict[tuple, list[int]] = {}
     for fid, key in queue.items():
         mates.setdefault(key, []).append(fid)

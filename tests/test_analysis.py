@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,8 @@ class TestBusyPeriods:
         flowset = build_flowset(six_ring_topology, focus, up1, up2)
         assert injection_busy(flowset, parse_profile("0D_IU_II"), 1,
                               {1: 0, 2: 0, 3: 0}) is None
+        # A load of exactly 1 already diverges.
+        assert flow_context(flowset, parse_profile("0D_IU_II"), 1).diverges
 
     def test_iterates_strictly_increase_until_cutoff(self):
         trace = []
@@ -220,6 +223,22 @@ class TestBusyPeriods:
                                    {1: 0, 2: 0})
             assert value >= previous
             previous = value
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks())
+    def test_divergence_check_agrees_with_the_plain_recurrence(self, params):
+        # ``diverges`` is the exact load test sum(L * n / T) >= 1 over the
+        # context's terms, and a context it flags never reaches a fixed point.
+        flowset = generate_flowset(params)
+        zero = dict.fromkeys(flowset.index.flows, 0)
+        for name in ("0D_IU_II", "0D_IU_SI", "2D_IU_SI", "OF_IU_SI"):
+            context = _contexts(flowset, parse_profile(name))
+            for fid in flowset.index.flows:
+                ctx = context(fid)
+                total = sum(Fraction(load, period) for period, load, _, _ in ctx.terms)
+                assert ctx.diverges == (total >= 1), (name, fid)
+                if ctx.diverges:
+                    assert _fixed_point(1, ctx.terms, zero, 10**5) is None, (name, fid)
 
 
 class TestQueueWait:

@@ -120,6 +120,15 @@ def test_failing_flow_zero_is_named(tmp_path, capsys):
     assert report_file.read_text().splitlines()[1] == "verdict unschedulable flow 0"
 
 
+def test_flowstats_without_a_schedulable_flowset_exits_three(tmp_path, capsys):
+    out = tmp_path / "fs.csv"
+    assert run(["flowstats", "--mode", "shares", "--flows", "300", "--attempts", "2",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no fully schedulable 300-flow flowset within 2 attempts\n")
+    assert not out.exists()
+
+
 def test_missing_file_exits_three(capsys):
     assert run(["analyze", "--flowset", "/nonexistent/flows.json"]) == 3
     assert run(["topo", "--load", "/nonexistent/topo.json"]) == 3

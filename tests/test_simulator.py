@@ -570,6 +570,21 @@ class TestReleaseSchedule:
         flowset, cfg = case
         closed_form_equals_traced(flowset, cfg, hw)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=explicit_schedules(), hw=st.sampled_from(LAYOUTS), delta=TIMES)
+    def test_shifting_every_release_changes_no_statistic(self, case, hw, delta):
+        # Only differences of release cycles matter, however large the
+        # cycles: a shift up to 2**40 widens the packed releases and moves
+        # the drain guard.
+        flowset, cfg = case
+        shifted = SimConfig(horizon=cfg.horizon + delta,
+                            release=tuple((t + delta, fid) for t, fid in cfg.release))
+        base = closed_form_equals_traced(flowset, cfg, hw)
+        moved = closed_form_equals_traced(flowset, shifted, hw)
+        for name in ("per_flow", "deflections", "released", "delivered",
+                     "flits_injected", "flits_ejected", "stepped_cycles"):
+            assert getattr(base, name) == getattr(moved, name), name
+
     @settings(max_examples=40, deadline=None)
     @given(flowset=st.one_of(small_flowsets(), sparse_flowsets()), **RUNS,
            shuffle=st.randoms(use_true_random=False))
@@ -846,8 +861,8 @@ class TestOracle:
     def test_a_link_per_flow_is_clean_against_the_same_packet(self, name):
         flowset, cfg = self.long_competitor_case()
         config = parse_profile(name)
-        platform = flowset.index.platform(config.injection, config.maxloop)
-        assert platform.link[1] != platform.link[2]
+        link = flowset.index.links(config.maxloop)
+        assert link[1] != link[2]
         result = analyze(flowset, config)
         out = simulate(flowset, cfg, config)
         assert out.deflections == 0

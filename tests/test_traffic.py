@@ -156,13 +156,13 @@ class TestFlowsetIndex:
     # the index gains one that is not listed here.
     INDEX_MAPS = ("flows", "on_ring", "on_dst", "route", "buffer_bounds",
                   "backlog_sums", "up_terms", "up_load")
-    # Platform pairs whose records must not carry over a growth.
-    PLATFORMS = (("shared", 0), ("independent", 2), ("shared", "oldest_first"))
+    # Injection modes and deflection bounds whose maps must not carry over a growth.
+    INJECTIONS = ("shared", "independent")
+    MAXLOOPS = (0, 2, "oldest_first")
 
     def views(self, index):
-        return {pair: {name: getattr(index.platform(*pair), name)
-                       for name in ("queue", "link", "maxloop")}
-                for pair in self.PLATFORMS}
+        return ({injection: index.queues(injection) for injection in self.INJECTIONS},
+                {maxloop: index.links(maxloop) for maxloop in self.MAXLOOPS})
 
     @settings(max_examples=30, deadline=None)
     @given(grid=st.sampled_from([(4, 4), (5, 5)]), seed=st.integers(0, 10_000),
@@ -173,7 +173,8 @@ class TestFlowsetIndex:
         splits = sorted(data.draw(st.lists(st.integers(0, flows), max_size=4)))
         prefix = Flowset((), full.topology)
         for count in splits + [flows]:
-            # A capacity or view cached on the earlier index must not carry over.
+            # A capacity, queue map or link map cached on the earlier index must
+            # not carry over.
             prefix.index.capacity
             self.views(prefix.index)
             before = copy.deepcopy({name: getattr(prefix.index, name)
@@ -199,14 +200,15 @@ class TestFlowsetIndex:
         for flows, seed in itertools.product((12, 40), range(4)):
             flowset = generate_flowset(BenchmarkParams(flows_per_set=flows, seed=seed))
             in_order = sorted(flowset.flows, key=lambda f: f.id)
-            view = flowset.index.platform(config.injection, k)
+            queue = flowset.index.queues(config.injection)
+            link = flowset.index.links(k)
             src = {f.id: f.src.row * 4 + f.src.col for f in in_order}
             dst = {f.id: f.dst.row * 4 + f.dst.col for f in in_order}
-            assert set(view.queue) == set(view.link) == set(view.maxloop) == set(src)
+            assert set(queue) == set(link) == set(src)
             # Each key's members: the flows mapped to it, in id order.
             queues, links = ({key: tuple(f for f in in_order if keys[f.id] == key)
-                              for key in keys.values()} for keys in (view.queue, view.link))
-            for keys, core in ((view.queue, src), (view.link, dst)):
+                              for key in keys.values()} for keys in (queue, link))
+            for keys, core in ((queue, src), (link, dst)):
                 assert all(key[0] == core[fid] for fid, key in keys.items())
             if config.injection == "shared":
                 assert set(queues) == {(src[f.id],) for f in in_order}
@@ -214,22 +216,36 @@ class TestFlowsetIndex:
                 assert set(queues) == {(src[f.id], f.ring) for f in in_order}
             if k == "oldest_first":
                 assert set(links) == {(dst[f.id], 0) for f in in_order}
-                # One link per core: a flow's competitors are the other flows sending to its core.
-                assert all(view.maxloop[f.id] == sum(g.dst == f.dst for g in flowset.flows) - 1
-                           for f in in_order)
-            else:
-                assert set(view.maxloop.values()) == {k}
-            if k == 0:
+            elif k == 0:
                 assert set(links) == {(dst[f.id], f.ring) for f in in_order}
-            elif k != "oldest_first":
-                # Just enough links per core that none serves more than k flows.
+            else:
+                # Just enough links per core that none serves more than k
+                # flows, dealt round-robin over the core's flows in id order.
                 assert max(map(len, links.values())) <= k
                 assert len(links) == sum(-(-n // k) for n in Counter(dst.values()).values())
+                on_core: dict[int, list[int]] = {}
+                for f in in_order:
+                    on_core.setdefault(dst[f.id], []).append(f.id)
+                for (core, i), members in links.items():
+                    n_links = -(-len(on_core[core]) // k)
+                    assert all(on_core[core].index(f.id) % n_links == i for f in members)
             result = analyze(flowset, config)
             for fid, row in result.results.items():
-                assert row.maxloop == view.maxloop[fid]
+                # Under Oldest-First a flow's competitors are the other flows
+                # sending to its core, each winning the arbitration once.
+                assert row.maxloop == (Counter(dst.values())[dst[fid]] - 1
+                                       if k == "oldest_first" else k)
                 checked += 1
         assert checked
+
+    def test_analysis_reads_queue_maps_only(self):
+        # The seven sweep configurations need the two queue maps and no link
+        # map: the deflection bound is the analysis's own.
+        flowset = generate_flowset(BenchmarkParams(flows_per_set=20, seed=3))
+        for name in FULL_PROFILE.configs:
+            analyze(flowset, parse_profile(name))
+        assert set(vars(flowset.index)["_queues"]) == {"shared", "independent"}
+        assert "_links" not in vars(flowset.index)
 
     def test_growth_needs_larger_ids(self):
         flowset = generate_flowset(BenchmarkParams(flows_per_set=10, seed=1))
