@@ -66,10 +66,11 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     Each flowset index is generated once, at the largest flow count, and
     every smaller point analyses a prefix of it, whose ``FlowsetIndex``
     grows from the previous prefix's. Flow counts are visited in ascending
-    order, and an analysis is skipped once its verdict is known:
-    a configuration found unschedulable stays unschedulable on every longer
-    prefix, because adding flows only adds interference, and so does each
-    configuration that it dominates (`_settled_by`).
+    order, configurations in ``spec.configs`` order, and an analysis is
+    skipped once its verdict is known (`_settled_by`). A configuration found
+    schedulable settles each one that dominates it on that prefix; one found
+    unschedulable settles each one that it dominates on every longer prefix
+    too, because adding flows only adds interference.
 
     Raises AnalysisError for an unknown or repeated configuration name, a
     negative flow count, or fewer than one flowset per point.
@@ -91,28 +92,25 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
         for packets in spec.packet_ranges:
             verdicts = {flows: dict.fromkeys(spec.configs, 0) for flows in counts}
             for index in range(spec.flowsets_per_point):
-                params = BenchmarkParams(
-                    flows_per_set=largest,
-                    width=grid[0],
-                    height=grid[1],
-                    packet_range=packets,
-                    seed=point_seed(spec, grid, packets, index),
-                )
-                full = generate_flowset(params)
+                full = generate_flowset(BenchmarkParams(
+                    flows_per_set=largest, width=grid[0], height=grid[1], packet_range=packets,
+                    seed=point_seed(spec, grid, packets, index)))
                 flowset = Flowset((), full.topology)
-                # Configurations known to be unschedulable on this index.
-                dead: set[str] = set()
+                dead: set[str] = set()  # known unschedulable on this index
                 for flows in counts:
                     if len(dead) == len(configs):
                         break
                     flowset = _extended(flowset, full.flows[len(flowset.flows):flows])
+                    live: set[str] = set()  # known schedulable on this prefix
                     for name, config in configs:
-                        if name in dead:
+                        if name in dead or name in live:
                             continue
                         if analyze(flowset, config).schedulable:
-                            verdicts[flows][name] += 1
+                            live |= settled_by[True][name]
                         else:
-                            dead |= settled_by[name]
+                            dead |= settled_by[False][name]
+                    for name in live:
+                        verdicts[flows][name] += 1
             for flows in spec.flows_schedule:
                 for name, _ in configs:
                     ratio = 100.0 * verdicts[flows][name] / spec.flowsets_per_point
@@ -121,16 +119,16 @@ def sweep_schedulability(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _settled_by(configs) -> dict[str, frozenset[str]]:
-    """For each configuration name, the listed names whose verdict on the
-    same flowset is certain to be ``unschedulable`` once that configuration's
-    is: its own, and those of the configurations it dominates.
+def _settled_by(configs) -> dict[bool, dict[str, frozenset[str]]]:
+    """Per verdict and configuration name, the listed names whose verdict on
+    the same flowset is certain to be the same once that configuration's is:
+    its own, and those of the configurations that it dominates (under
+    ``False``, unschedulable) or that dominate it (under ``True``).
 
     ``a`` dominates ``b`` when they differ at most in that ``b`` has an
     integer deflection bound no smaller than ``a``'s, and in that ``b`` uses
     the simplified jitter method where ``a`` iterates. Either difference only
-    adds interference. Oldest-First bounds take no part, and a simplified
-    verdict never settles an iterative one.
+    adds interference. Oldest-First bounds take no part.
     """
     def dominates(a: AnalysisConfig, b: AnalysisConfig) -> bool:
         return (isinstance(a.maxloop, int) and isinstance(b.maxloop, int)
@@ -139,8 +137,10 @@ def _settled_by(configs) -> dict[str, frozenset[str]]:
                 and replace(a, maxloop=0, jitter_method="iterative")
                 == replace(b, maxloop=0, jitter_method="iterative"))
 
-    return {name: frozenset({name} | {other for other, b in configs if dominates(a, b)})
-            for name, a in configs}
+    below = {name: frozenset({name} | {other for other, b in configs if dominates(a, b)})
+             for name, a in configs}
+    above = {name: frozenset(other for other in below if name in below[other]) for name in below}
+    return {False: below, True: above}
 
 
 SWEEP_HEADER = "grid,packet_min,packet_max,flows,config,ratio"

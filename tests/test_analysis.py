@@ -536,6 +536,29 @@ class TestJitterLoopProperties:
                     assert after.results[fid].bound >= r.bound, (name, fid)
 
     @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks(), data=st.data())
+    def test_raising_a_length_or_jitter_keeps_verdicts_and_grows_bounds(self, params, data):
+        # Raising one flow's L (up to the generator's longest packet) or its
+        # J only adds interference.
+        flowset = generate_flowset(params)
+        flow = data.draw(st.sampled_from(flowset.flows))
+        longest = params.packet_range[1]
+        if flow.length < longest and data.draw(st.booleans()):
+            raised = replace(flow, length=data.draw(st.integers(flow.length + 1, longest)))
+        else:
+            raised = replace(flow, jitter=flow.jitter + data.draw(st.integers(1, flow.period)))
+        grown = Flowset(tuple(raised if f.id == flow.id else f for f in flowset.flows),
+                        flowset.topology)
+        for name in itertools.chain.from_iterable(VARIANTS):
+            config = parse_profile(name)
+            before, after = analyze(flowset, config), analyze(grown, config)
+            if before.verdict == "unschedulable":
+                assert after.verdict == "unschedulable", name
+            if before.schedulable and after.schedulable:
+                for fid, r in before.results.items():
+                    assert after.results[fid].bound >= r.bound, (name, fid)
+
+    @settings(max_examples=200, deadline=None)
     @given(params=small_benchmarks())
     def test_more_deflections_keep_verdicts_and_grow_bounds(self, params):
         # A larger deflection bound only adds replica terms and circuits, so

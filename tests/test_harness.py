@@ -11,6 +11,7 @@ from rlnoc import harness, topology
 from rlnoc.analysis import AnalysisError, analyze, parse_profile, profile_name
 from rlnoc.harness import (
     FAST_PROFILE,
+    FULL_PROFILE,
     BoxStats,
     NoSchedulableFlowsetError,
     SweepSpec,
@@ -46,6 +47,12 @@ PROFILES_SPEC = SweepSpec(
         ("0D", "1D", "2D", "OF"), ("NI", "IU"), ("II", "SI"))),
     master_seed=5,
 )
+
+# The perfbench `sweep` slice of the full profile, the one spec here that
+# holds 3D_IU_SI next to both NI profiles.
+FULL_SLICE_SPEC = replace(FULL_PROFILE, packet_ranges=((16, 48),),
+                          flows_schedule=(40, 160, 280, 400), flowsets_per_point=2,
+                          master_seed=1)
 
 # Every {0D,1D,2D,3D} x {NI,IU} x {II,SI} profile, and the Oldest-First ones.
 SETTLED_PROFILES = tuple(f"{ej}_{jit}_{inj}" for ej, jit, inj in itertools.product(
@@ -137,20 +144,23 @@ class TestSweep:
 
 
 def counting_analyze(monkeypatch):
-    """Replace the sweep's `analyze` with one that records the profile name
-    of every call; returns the list of names."""
+    """Replace the sweep's `analyze` with one that records every call as
+    (flow count, profile name, verdict); returns the list of records."""
     calls = []
 
     def counted(flowset, config):
-        calls.append(profile_name(config))
-        return analyze(flowset, config)
+        result = analyze(flowset, config)
+        calls.append((len(flowset.flows), profile_name(config), result.verdict))
+        return result
 
     monkeypatch.setattr(harness, "analyze", counted)
     return calls
 
 
 def settled_pairs():
-    return harness._settled_by([(name, parse_profile(name)) for name in SETTLED_PROFILES])
+    """`_settled_by`'s unschedulable direction over SETTLED_PROFILES: each
+    name maps to itself and the names it dominates."""
+    return harness._settled_by([(name, parse_profile(name)) for name in SETTLED_PROFILES])[False]
 
 
 class TestPruning:
@@ -159,7 +169,8 @@ class TestPruning:
         SMALL_SPEC,
         replace(SMALL_SPEC, flows_schedule=(60, 20, 0, 60)),
         PROFILES_SPEC,
-    ], ids=["fast", "small", "unsorted_repeated_zero", "profiles_3x3"])
+        FULL_SLICE_SPEC,
+    ], ids=["fast", "small", "unsorted_repeated_zero", "profiles_3x3", "full_slice"])
     def test_csv_matches_plain_loop_with_fewer_analyses(self, spec, monkeypatch):
         calls = counting_analyze(monkeypatch)
         pruned = sweep_to_csv(sweep_schedulability(spec), spec)
@@ -167,6 +178,32 @@ class TestPruning:
         plain_calls = (len(spec.grids) * len(spec.packet_ranges) * len(spec.flows_schedule)
                        * spec.flowsets_per_point * len(spec.configs))
         assert len(calls) < plain_calls
+
+    @pytest.mark.parametrize("spec", [PROFILES_SPEC, FULL_SLICE_SPEC],
+                             ids=["profiles_3x3", "full_slice"])
+    def test_a_schedulable_verdict_settles_what_dominates_it(self, spec, monkeypatch):
+        # Once b is schedulable on a prefix, no configuration that dominates
+        # b is analysed on that prefix. No name is analysed twice on one
+        # prefix, so a prefix ends where the flow count changes or a name
+        # recurs.
+        dominated = harness._settled_by([(name, parse_profile(name))
+                                         for name in spec.configs])[False]
+        calls = counting_analyze(monkeypatch)
+        sweep_schedulability(spec)
+        prefix: list[tuple[int, str, str]] = []
+        lifting = 0
+        for flows, name, verdict in calls:
+            if prefix and (prefix[-1][0] != flows or any(n == name for _, n, _ in prefix)):
+                prefix = []
+            for _, earlier, earlier_verdict in prefix:
+                assert not (earlier_verdict == "schedulable"
+                            and earlier in dominated[name]), (flows, earlier, name)
+            prefix.append((flows, name, verdict))
+            later = spec.configs[spec.configs.index(name) + 1:]
+            lifting += verdict == "schedulable" and any(name in dominated[a] for a in later)
+        # Not vacuous: some schedulable verdict had a later configuration to
+        # settle.
+        assert lifting > 0
 
     def test_oldest_first_settles_only_itself(self):
         for a, settled in settled_pairs().items():
