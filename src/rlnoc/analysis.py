@@ -123,41 +123,48 @@ Verdict = Literal["schedulable", "unschedulable"]
 
 @dataclass(frozen=True)
 class FlowsetResult:
-    """A verdict, its per-flow results (empty unless schedulable) and its
-    pass count. ``failing_flow`` is set exactly when the verdict is
-    ``unschedulable``: the flow whose bound first passed its deadline."""
+    """Per-flow results (empty unless schedulable), the pass count and, for
+    an unschedulable flowset, the flow whose bound first passed its
+    deadline; the verdict is read from ``failing_flow``."""
 
-    verdict: Verdict
     results: Mapping[int, FlowResult]
     iterations: int
     failing_flow: int | None = None
 
     @property
     def schedulable(self) -> bool:
-        return self.verdict == "schedulable"
+        return self.failing_flow is None
+
+    @property
+    def verdict(self) -> Verdict:
+        return "schedulable" if self.failing_flow is None else "unschedulable"
 
 
 @dataclass
 class AnalysisRecord:
-    """Optional instrumentation: per-flow bound traces across outer iterations
-    and the iterate sequence of every inner busy-period fixed point."""
+    """Optional instrumentation: each flow's bound after every pass that
+    reaches it, and the iterate sequence of every busy-period fixed point
+    in the order computed, a failing one included."""
 
     bound_traces: dict[int, list[int]] = field(default_factory=dict)
     busy_traces: list[list[int]] = field(default_factory=list)
 
 
 def _fixed_point(base: int, terms, jk: dict[int, int], budget: int,
-                 trace: list | None = None) -> int | None:
+                 traces: list | None = None) -> int | None:
     """Smallest w with w = base + sum of ceil((w + J + Jk)/T)*L*n over the
     terms, each pre-folded as (T, L * n, J + T - 1, id) to one floor division.
 
     Iterates from w = base; every step is non-decreasing. Returns None as an
     exceeds-deadline signal once w would pass the budget (the recurrence has
-    no other termination guard and may diverge under overload).
+    no other termination guard and may diverge under overload). Given
+    ``traces``, appends the iterate sequence to it as one list.
     """
     w = base
-    if trace is not None:
-        trace.append(w)
+    trace = None
+    if traces is not None:
+        trace = [w]
+        traces.append(trace)
     if w > budget:
         return None
     while True:
@@ -187,7 +194,7 @@ class _FlowContext(NamedTuple):
     maxloop: int
     post: int
     fixed: int          # C + C_loop * maxloop + I_pos
-    budget: int         # what I_pre may take before the deadline is missed
+    budget: int         # what I_pre may take before the deadline is missed; -1 if it diverges
     terms: tuple        # busy-period terms (T, L * n, J + T - 1, id): replicas, then up
     diverges: bool      # the terms' load sum(L * n / T) reaches 1
 
@@ -247,42 +254,35 @@ def _contexts(flowset: Flowset, config: AnalysisConfig):
         switch = (flow.ring, start)
         up_num, up_den = index.up_load.get(switch, (0, 1))
         key = queue[fid]
+        # No workload diverges (0 of 6,276,287 busy periods of the full sweep
+        # at 100 flowsets per point, none in the campaign search), but at a
+        # load of exactly 1 the plain recurrence climbs linearly to the budget:
+        # one such term with a budget of 10^8 takes 10^7 iterates and 3.0 s
+        # (2-core Intel Xeon, Python 3.11), against one comparison with a
+        # budget of -1.
+        diverges = num * up_den + up_num * den >= den * up_den
         return _FlowContext(flow, no_load, loop, key,
                             lengths[key] - flow.length if lengths else 0,
-                            maxloop, post, fixed, flow.deadline - fixed,
-                            terms + index.up_terms.get(switch, ()),
-                            num * up_den + up_num * den >= den * up_den)
+                            maxloop, post, fixed, -1 if diverges else flow.deadline - fixed,
+                            terms + index.up_terms.get(switch, ()), diverges)
 
     return context
-
-
-def _busy(ctx: _FlowContext, base: int, jk: dict[int, int],
-          record: AnalysisRecord | None) -> int | None:
-    # No workload reaches this check (0 of 6,276,287 busy periods of the full
-    # sweep at 100 flowsets per point, none in the campaign search), but at a
-    # load of exactly 1 the plain recurrence climbs linearly to the budget: one
-    # such term with a budget of 10^8 takes 10^7 iterates and 3.0 s (2-core
-    # Intel Xeon, Python 3.11), against one comparison here.
-    if ctx.diverges:
-        return None
-    trace = [] if record is not None else None
-    value = _fixed_point(base, ctx.terms, jk, ctx.budget, trace)
-    if record is not None:
-        record.busy_traces.append(trace)
-    return value
 
 
 def analyze(flowset: Flowset, config: AnalysisConfig,
             record: AnalysisRecord | None = None) -> FlowsetResult:
     """Latency bounds and a schedulability verdict for the whole flowset.
 
-    The simplified jitter method runs a single pass with every interferer's
-    indirect jitter fixed at deadline minus no-load latency. The iterative
-    method starts from zero jitter and repeats passes, feeding each flow's
-    bound minus its no-load latency back in, until no bound changes
-    (schedulable) or a bound passes its deadline (unschedulable, empty
-    result). Shared injection needs a two-phase pass: head-of-queue waits
-    for all flows first, then the queue terms that consume them.
+    Each pass bounds every flow, by id in id order. The simplified jitter
+    method runs a single pass with every interferer's indirect jitter fixed
+    at deadline minus no-load latency. The iterative method starts from zero
+    jitter and repeats passes, feeding each flow's bound minus its no-load
+    latency back in, until no bound changes (schedulable). Shared injection
+    needs a two-phase pass: head-of-queue waits for all flows first, then
+    the queue terms that consume them. The analysis stops at the first flow
+    that passes its deadline (unschedulable, empty result): in the idle
+    phase, at its queue term, or in its busy period under independent
+    injection.
 
     The loop needs no cap: bounds are integers that never decrease (else
     ``InvariantError``), a pass that does not fail leaves each flow's within
@@ -290,7 +290,7 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     there are at most 1 + sum(D_f - C_f) passes.
     """
     if not flowset.flows:
-        return FlowsetResult("schedulable", {}, 0)
+        return FlowsetResult({}, 0)
     index = flowset.index
     context = _contexts(flowset, config)
     flows = index.flows
@@ -301,56 +301,45 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     jk = {fid: 0 if iterative else f.deadline - (index.route[fid][1] + f.length)
           for fid, f in flows.items()}
     bounds = dict.fromkeys(flows, 0)
+    traces = None if record is None else record.busy_traces
     for iteration in count(1):
-        outcome = _run_pass(context, flows, jk, bounds, shared, record, iterative)
-        if isinstance(outcome, int):
-            return FlowsetResult("unschedulable", {}, iteration, failing_flow=outcome)
-        rows, changed = outcome
-        if not changed:
-            return FlowsetResult("schedulable", _Results(context, flows, rows, jk), iteration)
-
-
-def _run_pass(context, flows, jk, bounds, shared, record, update_jk):
-    """One pass over the flows, by id in id order; returns the failing flow
-    id, or (rows, changed), where changed says whether a bound changed and
-    was fed back into the jitter."""
-    changed = False
-    rows: dict[int, tuple[int, int, int]] = {}
-    idle: dict[int, int] = {}
-    queued: dict = {}  # per injection queue, the sum of length + idle of its flows
-    if shared:
-        for ctx in map(context, flows):
-            value = _busy(ctx, 1, jk, record)
-            if value is None:
-                return ctx.flow.id
-            idle[ctx.flow.id] = value
-            queued[ctx.queue] = queued.get(ctx.queue, 0) + ctx.flow.length + value
-    for ctx in map(context, flows):
-        fid = ctx.flow.id
+        changed = False
+        rows: dict[int, tuple[int, int, int]] = {}
+        idle: dict[int, int] = {}
+        queued: dict = {}  # per injection queue, the sum of length + idle of its flows
         if shared:
-            queue = queued[ctx.queue] - ctx.flow.length - idle[fid]
-            pre = idle[fid] + queue
-            rows[fid] = (idle[fid], queue, pre)
-            if pre > ctx.budget:
-                return fid
-        else:
-            value = _busy(ctx, 1 + ctx.in_sum, jk, record)
-            if value is None:
-                return fid
-            rows[fid] = (0, 0, value)
-            pre = value
-        bound = ctx.fixed + pre
-        if record is not None:
-            record.bound_traces.setdefault(fid, []).append(bound)
-        if bound != bounds[fid]:
-            if bound < bounds[fid]:
-                raise InvariantError(
-                    f"flow {fid}: bound decreased from {bounds[fid]} to {bound}")
-            bounds[fid] = bound
-            if update_jk:
-                changed = True
-                jk[fid] = bound - ctx.no_load
-    return rows, changed
+            for ctx in map(context, flows):
+                value = _fixed_point(1, ctx.terms, jk, ctx.budget, traces)
+                if value is None:
+                    return FlowsetResult({}, iteration, ctx.flow.id)
+                idle[ctx.flow.id] = value
+                queued[ctx.queue] = queued.get(ctx.queue, 0) + ctx.flow.length + value
+        for ctx in map(context, flows):
+            fid = ctx.flow.id
+            if shared:
+                queue = queued[ctx.queue] - ctx.flow.length - idle[fid]
+                pre = idle[fid] + queue
+                if pre > ctx.budget:
+                    return FlowsetResult({}, iteration, fid)
+                rows[fid] = (idle[fid], queue, pre)
+            else:
+                pre = _fixed_point(1 + ctx.in_sum, ctx.terms, jk, ctx.budget, traces)
+                if pre is None:
+                    return FlowsetResult({}, iteration, fid)
+                rows[fid] = (0, 0, pre)
+            bound = ctx.fixed + pre
+            if record is not None:
+                record.bound_traces.setdefault(fid, []).append(bound)
+            if bound != bounds[fid]:
+                if bound < bounds[fid]:
+                    raise InvariantError(
+                        f"flow {fid}: bound decreased from {bounds[fid]} to {bound}")
+                bounds[fid] = bound
+                if iterative:
+                    changed = True
+                    jk[fid] = bound - ctx.no_load
+        if not changed:
+            return FlowsetResult(_Results(context, flows, rows, jk), iteration)
 
 
 class _Results(UserDict):

@@ -4,8 +4,10 @@ Subcommands: topo, gen, analyze, simulate, verify, sweep, flowstats, plot.
 Exit codes: 0 success / schedulable / oracle clean; 1 unschedulable flowset or
 oracle violation; 2 usage errors; 3 file or schema errors. A defect of rlnoc
 (``InvariantError``, ``ProtocolViolation``) propagates with its traceback.
-Every artifact records the resolved configuration and seed in its comment
-header, and identical invocations produce byte-identical artifacts.
+Identical invocations produce byte-identical artifacts, and each comment
+header records its seed and configuration, in part: ``simulate`` gives the
+injection mode and ``ejection=shared`` for any non-zero deflection bound
+(under 1D every flow has a link of its own), and no header records ``--ipos``.
 
 Time quantities are cycles everywhere; ``gen`` accepts a microsecond period
 range that is converted at a configurable clock at parse time only.
@@ -362,7 +364,10 @@ def _cmd_flowstats(args) -> int:
         rows = harness.component_share_stats(families, config)
         note = f"shares config={analysis.profile_name(config)} seed={args.seed}"
     else:
-        rows = harness.percent_difference_stats(families, config, better)
+        try:
+            rows = harness.percent_difference_stats(families, config, better)
+        except ValueError as exc:  # a flowset found under --config fails --config-better
+            return _file_error(exc)
         note = (f"diff worse={analysis.profile_name(config)} "
                 f"better={analysis.profile_name(better)} seed={args.seed}")
     _write(_out_path(args.out), harness.stats_to_csv(rows, note))

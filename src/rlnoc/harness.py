@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile
+from .analysis import (AnalysisConfig, AnalysisError, FlowsetResult, analyze, parse_profile,
+                       profile_name)
 from .seeds import derive_seed
 from .traffic import BenchmarkParams, Flowset, _extended, generate_flowset
 
@@ -222,10 +223,10 @@ def percent_difference_stats(families: dict[int, list[Flowset]],
             res_worse = analyze(flowset, worse)
             res_better = analyze(flowset, better)
             if not (res_worse.schedulable and res_better.schedulable):
+                failing = better if res_worse.schedulable else worse
                 raise ValueError(
-                    f"percent differences need schedulability under both "
-                    f"configurations (flowset at {flows} flows fails)"
-                )
+                    f"percent differences need schedulability under both configurations: "
+                    f"a {flows}-flow flowset is unschedulable under {profile_name(failing)}")
             for fid in sorted(res_better.results):
                 r_better = res_better.results[fid].bound
                 r_worse = res_worse.results[fid].bound

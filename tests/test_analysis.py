@@ -21,7 +21,6 @@ from rlnoc.analysis import (
     parse_profile,
     profile_name,
     results_to_csv,
-    _busy,
     _contexts,
     _fixed_point,
 )
@@ -52,13 +51,14 @@ def injection_busy(flowset, config, fid, jk):
     """Busy period of the flow's injection switch output port, co-injected
     packets included (independent injection). None: deadline missed."""
     ctx = flow_context(flowset, config, fid)
-    return _busy(ctx, 1 + ctx.in_sum, jk, None)
+    return _fixed_point(1 + ctx.in_sum, ctx.terms, jk, ctx.budget)
 
 
 def idle_wait(flowset, config, fid, jk):
     """Head-of-queue wait for an idle ring cycle (shared injection): the
     co-injection term drops out."""
-    return _busy(flow_context(flowset, config, fid), 1, jk, None)
+    ctx = flow_context(flowset, config, fid)
+    return _fixed_point(1, ctx.terms, jk, ctx.budget)
 
 
 def co_located_flowset(topology, co_length, thru_length):
@@ -181,12 +181,18 @@ class TestBusyPeriods:
                               {1: 0, 2: 0, 3: 0}) is None
         # A load of exactly 1 already diverges.
         assert flow_context(flowset, parse_profile("0D_IU_II"), 1).diverges
+        # Its budget of -1 fails the busy period at its first iterate.
+        record = AnalysisRecord()
+        result = analyze(flowset, parse_profile("0D_IU_II"), record)
+        assert (result.verdict, result.failing_flow) == ("unschedulable", 1)
+        assert record.busy_traces == [[1]]
 
     def test_iterates_strictly_increase_until_cutoff(self):
-        trace = []
+        traces = []
         result = _fixed_point(1, ((10, 5, 9, 2), (10, 5, 9, 3)),
-                              {2: 0, 3: 0}, budget=60, trace=trace)
+                              {2: 0, 3: 0}, budget=60, traces=traces)
         assert result is None
+        [trace] = traces
         assert trace == sorted(trace)
         assert all(b > a for a, b in zip(trace, trace[1:]))
 
@@ -281,11 +287,12 @@ class TestQueueWait:
             context = _contexts(flowset, config)
             contexts = [context(f.id) for f in flowset.flows]
             jk = {f.id: 0 for f in flowset.flows}
-            idle = {ctx.flow.id: _busy(ctx, 1, jk, None) for ctx in contexts}
+            idle = {ctx.flow.id: _fixed_point(1, ctx.terms, jk, ctx.budget)
+                    for ctx in contexts}
             if any(v is None for v in idle.values()):
                 continue
             for ctx in contexts:
-                basic = _busy(ctx, 1 + ctx.in_sum, jk, None)
+                basic = _fixed_point(1 + ctx.in_sum, ctx.terms, jk, ctx.budget)
                 if basic is None:
                     continue
                 queue = sum(g.length + idle[g.id]

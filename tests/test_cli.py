@@ -129,6 +129,19 @@ def test_flowstats_without_a_schedulable_flowset_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flowstats_diff_unschedulable_under_the_better_config_exits_three(tmp_path, capsys):
+    # The search finds flowsets schedulable under --config only; at 60 flows
+    # the one it finds fails 3D_IU_SI.
+    out = tmp_path / "diff.csv"
+    assert run(["flowstats", "--mode", "diff", "--config", "0D_NI_II",
+                "--config-better", "3D_IU_SI", "--flows", "40", "60",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: percent differences need schedulability under both configurations: "
+        "a 60-flow flowset is unschedulable under 3D_IU_SI\n")
+    assert not out.exists()
+
+
 def test_missing_file_exits_three(capsys):
     assert run(["analyze", "--flowset", "/nonexistent/flows.json"]) == 3
     assert run(["topo", "--load", "/nonexistent/topo.json"]) == 3
@@ -448,6 +461,16 @@ def test_plot_pipeline(tmp_path):
                 "--out", str(svg_file)]) == 0
     assert svg_file.read_text().startswith("<svg")
     assert run(["plot", "--csv", str(csv_file), "--kind", "boxwhisker"]) == 3
+
+
+def test_plot_of_a_comment_only_csv_exits_three(tmp_path, capsys):
+    csv_file = tmp_path / "comments.csv"
+    csv_file.write_text("# master_seed=1 flowsets_per_point=2\n\n# no rows\n")
+    svg_file = tmp_path / "out.svg"
+    assert run(["plot", "--csv", str(csv_file), "--kind", "lines",
+                "--out", str(svg_file)]) == 3
+    assert capsys.readouterr().err == "error: document has no header row\n"
+    assert not svg_file.exists()
 
 
 def test_flowstats_shares(tmp_path):

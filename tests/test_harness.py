@@ -24,7 +24,7 @@ from rlnoc.harness import (
     sweep_schedulability,
     sweep_to_csv,
 )
-from rlnoc.traffic import BenchmarkParams, generate_flowset
+from rlnoc.traffic import BenchmarkParams, _extended, generate_flowset
 
 SMALL_SPEC = SweepSpec(
     grids=((4, 4),),
@@ -53,6 +53,13 @@ PROFILES_SPEC = SweepSpec(
 FULL_SLICE_SPEC = replace(FULL_PROFILE, packet_ranges=((16, 48),),
                           flows_schedule=(40, 160, 280, 400), flowsets_per_point=2,
                           master_seed=1)
+
+# Long packets on a 4x4 grid: every full-profile configuration is
+# unschedulable on both flowset indexes before 200 flows, so the sweep stops
+# each index early.
+ALL_DEAD_SPEC = replace(FULL_PROFILE, grids=((4, 4),), packet_ranges=((96, 512),),
+                        flows_schedule=(20, 100, 200), flowsets_per_point=2,
+                        master_seed=1)
 
 # Every {0D,1D,2D,3D} x {NI,IU} x {II,SI} profile, and the Oldest-First ones.
 SETTLED_PROFILES = tuple(f"{ej}_{jit}_{inj}" for ej, jit, inj in itertools.product(
@@ -164,20 +171,32 @@ def settled_pairs():
 
 
 class TestPruning:
-    @pytest.mark.parametrize("spec", [
-        FAST_PROFILE,
-        SMALL_SPEC,
-        replace(SMALL_SPEC, flows_schedule=(60, 20, 0, 60)),
-        PROFILES_SPEC,
-        FULL_SLICE_SPEC,
-    ], ids=["fast", "small", "unsorted_repeated_zero", "profiles_3x3", "full_slice"])
-    def test_csv_matches_plain_loop_with_fewer_analyses(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec,stops_early", [
+        (FAST_PROFILE, False),
+        (SMALL_SPEC, False),
+        (replace(SMALL_SPEC, flows_schedule=(60, 20, 0, 60)), False),
+        (PROFILES_SPEC, False),
+        (FULL_SLICE_SPEC, False),
+        (ALL_DEAD_SPEC, True),
+    ], ids=["fast", "small", "unsorted_repeated_zero", "profiles_3x3", "full_slice",
+            "all_dead"])
+    def test_csv_matches_plain_loop_with_fewer_analyses(self, spec, stops_early, monkeypatch):
         calls = counting_analyze(monkeypatch)
+        built = []  # the flow count of every prefix the sweep builds
+
+        def extended(flowset, flows):
+            built.append(len(flowset.flows) + len(flows))
+            return _extended(flowset, flows)
+
+        monkeypatch.setattr(harness, "_extended", extended)
         pruned = sweep_to_csv(sweep_schedulability(spec), spec)
         assert pruned == sweep_to_csv(plain_sweep(spec), spec)
         plain_calls = (len(spec.grids) * len(spec.packet_ranges) * len(spec.flows_schedule)
                        * spec.flowsets_per_point * len(spec.configs))
         assert len(calls) < plain_calls
+        # Once every configuration is dead on an index, its longer prefixes
+        # are not built.
+        assert (max(built, default=0) < max(spec.flows_schedule)) == stops_early
 
     @pytest.mark.parametrize("spec", [PROFILES_SPEC, FULL_SLICE_SPEC],
                              ids=["profiles_3x3", "full_slice"])

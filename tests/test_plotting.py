@@ -90,3 +90,19 @@ def test_deterministic_output():
 def test_comments_and_blank_lines_ignored():
     text = "# note\n\n" + SWEEP_CSV
     assert render_plot(text, "lines") == render_plot(SWEEP_CSV, "lines")
+
+
+@pytest.mark.parametrize("csv, kind, mark, expected", [
+    # One flow count: the x range is widened from [20, 20] to [20, 21], so
+    # the point sits on the y axis (x = 64), at 100% on top (y = 24).
+    (SWEEP_HEADER + "\n4x4,16,48,20,0D_IU_SI,100.0\n", "lines",
+     r'<circle cx="([\d.]+)" cy="([\d.]+)"', ("64.00", "24.00")),
+    # Five equal statistics: the y range is widened from [3, 3] to [3, 4],
+    # so the median bar lies on the x axis (y = 392), centred on the plot
+    # (x = 308) with its left end 7 to the left.
+    (STATS_HEADER + "\n25,ipre_share,3,3,3,3,3\n", "boxwhisker",
+     r'<line x1="([\d.]+)" y1="([\d.]+)" x2="[\d.]+" y2="[\d.]+" stroke="#1f77b4" '
+     r'stroke-width="2"', ("301.00", "392.00")),
+], ids=["single_point_sweep", "single_value_box"])
+def test_degenerate_axis_is_widened_to_one_unit(csv, kind, mark, expected):
+    assert re.findall(mark, render_plot(csv, kind)) == [expected]

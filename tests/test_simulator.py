@@ -871,7 +871,7 @@ class TestOracle:
     def test_unschedulable_analysis_rejected(self):
         flowset, config, result = self.schedulable_case()
         out = simulate(flowset, SimConfig(seed=0, horizon=10_000), config)
-        bad = replace(result, verdict="unschedulable", results={}, failing_flow=1)
+        bad = replace(result, results={}, failing_flow=1)
         with pytest.raises(ValueError):
             oracle_check(flowset, bad, out)
 
