@@ -39,8 +39,9 @@ reads and writes list entries rather than keyed maps. Every release is
 admitted by the one rule below. Most find their queue ready and no live band
 at their source port, so h = t: such a worm has its flow's latency hops +
 length - 1 and no deflection, shared ring or not. The per-flow statistics
-count that latency for every release and walk only the packets admitted
-with h > t, released while stepping or materialised.
+take each flow's release count from the schedule, count that latency for
+every release and walk only the packets admitted with h > t, released while
+stepping or materialised.
 
 A release at t starts from h = max(t, h' + max(length' - 1, 1)), where
 (h', length') is its queue's previous packet: a head is dequeued in the port
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Literal
@@ -156,9 +157,11 @@ class _RingState:
         self.thru: dict[int, int] = {}
 
 
-def _release_schedule(flowset: Flowset, cfg: SimConfig, shift: int) -> list[int]:
+def _release_schedule(flowset: Flowset, cfg: SimConfig,
+                      shift: int) -> tuple[list[int], list[int]]:
     """Every release the model draws, in time order, packed as ``cycle <<
-    shift | rank``, its flow's rank in id order (``shift`` bits hold any rank).
+    shift | rank``, its flow's rank in id order (``shift`` bits hold any rank),
+    and each flow's release count, by rank.
 
     Sporadic releases all fall before the horizon. A periodic release is
     ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon,
@@ -168,10 +171,12 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig, shift: int) -> list[int]
     ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below n.
     """
     out: list[int] = []
+    counts: list[int] = []
     append, horizon = out.append, cfg.horizon
     rng = random.Random()
     getrandbits = rng.getrandbits
     for rank, f in enumerate(flowset.index.flows.values()):
+        drawn = len(out)
         period = f.period
         rng.seed(derive_seed(cfg.seed, "rel", f.id))
         if cfg.release == "periodic":
@@ -192,13 +197,14 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig, shift: int) -> list[int]
                 while r >= n:
                     r = getrandbits(k)
                 t += period + r
+        counts.append(len(out) - drawn)
     out.sort()
-    return out
+    return out, counts
 
 
-# Most releases one simulation may run. A release costs about 250 bytes of
-# peak memory and 3 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
-# 2-core Intel Xeon with Python 3.11), so a run at the limit peaks near 1.3 GB.
+# Most releases one simulation may run. A release costs about 180 bytes of
+# peak memory and 2.2 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
+# 2-core Intel Xeon with Python 3.11), so a run at the limit peaks near 0.9 GB.
 MAX_RELEASES = 5_000_000
 
 
@@ -234,7 +240,6 @@ _MAX_SHARERS = 8
 
 class _Engine:
     def __init__(self, flowset: Flowset, cfg: SimConfig, config: AnalysisConfig):
-        self.flowset = flowset
         self.cfg = cfg
         topo = flowset.topology
         width = topo.width
@@ -251,12 +256,13 @@ class _Engine:
         }
         # Ids of the rings whose fb, pb or inj is non-empty.
         self.busy_rings: set[int] = set()
-        # Per flow: ring id, source/destination positions, hop count, length,
-        # queue key and ejection-link key (from the flowset index), then
-        # the closed-form slots (see ``run``) of its ring, ejection link and
-        # queue, shared with the flows on the same ring, link or queue. Keys
-        # are tuples so that a traced run sorts them uniformly.
-        self.flow_info: dict[int, tuple] = {}
+        # Per flow, by rank in id order: ring id, source/destination
+        # positions, hop count, length, queue key and ejection-link key (from
+        # the flowset index), then the closed-form slots (see ``run``) of its
+        # ring, ejection link and queue, shared with the flows on the same
+        # ring, link or queue. Keys are tuples so that a traced run sorts
+        # them uniformly.
+        self.flow_info: list[tuple] = []
         self.ring_slots: dict[int, list] = {}
         self.link_slots: dict[tuple, list] = {}
         self.queue_slots: dict[tuple, list] = {}
@@ -265,34 +271,38 @@ class _Engine:
         for f in index.flows.values():
             start, hops = index.route[f.id]
             qkey, ekey = queue[f.id], link[f.id]
-            self.flow_info[f.id] = (f.ring, start, (start + hops) % self.rings[f.ring].size,
-                                    hops, f.length, qkey, ekey,
-                                    self.ring_slots.setdefault(f.ring, [0, []]),
-                                    self.link_slots.setdefault(ekey, [0, []]),
-                                    self.queue_slots.setdefault(qkey, [0]))
+            self.flow_info.append((f.ring, start, (start + hops) % self.rings[f.ring].size,
+                                   hops, f.length, qkey, ekey,
+                                   self.ring_slots.setdefault(f.ring, [0, []]),
+                                   self.link_slots.setdefault(ekey, [0, []]),
+                                   self.queue_slots.setdefault(qkey, [0])))
 
         self.queues: dict[tuple, deque] = {}
         self.ebusy: dict[tuple, list] = {}
 
         # Packet registry: a packet's id is its index in the sorted releases, each
-        # packed as cycle << shift | its flow's index in fids, which sorts as
-        # (cycle, flow id); pkt_info holds its flow_info tuple.
+        # packed as cycle << shift | its flow's rank (index in fids), which sorts
+        # as (cycle, flow id); pkt_info holds its flow_info tuple. counts holds
+        # each flow's release count, by rank, taken from the schedule.
         self.fids = fids = list(index.flows)
         self.shift = shift = len(fids).bit_length()
         self.mask = mask = (1 << shift) - 1
         if isinstance(cfg.release, tuple):
             rank = {fid: i for i, fid in enumerate(fids)}
             self.releases = sorted(t << shift | rank[fid] for t, fid in cfg.release)
+            self.counts = [0] * len(fids)
+            for _, fid in cfg.release:
+                self.counts[rank[fid]] += 1
         else:
-            self.releases = _release_schedule(flowset, cfg, shift)
-        self.pkt_info = [self.flow_info[fids[r & mask]] for r in self.releases]
+            self.releases, self.counts = _release_schedule(flowset, cfg, shift)
+        flow_info = self.flow_info
+        self.pkt_info = [flow_info[r & mask] for r in self.releases]
         self.pkt_deflections = [0] * len(self.releases)
         self.pkt_delivery = [-1] * len(self.releases)
         # Packets whose latency may differ from their flow's unhindered
         # latency: those admitted with h > t, released while stepping, or
         # materialised.
         self.deviants: set[int] = set()
-        self.released = Counter(fids[r & mask] for r in self.releases)
         # horizon + 10M cycles to drain past the horizon or a later, jittered release
         last = self.releases[-1] >> shift if self.releases else 0
         self.guard = max(last, cfg.horizon) + cfg.horizon + 10_000_000
@@ -300,9 +310,9 @@ class _Engine:
         # owing more flits than cycles 0 to guard can never drain.
         for slot, what in ((5, "an injection queue of core {} must send"),
                            (6, "an ejection link of core {} must eject")):
-            owed: Counter = Counter()
-            for fid, n in self.released.items():
-                owed[self.flow_info[fid][slot]] += n * self.flow_info[fid][4]
+            owed: dict[tuple, int] = {}
+            for info, n in zip(self.flow_info, self.counts):
+                owed[info[slot]] = owed.get(info[slot], 0) + n * info[4]
             for key, flits in owed.items():
                 if flits > self.guard + 1:
                     core = (key[0] % width, key[0] // width)
@@ -690,14 +700,15 @@ class _Engine:
             raise ProtocolViolation("network failed to drain after the last release")
         if -1 in self.pkt_delivery:
             raise ProtocolViolation("a released packet has no delivery cycle")
-        releases, shift, mask, fids = self.releases, self.shift, self.mask, self.fids
+        releases, shift, mask = self.releases, self.shift, self.mask
         # Every packet but the deviants was admitted in closed form with
         # h = t, so it has its flow's unhindered latency hops + length - 1
-        # and no deflection; the deviants are walked one by one.
-        flow_stats = {f.id: [0, 0, 0, 0] for f in self.flowset.flows}
+        # and no deflection; the deviants are walked one by one. Statistics
+        # are kept by rank.
+        flow_stats = [[0, 0, 0, 0] for _ in self.fids]
         for pkt in self.deviants:
             release = releases[pkt] >> shift
-            stats = flow_stats[fids[releases[pkt] & mask]]
+            stats = flow_stats[releases[pkt] & mask]
             latency = self.pkt_delivery[pkt] - release
             stats[0] += 1
             stats[1] += latency
@@ -706,27 +717,33 @@ class _Engine:
             defl = self.pkt_deflections[pkt]
             if defl > stats[3]:
                 stats[3] = defl
-        for fid, stats in flow_stats.items():
-            rest = self.released[fid] - stats[0]
+        for stats, info, released in zip(flow_stats, self.flow_info, self.counts):
+            rest = released - stats[0]
             if rest:
-                info = self.flow_info[fid]
                 latency = info[3] + info[4] - 1
                 stats[0] += rest
                 stats[1] += rest * latency
                 if latency > stats[2]:
                     stats[2] = latency
         per_flow = {fid: FlowStats(count, worst, total / count if count else 0.0, defl)
-                    for fid, (count, total, worst, defl) in sorted(flow_stats.items())}
-        blob = (b"%d:%d:%d;" * len(self.pkt_info) % tuple(chain.from_iterable(zip(
-            range(len(self.pkt_info)), self.pkt_delivery, self.pkt_deflections))))[:-1]
-        digest = hashlib.sha256(blob).hexdigest()
+                    for fid, (count, total, worst, defl) in zip(self.fids, flow_stats)}
+        # The digest hashes "packet:delivery:deflections" for every packet,
+        # joined by ";"; with no deflection the last field is a literal 0.
+        n, deflections = len(self.pkt_info), sum(self.pkt_deflections)
+        if deflections:
+            blob = b"%d:%d:%d;" * n % tuple(chain.from_iterable(zip(
+                range(n), self.pkt_delivery, self.pkt_deflections)))
+        else:
+            blob = b"%d:%d:0;" * n % tuple(chain.from_iterable(zip(
+                range(n), self.pkt_delivery)))
+        digest = hashlib.sha256(blob[:-1]).hexdigest()
         return SimOutcome(
             per_flow=per_flow,
-            released=len(self.pkt_info),
+            released=n,
             delivered=sum(stats.packets for stats in per_flow.values()),
             flits_injected=self.flits_injected,
             flits_ejected=self.flits_ejected,
-            deflections=sum(self.pkt_deflections),
+            deflections=deflections,
             drained=True,
             digest=digest,
             stepped_cycles=self.stepped_cycles,

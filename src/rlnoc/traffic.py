@@ -172,25 +172,44 @@ class FlowsetIndex:
         self._add(sorted(flowset.flows, key=lambda f: f.id))
 
     def _add(self, flows) -> None:
+        """Index ``flows``, in id order and with ids above any indexed one.
+        The batch is gathered per ring, destination and switch first, so
+        each entry it touches is written once: a ring's bounds and prefix
+        sums once however many of its flows raise them, and a switch's load
+        folded over its new terms in id order, as one flow at a time would."""
+        on_ring: dict[int, list] = {}
+        on_dst: dict[Coord, list] = {}
+        raised: dict[int, list] = {}
+        terms: dict[tuple, list] = {}
         for f in flows:
             ring = self.topology.ring(f.ring)
             start, size = ring.position(f.src), ring.size
             hops = (ring.position(f.dst) - start) % size
             self.flows[f.id] = f
             self.route[f.id] = (start, hops)
-            self.on_ring[f.ring] = self.on_ring.get(f.ring, ()) + (f,)
-            self.on_dst[f.dst] = self.on_dst.get(f.dst, ()) + (f,)
-            bounds = self.buffer_bounds[f.ring]
+            on_ring.setdefault(f.ring, []).append(f)
+            on_dst.setdefault(f.dst, []).append(f)
+            bounds = raised.get(f.ring, self.buffer_bounds[f.ring])
             if f.length - 1 > bounds[start]:
-                bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
-                self.buffer_bounds[f.ring] = bounds
-                self.backlog_sums[f.ring] = tuple(accumulate(bounds * 2, initial=0))
+                if f.ring not in raised:
+                    bounds = raised[f.ring] = list(bounds)
+                bounds[start] = f.length - 1
             term = (f.period, f.length, f.jitter + f.period - 1, f.id)
             for d in range(1, hops):
-                switch = (f.ring, (start + d) % size)
-                self.up_terms[switch] = self.up_terms.get(switch, ()) + (term,)
-                num, den = self.up_load.get(switch, (0, 1))
-                self.up_load[switch] = (num * f.period + f.length * den, den * f.period)
+                terms.setdefault((f.ring, (start + d) % size), []).append(term)
+        for rid, members in on_ring.items():
+            self.on_ring[rid] = self.on_ring.get(rid, ()) + tuple(members)
+        for dst, members in on_dst.items():
+            self.on_dst[dst] = self.on_dst.get(dst, ()) + tuple(members)
+        for rid, bounds in raised.items():
+            self.buffer_bounds[rid] = tuple(bounds)
+            self.backlog_sums[rid] = tuple(accumulate(bounds * 2, initial=0))
+        for switch, new in terms.items():
+            self.up_terms[switch] = self.up_terms.get(switch, ()) + tuple(new)
+            num, den = self.up_load.get(switch, (0, 1))
+            for period, length, _, _ in new:
+                num, den = num * period + length * den, den * period
+            self.up_load[switch] = (num, den)
 
     @cached_property
     def capacity(self) -> dict[int, int]:

@@ -8,10 +8,13 @@ criterion-2 style schedulable flowsets under each campaign-type
 configuration with sporadic and periodic releases, plus dense short runs on
 shared ejection links where packets deflect. The dense runs also pin the
 hash of their full event trace, which fixes the order in which the engine
-processes rings, ports and ejection links within a cycle.
+processes rings, ports and ejection links within a cycle. The digest itself
+is rebuilt from a traced run's delivery and deflection events, so its
+format is pinned apart from the engine's own formatting.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -99,3 +102,32 @@ def test_dense_shared_ejection_trace(flows_per_link):
     assert (outcome.deflections, outcome.digest) == GOLDEN_DENSE[flows_per_link]
     trace_digest = hashlib.sha256(repr(outcome.trace).encode("ascii")).hexdigest()
     assert trace_digest == GOLDEN_DENSE_TRACE[flows_per_link]
+
+
+def digest_from_events(outcome):
+    """The digest rebuilt from a traced run's events: every packet's delivery
+    cycle from its ``deliver`` event and its deflection count from its
+    ``deflect`` events, hashed as "packet:delivery:deflections" joined by ";"."""
+    delivery, deflections = {}, Counter()
+    for event in outcome.trace:
+        if event[0] == "deliver":
+            delivery[event[2]] = event[1]
+        elif event[0] == "deflect":
+            deflections[event[4]] += 1
+    assert sorted(delivery) == list(range(outcome.released))
+    blob = ";".join(f"{pkt}:{delivery[pkt]}:{deflections[pkt]}"
+                    for pkt in range(outcome.released))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("run, deflections", [
+    (lambda trace: campaign_outcome("0D_IU_SI", 60, "sporadic", trace), 0),
+    (lambda trace: dense_outcome(None, trace), 61),
+], ids=["campaign_deflection_free", "dense_oldest_first"])
+def test_digest_equals_one_rebuilt_from_trace_events(run, deflections):
+    # The closed-form digest, whichever way the engine formats it, against
+    # one computed from first principles: a run with no deflection and one
+    # with many.
+    closed, traced = run(False), run(True)
+    assert closed.deflections == traced.deflections == deflections
+    assert closed.digest == digest_from_events(traced)

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -417,7 +418,7 @@ def drawn_schedule(flowset, cfg):
     ids = sorted(f.id for f in flowset.flows)
     shift = len(ids).bit_length()
     return [(r >> shift, ids[r & ((1 << shift) - 1)])
-            for r in _release_schedule(flowset, cfg, shift)]
+            for r in _release_schedule(flowset, cfg, shift)[0]]
 
 
 # Small values reach period 1 and jitter 0 (a draw from U[0,1)); large
@@ -563,6 +564,19 @@ class TestReleaseSchedule:
         released = [ev[1:] for ev in simulate(flowset, cfg, SHARED).trace if ev[0] == "release"]
         assert [pkt for _, pkt, _ in released] == list(range(len(cfg.release)))
         assert [(t, fid) for t, _, fid in released] == sorted(cfg.release)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(release_cases(), explicit_schedules()), hw=st.sampled_from(LAYOUTS))
+    def test_per_flow_packets_are_the_schedules_release_counts(self, case, hw):
+        # Every flow's packet count is its count in the drawn or listed
+        # schedule, 0 for a flow it never names.
+        flowset, cfg = case
+        listed = cfg.release if isinstance(cfg.release, tuple) else drawn_schedule(flowset, cfg)
+        counts = Counter(fid for _, fid in listed)
+        out = simulate(flowset, cfg, hw)
+        assert {fid: stats.packets for fid, stats in out.per_flow.items()} == \
+            {f.id: counts[f.id] for f in flowset.flows}
+        assert out.released == len(listed)
 
     @settings(max_examples=60, deadline=None)
     @given(case=explicit_schedules(), hw=st.sampled_from(LAYOUTS))

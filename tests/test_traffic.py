@@ -78,6 +78,37 @@ def shuffled(flowset, seed=0):
     return Flowset(tuple(flows), flowset.topology)
 
 
+@st.composite
+def clustered_index_cases(draw):
+    """A flowset whose flows start at one or two cores, so that one batch
+    raises a ring's bound more than once and its flows share switches,
+    and where to cut it into batches."""
+    width = draw(st.sampled_from((3, 4)))
+    topo = generate_multi_ring(width, width)
+    cores = [(col, row) for col in range(width) for row in range(width)]
+    sources = draw(st.lists(st.sampled_from(cores), min_size=1, max_size=2, unique=True))
+    flows = []
+    for fid in range(1, draw(st.integers(0, 30)) + 1):
+        src = draw(st.sampled_from(sources))
+        dst = draw(st.sampled_from([core for core in cores if core != src]))
+        period = draw(st.integers(1, 1_000))
+        flows.append(make_flow(fid, src, dst, ring=select_ring(topo, src, dst),
+                               period=period, length=draw(st.integers(1, 64)),
+                               jitter=draw(st.integers(0, period))))
+    splits = sorted(draw(st.lists(st.integers(0, len(flows)), max_size=3)))
+    return Flowset(tuple(flows), topo), splits
+
+
+@st.composite
+def generated_index_cases(draw):
+    """A drawn benchmark flowset of up to 160 flows and where to cut it
+    into batches."""
+    flows = draw(st.integers(0, 160))
+    flowset = generate_flowset(BenchmarkParams(flows_per_set=flows,
+                                               seed=draw(st.integers(0, 10_000))))
+    return flowset, sorted(draw(st.lists(st.integers(0, flows), max_size=3)))
+
+
 class TestFlowsetIndex:
     @pytest.mark.parametrize("grid", [(4, 4), (5, 5)])
     def test_route_matches_ring_positions(self, grid):
@@ -191,6 +222,76 @@ class TestFlowsetIndex:
                 assert getattr(prefix.index, name) == before[name], name
             assert self.views(grown.index) == self.views(fresh.index)
             prefix = grown
+
+    @classmethod
+    def one_flow_at_a_time(cls, topology, batches):
+        """The plain path: the index maps built flow by flow in id order,
+        each raise of a ring's bound rebuilding that ring's bounds and prefix
+        sums at once and each switch's load folded per flow. Also returns
+        the most raises of one ring within one of ``batches``."""
+        maps = {name: {} for name in cls.INDEX_MAPS}
+        for ring in topology.rings:
+            maps["buffer_bounds"][ring.id] = (0,) * ring.size
+            maps["backlog_sums"][ring.id] = (0,) * (2 * ring.size + 1)
+        most = 0
+        for batch in batches:
+            raises = Counter()
+            for f in batch:
+                ring = topology.ring(f.ring)
+                start, size = ring.position(f.src), ring.size
+                hops = (ring.position(f.dst) - start) % size
+                maps["flows"][f.id] = f
+                maps["route"][f.id] = (start, hops)
+                maps["on_ring"][f.ring] = maps["on_ring"].get(f.ring, ()) + (f,)
+                maps["on_dst"][f.dst] = maps["on_dst"].get(f.dst, ()) + (f,)
+                bounds = maps["buffer_bounds"][f.ring]
+                if f.length - 1 > bounds[start]:
+                    bounds = bounds[:start] + (f.length - 1,) + bounds[start + 1:]
+                    maps["buffer_bounds"][f.ring] = bounds
+                    maps["backlog_sums"][f.ring] = tuple(itertools.accumulate(
+                        bounds * 2, initial=0))
+                    raises[f.ring] += 1
+                term = (f.period, f.length, f.jitter + f.period - 1, f.id)
+                for d in range(1, hops):
+                    switch = (f.ring, (start + d) % size)
+                    maps["up_terms"][switch] = maps["up_terms"].get(switch, ()) + (term,)
+                    num, den = maps["up_load"].get(switch, (0, 1))
+                    maps["up_load"][switch] = (num * f.period + f.length * den,
+                                               den * f.period)
+            most = max(most, *raises.values(), 0)
+        return maps, most
+
+    def check_batches(self, flowset, splits):
+        """The index of ``flowset``, fresh and grown batch by batch through
+        ``splits``, equals the plain path map for map, entry order included.
+        Returns the most raises of one ring within one batch."""
+        flows = sorted(flowset.flows, key=lambda f: f.id)
+        cuts = [0, *splits, len(flows)]
+        batches = [flows[a:b] for a, b in zip(cuts, cuts[1:])]
+        plain, most = self.one_flow_at_a_time(flowset.topology, batches)
+        grown = Flowset((), flowset.topology)
+        for batch in batches:
+            grown = _extended(grown, tuple(batch))
+        for index in (Flowset(tuple(flows), flowset.topology).index, grown.index):
+            for name in self.INDEX_MAPS:
+                assert list(getattr(index, name).items()) == list(plain[name].items()), name
+        return most
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(clustered_index_cases(), generated_index_cases()))
+    def test_batched_index_equals_one_flow_at_a_time(self, case):
+        self.check_batches(*case)
+
+    def test_a_batch_raising_one_ring_twice_equals_one_flow_at_a_time(self):
+        # Flows 2 to 4 each raise ring 0's bound at (0, 0) or (1, 0), in one
+        # batch after flow 1's, and all of them cross (1, 0) or (2, 0).
+        topo = generate_multi_ring(3, 2)
+        flowset = Flowset((make_flow(1, (0, 0), (2, 0), length=4),
+                           make_flow(2, (0, 0), (2, 1), length=9, period=7_000),
+                           make_flow(3, (1, 0), (2, 1), length=20, period=3_000),
+                           make_flow(4, (0, 0), (2, 0), length=33, jitter=500)), topo)
+        assert self.check_batches(flowset, [1]) == 3
+        assert self.check_batches(flowset, []) == 4
 
     @pytest.mark.parametrize("name", FULL_PROFILE.configs + ("OF_IU_SI", "OF_NI_II"))
     def test_platform_rules(self, name):
