@@ -70,13 +70,14 @@ class AnalysisConfig:
             raise AnalysisError(f"bad ipos formula {self.ipos_formula!r}")
 
 
-_PROFILE_RE = re.compile(r"(\d+D|OF)_(NI|IU)_(II|SI)")
+_PROFILE_RE = re.compile(r"((?:0|[1-9]\d*)D|OF)_(NI|IU)_(II|SI)")
 
 
 def parse_profile(name: str, **overrides) -> AnalysisConfig:
     """Named configuration profiles: e.g. 0D_IU_SI, 3D_NI_II, OF_IU_SI.
 
-    <k>D fixes the deflection bound at k (0D means independent ejection);
+    <k>D fixes the deflection bound at k, written without leading zeros so
+    that each bound has one name (0D means independent ejection);
     OF bounds deflections by the same-destination flow count under
     Oldest-First arbitration. NI/IU select the non-iterative or iterative
     indirect-jitter method; II/SI select independent or shared injection.
@@ -142,11 +143,11 @@ class FlowsetResult:
 
 @dataclass
 class AnalysisRecord:
-    """Optional instrumentation: each flow's bound after every pass that
-    reaches it, and the iterate sequence of every busy-period fixed point
-    in the order computed, a failing one included."""
+    """Optional instrumentation: the iterate sequence of every busy-period
+    fixed point in the order computed, a failing one included. A pass
+    computes one per flow, an idle wait under shared injection and an
+    injection busy period under independent injection."""
 
-    bound_traces: dict[int, list[int]] = field(default_factory=dict)
     busy_traces: list[list[int]] = field(default_factory=list)
 
 
@@ -277,17 +278,17 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     method runs a single pass with every interferer's indirect jitter fixed
     at deadline minus no-load latency. The iterative method starts from zero
     jitter and repeats passes, feeding each flow's bound minus its no-load
-    latency back in, until no bound changes (schedulable). Shared injection
-    needs a two-phase pass: head-of-queue waits for all flows first, then
-    the queue terms that consume them. The analysis stops at the first flow
-    that passes its deadline (unschedulable, empty result): in the idle
-    phase, at its queue term, or in its busy period under independent
-    injection.
+    latency back in, until no flow's jitter changes (schedulable). Shared
+    injection needs a two-phase pass: head-of-queue waits for all flows
+    first, then the queue terms that consume them. The analysis stops at the
+    first flow that passes its deadline (unschedulable, empty result): in
+    the idle phase, at its queue term, or in its busy period under
+    independent injection.
 
-    The loop needs no cap: bounds are integers that never decrease (else
-    ``InvariantError``), a pass that does not fail leaves each flow's within
-    [C_f, D_f], and one that does not end the loop raises at least one, so
-    there are at most 1 + sum(D_f - C_f) passes.
+    The loop needs no cap: each flow's indirect jitter R_f - C_f is an
+    integer that never decreases (else ``InvariantError``), a pass that does
+    not fail leaves it within [0, D_f - C_f], and one that does not end the
+    loop raises at least one, so there are at most 1 + sum(D_f - C_f) passes.
     """
     if not flowset.flows:
         return FlowsetResult({}, 0)
@@ -300,11 +301,10 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
     iterative = config.jitter_method == "iterative"
     jk = {fid: 0 if iterative else f.deadline - (index.route[fid][1] + f.length)
           for fid, f in flows.items()}
-    bounds = dict.fromkeys(flows, 0)
     traces = None if record is None else record.busy_traces
     for iteration in count(1):
         changed = False
-        rows: dict[int, tuple[int, int, int]] = {}
+        pres: dict[int, int] = {}
         idle: dict[int, int] = {}
         queued: dict = {}  # per injection queue, the sum of length + idle of its flows
         if shared:
@@ -317,49 +317,47 @@ def analyze(flowset: Flowset, config: AnalysisConfig,
         for ctx in map(context, flows):
             fid = ctx.flow.id
             if shared:
-                queue = queued[ctx.queue] - ctx.flow.length - idle[fid]
-                pre = idle[fid] + queue
+                # Its idle wait plus the others' in its queue, with their lengths.
+                pre = queued[ctx.queue] - ctx.flow.length
                 if pre > ctx.budget:
                     return FlowsetResult({}, iteration, fid)
-                rows[fid] = (idle[fid], queue, pre)
             else:
                 pre = _fixed_point(1 + ctx.in_sum, ctx.terms, jk, ctx.budget, traces)
                 if pre is None:
                     return FlowsetResult({}, iteration, fid)
-                rows[fid] = (0, 0, pre)
-            bound = ctx.fixed + pre
-            if record is not None:
-                record.bound_traces.setdefault(fid, []).append(bound)
-            if bound != bounds[fid]:
-                if bound < bounds[fid]:
-                    raise InvariantError(
-                        f"flow {fid}: bound decreased from {bounds[fid]} to {bound}")
-                bounds[fid] = bound
-                if iterative:
+            pres[fid] = pre
+            if iterative:
+                jitter = ctx.fixed + pre - ctx.no_load
+                if jitter != jk[fid]:
+                    if jitter < jk[fid]:
+                        raise InvariantError(
+                            f"flow {fid}: bound decreased from {jk[fid] + ctx.no_load} "
+                            f"to {ctx.fixed + pre}")
                     changed = True
-                    jk[fid] = bound - ctx.no_load
+                    jk[fid] = jitter
         if not changed:
-            return FlowsetResult(_Results(context, flows, rows, jk), iteration)
+            return FlowsetResult(_Results(context, flows, pres, idle, jk), iteration)
 
 
 class _Results(UserDict):
     """The per-flow results of a schedulable verdict, built from its last
     pass on first read: reading only the verdict never builds them."""
 
-    def __init__(self, context, flows, rows, jk):
-        self._last_pass = (context, flows, rows, jk)
+    def __init__(self, context, flows, pres, idle, jk):
+        self._last_pass = (context, flows, pres, idle, jk)
 
     def __reduce__(self):  # copied and pickled as the plain dict
         return dict, (self.data,)
 
     @cached_property
     def data(self) -> dict[int, FlowResult]:
-        context, flows, rows, jk = self._last_pass
+        context, flows, pres, idle, jk = self._last_pass
         out = {}
         for ctx in map(context, flows):
             fid = ctx.flow.id
-            pre_idle, pre_queue, pre = rows[fid]
-            bound = ctx.fixed + pre
+            pre = pres[fid]
+            # Only shared injection splits I_pre into the idle wait and the rest.
+            pre_idle, pre_queue = (idle[fid], pre - idle[fid]) if idle else (0, 0)
             out[fid] = FlowResult(
                 flow=fid,
                 no_load=ctx.no_load,
@@ -370,7 +368,7 @@ class _Results(UserDict):
                 pre_injection=pre,
                 post_injection=ctx.post,
                 indirect_jitter=jk[fid],
-                bound=bound,
+                bound=ctx.fixed + pre,
                 deadline=ctx.flow.deadline,
             )
         return out

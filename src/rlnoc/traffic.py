@@ -132,10 +132,9 @@ class InterferenceSets:
     upind: frozenset[int]
 
 
-def term_load(terms) -> tuple[int, int]:
+def term_load(terms, num: int = 0, den: int = 1) -> tuple[int, int]:
     """Exact sum of L * n / T over busy-period terms (T, L * n, J + T - 1, id),
-    as a fraction (numerator, denominator)."""
-    num, den = 0, 1
+    added in term order to the load ``num / den``, as (numerator, denominator)."""
     for period, load, _, _ in terms:
         num = num * period + load * den
         den *= period
@@ -206,10 +205,7 @@ class FlowsetIndex:
             self.backlog_sums[rid] = tuple(accumulate(bounds * 2, initial=0))
         for switch, new in terms.items():
             self.up_terms[switch] = self.up_terms.get(switch, ()) + tuple(new)
-            num, den = self.up_load.get(switch, (0, 1))
-            for period, length, _, _ in new:
-                num, den = num * period + length * den, den * period
-            self.up_load[switch] = (num, den)
+            self.up_load[switch] = term_load(new, *self.up_load.get(switch, (0, 1)))
 
     @cached_property
     def capacity(self) -> dict[int, int]:

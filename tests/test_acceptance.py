@@ -242,15 +242,13 @@ def test_criterion_6_fixed_point_properties():
             for trace in record.busy_traces:
                 assert trace == sorted(trace)
                 assert len(trace) >= 1
-            for trace in record.bound_traces.values():
-                assert trace == sorted(trace)
             for r in result.results.values():
                 assert r.bound == (r.no_load + r.loop * r.maxloop
                                    + r.pre_injection + r.post_injection)
         flows_checked += size
     print(f"\ncriterion 6 PASS: {flows_checked} flows over {sets_run} flowsets; "
-          f"inner iterates non-decreasing and terminating, outer bound traces "
-          f"non-decreasing, component accounting exact")
+          f"inner iterates non-decreasing and terminating, component accounting "
+          f"exact")
 
 
 def test_criterion_7_simulator_protocol_invariants(campaign):

@@ -344,17 +344,20 @@ class TestResolveMaxloop:
             assert flow_context(five_flow_fixture, cfg, f.id).maxloop == 3
 
 
+PROFILES = ("0D_NI_II", "0D_IU_II", "0D_NI_SI", "0D_IU_SI", "1D_IU_SI",
+            "2D_IU_SI", "3D_IU_SI", "12D_NI_II", "OF_IU_SI", "OF_NI_II")
+
+
 class TestProfiles:
-    @pytest.mark.parametrize("name", ["0D_NI_II", "0D_IU_II", "0D_NI_SI",
-                                      "0D_IU_SI", "1D_IU_SI", "2D_IU_SI",
-                                      "3D_IU_SI", "12D_NI_II", "OF_IU_SI",
-                                      "OF_NI_II"])
+    @pytest.mark.parametrize("name", PROFILES)
     def test_roundtrip(self, name):
         assert profile_name(parse_profile(name)) == name
 
     def test_unknown_profile(self):
-        with pytest.raises(AnalysisError):
-            parse_profile("4X_IU_SI")
+        # A count with a leading zero would give a bound a second name.
+        for name in ("4X_IU_SI", "00D_IU_SI", "01D_NI_II"):
+            with pytest.raises(AnalysisError, match="unknown configuration profile"):
+                parse_profile(name)
 
     def test_config_validation(self):
         for fields in ({"maxloop": True}, {"maxloop": False}, {"maxloop": -1},
@@ -406,25 +409,35 @@ class TestAnalyze:
         flowset = generate_flowset(BenchmarkParams(
             flows_per_set=32, width=4, height=4, packet_range=(1, 8),
             period_range=(300, 1200), seed=981581211))
-        record = AnalysisRecord()
-        result = analyze(flowset, parse_profile("2D_IU_SI"), record=record)
+        result = analyze(flowset, parse_profile("2D_IU_SI"))
         assert result.verdict == "schedulable" and result.iterations == 8
-        assert sorted(record.bound_traces) == sorted(result.results)
         for fid, r in result.results.items():
-            assert len(record.bound_traces[fid]) == result.iterations
             assert r.indirect_jitter == r.bound - r.no_load, fid
 
     def test_empty_flowset_is_schedulable(self, six_ring_topology):
         result = analyze(Flowset((), six_ring_topology), parse_profile("0D_IU_SI"))
         assert result.schedulable and result.results == {}
 
-    def test_bound_traces_monotone_and_components_account(self):
+    def test_decreasing_bound_raises(self, five_flow_fixture, monkeypatch):
+        # Every busy period after the first pass falls below its base, so
+        # each flow's bound would fall below the one fed back as its jitter.
+        calls = []
+
+        def shrinking(base, terms, jk, budget, traces=None):
+            calls.append(base)
+            if len(calls) <= len(five_flow_fixture.flows):
+                return _fixed_point(base, terms, jk, budget, traces)
+            return base - 1
+
+        monkeypatch.setattr(analysis, "_fixed_point", shrinking)
+        with pytest.raises(InvariantError, match="bound decreased"):
+            analyze(five_flow_fixture, parse_profile("0D_IU_II"))
+
+    def test_busy_traces_monotone_and_components_account(self):
         record = AnalysisRecord()
         flowset = generate_flowset(BenchmarkParams(flows_per_set=30, seed=21))
         result = analyze(flowset, parse_profile("0D_IU_SI"), record=record)
         assert result.schedulable
-        for trace in record.bound_traces.values():
-            assert trace == sorted(trace)
         for trace in record.busy_traces:
             assert trace == sorted(trace)
         for fid, r in result.results.items():
@@ -525,6 +538,24 @@ class TestJitterLoopProperties:
             assert iterative.schedulable, iterative_name
             for fid, r in iterative.results.items():
                 assert r.bound <= simplified.results[fid].bound, (iterative_name, fid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=small_benchmarks())
+    def test_one_busy_period_per_flow_per_pass_within_the_pass_bound(self, params):
+        # Each pass computes one busy period per flow under either injection
+        # (an idle wait when shared), each iterate sequence is non-decreasing,
+        # and the passes stay within analyze's bound of 1 + sum(D_f - C_f).
+        flowset = generate_flowset(params)
+        for name in PROFILES:
+            record = AnalysisRecord()
+            result = analyze(flowset, parse_profile(name), record=record)
+            if not result.schedulable:
+                continue
+            assert len(record.busy_traces) == len(flowset.flows) * result.iterations, name
+            for trace in record.busy_traces:
+                assert trace == sorted(trace), name
+            slack = sum(r.deadline - r.no_load for r in result.results.values())
+            assert result.iterations <= 1 + slack, name
 
     @settings(max_examples=200, deadline=None)
     @given(params=small_benchmarks(), extra=st.integers(1, 4))

@@ -369,10 +369,12 @@ def test_bad_flags_exit_two(tmp_path, capsys):
         assert err.value.code == 2, argv
         assert capsys.readouterr().err.count("error:") == 1, argv
     # Checked after parsing: the microsecond range is below one cycle at the
-    # clock, a name is listed twice and would be counted twice, both period
-    # units are given, or a diff has no better configuration.
+    # clock, a name is listed twice and would be counted twice (00D_IU_SI is
+    # no second name for 0D_IU_SI), both period units are given, or a diff
+    # has no better configuration.
     for argv in (["gen", "--flows", "3", "--periods-us", "0.0001:2"],
                  ["sweep", "--configs", "0D_IU_SI", "0D_IU_SI"],
+                 ["sweep", "--configs", "0D_IU_SI", "00D_IU_SI"],
                  ["gen", "--flows", "3", "--periods", "10:20", "--periods-us", "1:2"],
                  ["flowstats", "--mode", "diff", "--flows", "10"]):
         assert run(argv) == 2, argv
