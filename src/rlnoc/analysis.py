@@ -378,7 +378,6 @@ _CSV_HEADER = "flow,C,C_loop,maxloop,I_pre_idle,I_pre_queue,I_pre,I_pos,Jk,R,D,s
 
 
 def results_to_csv(result: FlowsetResult, config: AnalysisConfig,
-                   seed: int | None = None,
                    diagnostics: dict[int, InterferenceSets] | None = None) -> str:
     """Result table with the verdict in a header record and optional
     interference-set diagnostics as comment lines."""
@@ -386,8 +385,6 @@ def results_to_csv(result: FlowsetResult, config: AnalysisConfig,
     meta += f" config={profile_name(config)}"
     if result.failing_flow is not None:
         meta += f" failing_flow={result.failing_flow}"
-    if seed is not None:
-        meta += f" seed={seed}"
     lines = [meta]
     if diagnostics:
         for fid in sorted(diagnostics):

@@ -170,13 +170,6 @@ def _perimeter(c1: int, r1: int, c2: int, r2: int) -> tuple[Coord, ...]:
     return tuple(top + right + bottom + left)
 
 
-def _canonical(switches: tuple[Coord, ...]) -> tuple[Coord, ...]:
-    # Rotate the cycle to start at its smallest coordinate; direction is kept,
-    # so a ring and its reversal stay distinct.
-    pivot = switches.index(min(switches))
-    return switches[pivot:] + switches[:pivot]
-
-
 # Largest grid side a topology may have. It bounds the rings a grid gets and
 # the work of building and checking them: the generator's ring count grows as
 # side^2 (246 rings at 16x16), and generating a 16x16 grid takes 0.04 s,
@@ -201,7 +194,7 @@ def generate_multi_ring(width: int, height: int) -> Topology:
 
     Emits, in order: nested rectangle rings, full-width row-band rings for
     every row pair, and full-height column-band rings for every column pair,
-    all clockwise, with exact duplicates dropped. Any two cores in different
+    all clockwise, each ring once. Any two cores in different
     rows share the row-band ring of those rows; cores in the same row share a
     column-band ring, so every ordered pair is connected. The ring count is
     C(height,2) + C(width,2) + floor(min(width,height)/2) - 2. Sides run from
@@ -218,21 +211,18 @@ def generate_multi_ring(width: int, height: int) -> Topology:
     while width - 2 * k >= 2 and height - 2 * k >= 2:
         loops.append(_perimeter(k, k, width - 1 - k, height - 1 - k))
         k += 1
+    # The full-height row band and the full-width column band are both the
+    # outer rectangle, already emitted first.
     for r1 in range(height):
         for r2 in range(r1 + 1, height):
-            loops.append(_perimeter(0, r1, width - 1, r2))
+            if (r1, r2) != (0, height - 1):
+                loops.append(_perimeter(0, r1, width - 1, r2))
     for c1 in range(width):
         for c2 in range(c1 + 1, width):
-            loops.append(_perimeter(c1, 0, c2, height - 1))
-    rings: list[Ring] = []
-    seen: set[tuple[Coord, ...]] = set()
-    for loop in loops:
-        key = _canonical(loop)
-        if key in seen:
-            continue
-        seen.add(key)
-        rings.append(Ring(id=len(rings), switches=loop))
-    return Topology(width, height, rings)
+            if (c1, c2) != (0, width - 1):
+                loops.append(_perimeter(c1, 0, c2, height - 1))
+    return Topology(width, height, tuple(Ring(id=i, switches=loop)
+                                         for i, loop in enumerate(loops)))
 
 
 _TOP_FIELDS = {"width", "height", "rings"}

@@ -348,53 +348,43 @@ def generate_flowset(params: BenchmarkParams) -> Flowset:
 
 
 def interference_table(flowset: Flowset) -> dict[int, InterferenceSets]:
-    """Interference sets for every flow of the flowset: ``up`` from the ids of
-    its busy-period terms, ``in_ring`` from its queue under independent
-    injection."""
+    """Interference sets for every flow, all read off the index's ``up``
+    relation: ``up`` from the ids of its busy-period terms, ``down`` as its
+    transpose less ``up``, ``in_ring`` from its queue under independent
+    injection and ``upind`` one step further along ``up`` and ``in_ring``."""
     index = flowset.index
-    up = {f.id: frozenset(term[3] for term in
-                          index.up_terms.get((f.ring, index.route[f.id][0]), ()))
-          for f in index.flows.values()}
+    up = {fid: frozenset(term[3] for term in
+                         index.up_terms.get((f.ring, index.route[fid][0]), ()))
+          for fid, f in index.flows.items()}
     queue = index.queues("independent")
     mates: dict[tuple, list[int]] = {}
     for fid, key in queue.items():
         mates.setdefault(key, []).append(fid)
     in_ring = {fid: frozenset(mates[key]) - {fid} for fid, key in queue.items()}
-    down_map: dict[int, frozenset[int]] = {}
-    # Ring links occupied by each flow, as a bitmask over link positions
-    # (link p runs from switch p to switch p+1).
-    masks: dict[int, int] = {}
-    for ring_id, members in index.on_ring.items():
-        size = len(index.buffer_bounds[ring_id])
-        inner: dict[int, int] = {}  # switches strictly between the endpoints
-        for f in members:
-            start, hops = index.route[f.id]
-            inner[f.id] = sum(1 << ((start + d) % size) for d in range(1, hops))
-            masks[f.id] = inner[f.id] | 1 << start
-        for f in members:
-            down = {g.id for g in members if inner[f.id] >> index.route[g.id][0] & 1}
-            # A wrapping flow can both cross the injection switch and inject
-            # downstream; it is classified as upstream interference, keeping
-            # the four classes mutually exclusive. No bound consumes the down
-            # set, so the precedence is free of analytical consequences.
-            down_map[f.id] = frozenset(down - up[f.id])
+    # g injects strictly inside f's path exactly when f passes g's injection
+    # switch. A wrapping flow can do both; it counts as upstream only, which
+    # keeps the four classes disjoint (no bound reads ``down``).
+    passed_by: dict[int, set[int]] = {fid: set() for fid in up}
+    for gid, ids in up.items():
+        for fid in ids:
+            passed_by[fid].add(gid)
 
-    # Upstream indirect interference: one level of indirection only. A flow
-    # qualifies when it delays some member of up (as upstream or injection
-    # direct interference) while sharing no link, injection link or ejection
-    # link (source or destination switch) with the flow under analysis.
+    # Upstream indirect interference, one level only: a flow that delays a
+    # member of up (upstream or co-injected) while sharing no link, source or
+    # destination switch with f. Every such k is on f's ring, where two paths
+    # share a link exactly when one passes the other's injection switch or
+    # both inject at the same switch.
     table: dict[int, InterferenceSets] = {}
-    for f in index.flows.values():
+    for fid, f in index.flows.items():
         upind = set()
-        for j in up[f.id]:
+        for j in up[fid]:
             for k in up[j] | in_ring[j]:
-                if k == f.id or k in upind:
-                    continue
                 g = index.flows[k]
-                if masks[k] & masks[f.id] == 0 and g.src != f.src and g.dst != f.dst:
+                if (k not in up[fid] and fid not in up[k]
+                        and g.src != f.src and g.dst != f.dst):
                     upind.add(k)
-        table[f.id] = InterferenceSets(up=up[f.id], down=down_map[f.id],
-                                       in_ring=in_ring[f.id], upind=frozenset(upind))
+        table[fid] = InterferenceSets(up=up[fid], down=frozenset(passed_by[fid] - up[fid]),
+                                      in_ring=in_ring[fid], upind=frozenset(upind))
     return table
 
 

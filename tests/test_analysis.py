@@ -618,11 +618,9 @@ class TestJitterLoopProperties:
 def test_results_csv_shape(five_flow_fixture):
     config = parse_profile("0D_IU_SI")
     result = analyze(five_flow_fixture, config)
-    text = results_to_csv(result, config, seed=4,
-                          diagnostics=interference_table(five_flow_fixture))
+    text = results_to_csv(result, config, diagnostics=interference_table(five_flow_fixture))
     lines = text.strip().split("\n")
     assert lines[0].startswith("# verdict=schedulable")
-    assert "seed=4" in lines[0]
     assert any(line.startswith("# interference flow=1 up=2 down=3 in=5 upind=4")
                for line in lines)
     header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))

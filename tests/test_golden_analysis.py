@@ -55,8 +55,10 @@ def results_text(grid, flows) -> str:
                                 packet_range=packets, seed=seed))
             table = interference_table(flowset)
             for config in CONFIGS:
-                parts.append(results_to_csv(analyze(flowset, config), config,
-                                            seed=seed, diagnostics=table))
+                # The digests were taken with the seed closing each verdict record.
+                meta, rest = results_to_csv(analyze(flowset, config), config,
+                                            diagnostics=table).split("\n", 1)
+                parts.append(f"{meta} seed={seed}\n{rest}")
     return "".join(parts)
 
 

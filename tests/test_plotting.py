@@ -1,5 +1,6 @@
 import hashlib
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -81,6 +82,16 @@ def test_wrong_schema_rejected():
         render_plot(STATS_CSV, "lines")
     with pytest.raises(PlotError):
         render_plot(SWEEP_CSV, "scatter")
+
+
+@pytest.mark.parametrize("csv, kind, label", [
+    (SWEEP_HEADER + "\n4x4,16,48,20,A&B<i>,100.0\n", "lines", "4x4 16-48 A&B<i>"),
+    (STATS_HEADER + "\n25,a<b,1,2,3,4,5\n", "boxwhisker", "a<b"),
+], ids=["lines", "boxwhisker"])
+def test_markup_in_a_label_is_escaped(csv, kind, label):
+    root = ET.fromstring(render_plot(csv, kind))
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert label in texts
 
 
 def test_deterministic_output():

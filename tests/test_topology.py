@@ -31,11 +31,20 @@ class TestGenerator:
         assert topo.rings[0].size == 4
         Topology(topo.width, topo.height, topo.rings)
 
-    def test_4x4_passes_validation_with_documented_ring_count(self):
-        topo = generate_multi_ring(4, 4)
-        # C(4,2) row bands + C(4,2) column bands + 2 nested rectangles,
-        # minus the outer perimeter counted three times.
-        assert len(topo.rings) == 12
+    @pytest.mark.parametrize("width,height", [(2, 2), (2, 5), (4, 4), (5, 3), (7, 6),
+                                              (MAX_GRID_SIDE, MAX_GRID_SIDE)])
+    def test_passes_validation_with_documented_ring_count(self, width, height):
+        topo = generate_multi_ring(width, height)
+        # C(height,2) row bands + C(width,2) column bands + the nested
+        # rectangles, minus the outer perimeter counted three times.
+        assert len(topo.rings) == (height * (height - 1) // 2 + width * (width - 1) // 2
+                                   + min(width, height) // 2 - 2)
+        # No two rings are rotations of one cycle.
+        cycles = set()
+        for ring in topo.rings:
+            pivot = ring.switches.index(min(ring.switches))
+            cycles.add(ring.switches[pivot:] + ring.switches[:pivot])
+        assert len(cycles) == len(topo.rings)
         Topology(topo.width, topo.height, topo.rings)
 
     def test_3x5_full_connectivity_exhaustive(self):

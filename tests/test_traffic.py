@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flowset, make_flow
+from rlnoc import data_path
 from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_csv, _contexts
 from rlnoc.harness import FULL_PROFILE
 from rlnoc.simulator import SimConfig, simulate
@@ -21,6 +22,7 @@ from rlnoc.traffic import (
     BenchmarkParams,
     Flow,
     Flowset,
+    InterferenceSets,
     TrafficError,
     _extended,
     flowset_to_doc,
@@ -30,7 +32,14 @@ from rlnoc.traffic import (
     load_flowset_file,
     save_flowset_file,
 )
-from rlnoc.topology import Coord, Topology, TopologyError, generate_multi_ring, select_ring
+from rlnoc.topology import (
+    Coord,
+    Topology,
+    TopologyError,
+    generate_multi_ring,
+    load_topology_file,
+    select_ring,
+)
 
 # The canonical five-flow scenario: all four interference sets per flow.
 EXPECTED_SETS = {
@@ -388,7 +397,56 @@ class TestFlowsetIndex:
         assert outcomes[0].digest == outcomes[1].digest
 
 
+@st.composite
+def interference_cases(draw):
+    """A benchmark flowset on a 2x2 to 5x5 grid, or flows on the ten-ring
+    topology each on a random ring that holds both ends, so that routes need
+    not be hop-minimal."""
+    if draw(st.booleans()):
+        return generate_flowset(BenchmarkParams(
+            flows_per_set=draw(st.integers(0, 60)), width=draw(st.integers(2, 5)),
+            height=draw(st.integers(2, 5)), seed=draw(st.integers(0, 10_000))))
+    topo = load_topology_file(data_path("grid4x4_ten_rings.json"))
+    flows = []
+    for fid in range(1, draw(st.integers(0, 40)) + 1):
+        ring = draw(st.sampled_from(topo.rings))
+        start = draw(st.integers(0, ring.size - 1))
+        end = (start + draw(st.integers(1, ring.size - 1))) % ring.size
+        flows.append(make_flow(fid, ring.switches[start], ring.switches[end], ring=ring.id))
+    return Flowset(tuple(flows), topo)
+
+
 class TestInterferenceProperties:
+    @settings(deadline=None)
+    @given(flowset=interference_cases())
+    def test_sets_match_the_path_definitions(self, flowset):
+        # A path is the (ring, switch) list from source to destination; link
+        # i of a path leaves its switch i.
+        def path(g):
+            ring = flowset.topology.ring(g.ring)
+            start = ring.position(g.src)
+            return [(g.ring, ring.switches[(start + d) % ring.size])
+                    for d in range(ring.hops(g.src, g.dst) + 1)]
+
+        flows = {g.id: g for g in flowset.flows}
+        paths = {g.id: path(g) for g in flowset.flows}
+        links = {fid: set(p[:-1]) for fid, p in paths.items()}
+        up = {f.id: {g.id for g in flowset.flows if paths[f.id][0] in paths[g.id][1:-1]}
+              for f in flowset.flows}
+        in_ring = {f.id: {g.id for g in flowset.flows if g.id != f.id
+                          and paths[g.id][0] == paths[f.id][0]} for f in flowset.flows}
+        table = interference_table(flowset)
+        assert sorted(table) == sorted(up)
+        for f in flowset.flows:
+            down = {g.id for g in flowset.flows
+                    if paths[g.id][0] in paths[f.id][1:-1]} - up[f.id]
+            upind = {k for j in up[f.id] for k in up[j] | in_ring[j]
+                     if not links[k] & links[f.id]
+                     and flows[k].src != f.src and flows[k].dst != f.dst}
+            assert table[f.id] == InterferenceSets(
+                up=frozenset(up[f.id]), down=frozenset(down),
+                in_ring=frozenset(in_ring[f.id]), upind=frozenset(upind)), f.id
+
     def build_random(self, seed, flows=18):
         params = BenchmarkParams(flows_per_set=flows, width=4, height=4, seed=seed)
         return generate_flowset(params)
