@@ -77,7 +77,6 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Literal
 
 from .analysis import AnalysisConfig, AnalysisError, FlowsetResult
@@ -167,8 +166,9 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig,
     ``offset + n*T + U[0,J]`` for every ``offset + n*T`` below the horizon,
     the offset drawn from U[0,T). Jitter can put a release at or after the
     horizon (but before horizon + J); such a packet is simulated like any
-    other. Each draw past a flow's first inlines ``randrange(n)``, n >= 1:
-    ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below n.
+    other. Every draw, a flow's first included, inlines ``randrange(n)``, n >=
+    1: ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below
+    n.
     """
     out: list[int] = []
     counts: list[int] = []
@@ -180,9 +180,13 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig,
         period = f.period
         rng.seed(derive_seed(cfg.seed, "rel", f.id))
         if cfg.release == "periodic":
+            k = period.bit_length()
+            offset = getrandbits(k)
+            while offset >= period:
+                offset = getrandbits(k)
             n = f.jitter + 1
             k = n.bit_length()
-            for base in range(rng.randrange(period), horizon, period):
+            for base in range(offset, horizon, period):
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
@@ -190,7 +194,9 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig,
         else:
             n = period + 1
             k = n.bit_length()
-            t = rng.randrange(n)
+            t = getrandbits(k)
+            while t >= n:
+                t = getrandbits(k)
             while t < horizon:
                 append(t << shift | rank)
                 r = getrandbits(k)
@@ -202,8 +208,8 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig,
     return out, counts
 
 
-# Most releases one simulation may run. A release costs about 180 bytes of
-# peak memory and 2.2 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
+# Most releases one simulation may run. A release costs about 185 bytes of
+# peak memory and 1.5 us (2M sporadic releases of an 80-flow 4x4 flowset, on a
 # 2-core Intel Xeon with Python 3.11), so a run at the limit peaks near 0.9 GB.
 MAX_RELEASES = 5_000_000
 
@@ -214,11 +220,11 @@ def simulate(flowset: Flowset, cfg: SimConfig, config: AnalysisConfig) -> SimOut
 
     Observed latency is the cycle a packet's last flit crosses the ejection
     link minus its release cycle. The run goes past the horizon until every
-    released packet is delivered. A schedule naming no flow raises AnalysisError,
-    as does one of over MAX_RELEASES releases or a horizon at which a model
-    could draw more (at most ceil(horizon / T) per flow), before any is drawn;
-    so does one owing a queue or a link more flits than the run's cycles, before
-    stepping.
+    released packet is delivered. A schedule naming a flow the flowset lacks
+    raises AnalysisError, as does one of over MAX_RELEASES releases or a horizon
+    at which a model could draw more (at most ceil(horizon / T) per flow),
+    before any is drawn; so does one owing a queue or a link more flits than the
+    run's cycles, before stepping.
     """
     if isinstance(cfg.release, tuple):
         if unknown := sorted({fid for _, fid in cfg.release} - flowset.index.flows.keys()):
@@ -341,7 +347,12 @@ class _Engine:
         # each queue key's is [ready], the first cycle its next packet may
         # send a header. A slot is idle from t >= until (or ready) on, and
         # a worm is live while t < end; its delivery and flits are booked
-        # when it becomes a worm.
+        # when it becomes a worm. A worm admitted to an idle ring or link is
+        # kept as its packet id alone, and its tuple is rebuilt only when a
+        # later release finds it live: its end is the slot's until, e = end -
+        # length and h = e - hops. Only this admission writes an id, always
+        # with h set, and ``_handover`` zeroes every until before it writes
+        # its lists, so no stale id is read.
         closed = not traced
         while True:
             if closed:
@@ -355,6 +366,10 @@ class _Engine:
                     if h < t:
                         h = t
                     if t < rs[0]:
+                        lone = rs[1]
+                        if type(lone) is int:
+                            o_e = rs[0] - pkt_info[lone][4]
+                            rs[1] = [(rs[0], lone, o_e, o_e - pkt_info[lone][3])]
                         h = self._place(rs[1], ptr, h, t)
                         if h is None:
                             break
@@ -362,7 +377,10 @@ class _Engine:
                     end = e + length
                     if t < ls[0]:
                         spans = ls[1]
-                        spans[:] = [span for span in spans if span[1] > t]
+                        if type(spans) is int:
+                            spans = ls[1] = [(ls[0] - pkt_info[spans][4], ls[0])]
+                        else:
+                            spans[:] = [span for span in spans if span[1] > t]
                         if len(spans) >= _MAX_SHARERS or any(
                                 s_e < end and e < s_end for s_e, s_end in spans):
                             break
@@ -370,13 +388,13 @@ class _Engine:
                         if end > ls[0]:
                             ls[0] = end
                     else:
-                        ls[0], ls[1] = end, [(e, end)]
+                        ls[0], ls[1] = end, ptr
                     if t < rs[0]:
                         rs[1].append((end, ptr, e, h))
                         if end > rs[0]:
                             rs[0] = end
                     else:
-                        rs[0], rs[1] = end, [(end, ptr, e, h)]
+                        rs[0], rs[1] = end, ptr
                     qs[0] = h + length - 1 if length > 1 else h + 1
                     pkt_delivery[ptr] = end - 1
                     if h != t:
@@ -448,12 +466,20 @@ class _Engine:
         """Build the ring state of the worms live at the start of cycle t,
         replacing the flits booked for them by those sent and ejected by t;
         queued packets enter their queues in release order."""
-        bits = self.idx_bits
-        live = sorted((w for until, ring_worms in self.ring_slots.values() if until > t
-                       for w in ring_worms if w[0] > t), key=lambda w: w[1])
+        bits, pkt_info = self.idx_bits, self.pkt_info
+        live = []
+        for until, ring_worms in self.ring_slots.values():
+            if until <= t:
+                continue
+            if type(ring_worms) is int:
+                e = until - pkt_info[ring_worms][4]
+                live.append((until, ring_worms, e, e - pkt_info[ring_worms][3]))
+            else:
+                live.extend(w for w in ring_worms if w[0] > t)
+        live.sort(key=lambda w: w[1])
         for _, pkt, e, h in live:
             self.deviants.add(pkt)
-            rid, src, dst, _, length, qkey, ekey, _, _, _ = self.pkt_info[pkt]
+            rid, src, dst, _, length, qkey, ekey, _, _, _ = pkt_info[pkt]
             ring = self.rings[rid]
             sent = length if h is None else min(length, max(0, t - h))
             gone = max(0, t - e)
@@ -729,13 +755,17 @@ class _Engine:
                     for fid, (count, total, worst, defl) in zip(self.fids, flow_stats)}
         # The digest hashes "packet:delivery:deflections" for every packet,
         # joined by ";"; with no deflection the last field is a literal 0.
+        # Its arguments are interleaved by slice assignment into one list,
+        # dropped once copied so that it does not outlive the copy.
         n, deflections = len(self.pkt_info), sum(self.pkt_deflections)
+        k = 3 if deflections else 2
+        values = [0] * (k * n)
+        values[0::k] = range(n)
+        values[1::k] = self.pkt_delivery
         if deflections:
-            blob = b"%d:%d:%d;" * n % tuple(chain.from_iterable(zip(
-                range(n), self.pkt_delivery, self.pkt_deflections)))
-        else:
-            blob = b"%d:%d:0;" * n % tuple(chain.from_iterable(zip(
-                range(n), self.pkt_delivery)))
+            values[2::3] = self.pkt_deflections
+        values = tuple(values)
+        blob = (b"%d:%d:%d;" if deflections else b"%d:%d:0;") * n % values
         digest = hashlib.sha256(blob[:-1]).hexdigest()
         return SimOutcome(
             per_flow=per_flow,

@@ -225,6 +225,27 @@ class TestClosedFormAdmission:
         assert out.per_flow[1] == FlowStats(6, no_load(flowset, 1) - 1,
                                             no_load(flowset, 1) - 1, 0)
 
+    @pytest.mark.parametrize("name", ["OF_IU_SI", "2D_IU_SI"])
+    def test_ejection_link_boundary_across_rings(self, name):
+        # Flows 1 and 2 reach (1, 1) over rings 7 and 2, two and four hops
+        # from their sources, and share its ejection link. Flow 1, released
+        # at 0, ejects in cycles 2 to 9; flow 2, released at every offset
+        # from 0 to 39, ejects from offset + 4 on. Their intervals meet up to
+        # offset 5 and are adjacent at 6, so a live interval kept one cycle
+        # short or long admits or refuses a release that stepping would not.
+        topo = generate_multi_ring(4, 4)
+        flowset = Flowset((make_flow(1, (0, 0), (1, 1), ring=7, length=8),
+                           make_flow(2, (2, 0), (1, 1), ring=2, length=8)), topo)
+        config = parse_profile(name)
+        link = flowset.index.links(config.maxloop)
+        assert link[1] == link[2]
+        deflections = [
+            closed_form_equals_traced(
+                flowset, SimConfig(horizon=100, release=((0, 1), (offset, 2))), config
+            ).deflections
+            for offset in range(40)]
+        assert deflections == [1] * 6 + [0] * 34
+
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
@@ -614,6 +635,77 @@ class TestReleaseSchedule:
         a, b = simulate(flowset, drawn, hw), simulate(flowset, listed, hw)
         assert (a.digest, a.per_flow, a.stepped_cycles) == \
             (b.digest, b.per_flow, b.stepped_cycles)
+
+
+@st.composite
+def isolated_flow_cases(draw):
+    """A flowset, one more flow that shares no ring, source core or
+    destination core with any of its flows, and the flowset with it. The new
+    flow's id falls anywhere among theirs, so it moves their ranks."""
+    width = draw(st.sampled_from((3, 4)))
+    topo = generate_multi_ring(width, width)
+    cores = [(col, row) for col in range(width) for row in range(width)]
+    src, dst = draw(st.lists(st.sampled_from(cores), min_size=2, max_size=2, unique=True))
+    ring = select_ring(topo, src, dst)
+    routes = [(a, b, r.id) for r in topo.rings if r.id != ring
+              for a in r.switches if a != src for b in r.switches if b not in (a, dst)]
+    # Half the flows converge on one core, so that they deflect one another.
+    hot = draw(st.sampled_from([core for core in cores if core != dst]))
+    hot_routes = [route for route in routes if route[1] == hot] or routes
+    flows = []
+    for fid in range(1, draw(st.integers(1, 10)) + 1):
+        a, b, r = draw(st.sampled_from(hot_routes if draw(st.booleans()) else routes))
+        period = draw(st.integers(10, 300))
+        flows.append(make_flow(fid, a, b, ring=r, period=period,
+                               length=draw(st.integers(1, 32)),
+                               jitter=draw(st.integers(0, period // 2))))
+    period = draw(st.integers(10, 300))
+    fid = draw(st.one_of(st.integers(-3, 0), st.integers(len(flows) + 1, len(flows) + 3)))
+    extra = make_flow(fid, src, dst, ring=ring, period=period,
+                      length=draw(st.integers(1, 32)), jitter=draw(st.integers(0, period // 2)))
+    return Flowset(tuple(flows), topo), extra, Flowset(tuple(flows) + (extra,), topo)
+
+
+class TestMetamorphicRelations:
+    @settings(max_examples=60, deadline=None)
+    @given(case=isolated_flow_cases(), hw=st.sampled_from(LAYOUTS),
+           seed=st.integers(0, 2**16), horizon=st.integers(100, 1_500),
+           release=st.sampled_from(("periodic", "sporadic")))
+    def test_an_isolated_flow_changes_no_other_flows_statistics(self, case, hw, seed,
+                                                                horizon, release):
+        # Drawn releases are seeded by flow id, so the other flows release
+        # alike with the new flow or without it, and it runs as it runs
+        # alone: no ring, queue or ejection link joins it to them.
+        flowset, extra, joined = case
+        cfg = SimConfig(seed=seed, horizon=horizon, release=release)
+        for trace in (False, True):
+            run = replace(cfg, collect_trace=trace)
+            both = simulate(joined, run, hw).per_flow
+            alone = simulate(Flowset((extra,), flowset.topology), run, hw).per_flow
+            assert both == {**simulate(flowset, run, hw).per_flow, **alone}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=explicit_schedules(), hw=st.sampled_from(LAYOUTS),
+           ids=st.lists(st.integers(-2**70, 2**70), min_size=12, max_size=12, unique=True))
+    def test_increasing_relabelling_changes_no_statistic(self, case, hw, ids):
+        # Only the order of flow ids matters, and it breaks ties between
+        # simultaneous releases: ids mapped by an increasing function, the
+        # explicit schedule mapped alongside, run alike. A drawn schedule is
+        # seeded by flow id, so it would not.
+        flowset, cfg = case
+        relabel = dict(zip(sorted(f.id for f in flowset.flows), sorted(ids)))
+        moved = Flowset(tuple(replace(f, id=relabel[f.id]) for f in flowset.flows),
+                        flowset.topology)
+        listed = replace(cfg, release=tuple((t, relabel[fid]) for t, fid in cfg.release))
+        for trace in (False, True):
+            a = simulate(flowset, replace(cfg, collect_trace=trace), hw)
+            b = simulate(moved, replace(listed, collect_trace=trace), hw)
+            assert {relabel[fid]: stats for fid, stats in a.per_flow.items()} == b.per_flow
+            for name in ("digest", "released", "delivered", "deflections",
+                         "flits_injected", "flits_ejected", "stepped_cycles"):
+                assert getattr(a, name) == getattr(b, name), name
+            assert [ev[:3] + (relabel[ev[3]],) if ev[0] == "release" else ev
+                    for ev in a.trace] == b.trace
 
 
 class TestSimConfigValidation:
