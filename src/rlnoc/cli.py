@@ -90,6 +90,7 @@ def _at_least(low: int, high: float = math.inf):
 
 
 _count = _at_least(1)
+_flows = _at_least(0, traffic.MAX_FLOWS)
 _side = _at_least(2, topology.MAX_GRID_SIDE)
 _packets = _range(int, 1, traffic.MAX_PACKET_LENGTH)
 
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the topology document")
 
     p = sub.add_parser("gen", help="generate a random flowset file")
-    p.add_argument("--flows", type=_at_least(0), required=True)
+    p.add_argument("--flows", type=_flows, required=True)
     p.add_argument("--width", type=_side, default=4)
     p.add_argument("--height", type=_side, default=4)
     p.add_argument("--packets", type=_packets, default=(16, 48), metavar="LO:HI")
@@ -173,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grids", type=_grid, nargs="+", default=None, metavar="WxH")
     p.add_argument("--packets", type=_packets, nargs="+", default=None, metavar="LO:HI")
-    p.add_argument("--flows", type=_at_least(0), nargs="+", default=None)
+    p.add_argument("--flows", type=_flows, nargs="+", default=None)
     p.add_argument("--flowsets", type=_count, default=None, help="flowsets per point")
     p.add_argument("--configs", nargs="+", default=None)
     p.add_argument("--out", metavar="FILE")
@@ -184,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="configuration (the worse one in diff mode)")
     p.add_argument("--config-better", default=None,
                    help="better configuration for diff mode")
-    p.add_argument("--flows", type=_count, nargs="+", default=(25, 50, 75, 100))
+    p.add_argument("--flows", type=_at_least(1, traffic.MAX_FLOWS), nargs="+",
+                   default=(25, 50, 75, 100))
     p.add_argument("--flowsets", type=_count, default=1, help="flowsets per point")
     p.add_argument("--grid", type=_grid, default=(4, 4), metavar="WxH")
     p.add_argument("--packets", type=_packets, default=(16, 48), metavar="LO:HI")

@@ -58,12 +58,18 @@ form is bit for bit like stepping. Otherwise the ring state of every live
 worm is built, queued packets (h > t included) in release order, and the
 engine steps while packets can interact and hands them back as worms once
 they cannot. A handover fails while a queue holds two packets, a
-packet-buffer or deflection entry is set, or two undelivered packets share
-a ring or an ejection link. Each of these lasts until a cycle dequeues a
-packet, clears such an entry or delivers one; releases only add packets. So
-a handover is tried only after such a cycle, and after the first cycle
-stepped after a clash. A handed-back worm whose flits reach back past its
-source (it deflected) holds its whole ring until it ends. A traced run
+deflection entry is set, two undelivered packets share a ring or an
+ejection link, or a ring holds packet buffers other than a buffered worm's:
+one, at a switch X inside its packet's path, holding that packet's flits,
+its flits behind X and still to inject following one another. Each of these
+lasts until a cycle dequeues a packet, clears such an entry or delivers
+one; releases only add packets. So a handover is tried only after such a
+cycle, and after the first cycle stepped after a clash. While its packet is
+alone, X's port serves the buffer's head each cycle and each flit reaching
+X joins its back, so every flit leaves X len(buffer) cycles after it
+reaches it, and delivery is the worm formula with e moved by that lag. A
+handed-back worm that holds a buffer, or whose flits reach back past its
+source (it deflected), holds its whole ring until it ends. A traced run
 always steps, because closed form emits no per-cycle events, so tests
 compare closed form with the traced run. A stepped cycle visits only the
 rings that hold traffic, so idle rings cost nothing. Each ring's ports, each
@@ -168,17 +174,19 @@ def _release_schedule(flowset: Flowset, cfg: SimConfig,
     horizon (but before horizon + J); such a packet is simulated like any
     other. Every draw, a flow's first included, inlines ``randrange(n)``, n >=
     1: ``getrandbits(k)`` for k = n.bit_length(), repeated until it falls below
-    n.
+    n. Each flow is seeded by the C base class's ``seed``: for an int,
+    ``Random.seed`` only checks the type, calls it and resets ``gauss_next``,
+    which ``getrandbits`` never reads, so the stream is the same.
     """
     out: list[int] = []
     counts: list[int] = []
     append, horizon = out.append, cfg.horizon
     rng = random.Random()
-    getrandbits = rng.getrandbits
+    getrandbits, seed = rng.getrandbits, super(random.Random, rng).seed
     for rank, f in enumerate(flowset.index.flows.values()):
         drawn = len(out)
         period = f.period
-        rng.seed(derive_seed(cfg.seed, "rel", f.id))
+        seed(derive_seed(cfg.seed, "rel", f.id))
         if cfg.release == "periodic":
             k = period.bit_length()
             offset = getrandbits(k)
@@ -329,6 +337,8 @@ class _Engine:
         self.flits_ejected = 0
         self.trace: list = []
         self.freed = False  # set by a dequeue, a delivery or a cleared entry
+        # Per buffered worm of the last handover, its packet buffer's switch and lag.
+        self.held: dict[int, tuple] = {}
         self.stepped_cycles = 0
 
     # -- main loop ------------------------------------------------------------
@@ -465,7 +475,9 @@ class _Engine:
     def _materialise(self, t: int) -> None:
         """Build the ring state of the worms live at the start of cycle t,
         replacing the flits booked for them by those sent and ejected by t;
-        queued packets enter their queues in release order."""
+        queued packets enter their queues in release order. A buffered worm
+        (``_handover``) gets back its packet buffer, with the flits past it
+        on its worm and those behind it on one lag cycles earlier."""
         bits, pkt_info = self.idx_bits, self.pkt_info
         live = []
         for until, ring_worms in self.ring_slots.values():
@@ -479,15 +491,24 @@ class _Engine:
         live.sort(key=lambda w: w[1])
         for _, pkt, e, h in live:
             self.deviants.add(pkt)
-            rid, src, dst, _, length, qkey, ekey, _, _, _ = pkt_info[pkt]
+            rid, src, dst, hops, length, qkey, ekey, _, _, _ = pkt_info[pkt]
             ring = self.rings[rid]
-            sent = length if h is None else min(length, max(0, t - h))
+            size = ring.size
+            # A buffered worm's flits [j, j + lag) wait at X; any other worm
+            # has x = dst and lag 0.
+            x, lag = self.held.get(pkt, (dst, 0))
+            sent = length if h is None and not lag else min(length, max(0, t - e + hops + lag))
             gone = max(0, t - e)
+            j = t - e + (dst - x) % size
             self.flits_injected += sent - length
             self.flits_ejected += gone - length
             # At t, flit i is e + i - t switches short of dst.
-            ring.fb.update({(dst + t - e - i) % ring.size: (pkt << bits) | i
-                            for i in range(gone, sent)})
+            ring.fb.update({(dst + t - e - i) % size: (pkt << bits) | i
+                            for i in range(gone, min(j, sent))})
+            ring.fb.update({(dst + t - e + lag - i) % size: (pkt << bits) | i
+                            for i in range(max(j + lag, gone), sent)})
+            if j < sent and lag:
+                ring.pb[x] = deque((pkt << bits) | i for i in range(j, min(j + lag, sent)))
             if sent < length:
                 self.queues.setdefault(qkey, deque()).append(pkt)
                 if sent:
@@ -501,12 +522,20 @@ class _Engine:
         """At the start of cycle t, return the packets to closed form, filling
         the slots (see ``run``) and clearing the ring state, or return False
         while packets can interact. Each packet's delivery is booked, and the
-        flit counters gain the flits it has still to send and eject."""
-        rings, pkt_info, bits = self.rings, self.pkt_info, self.idx_bits
+        flit counters gain the flits it has still to send and eject.
+
+        A packet alone on its ring may hold one packet buffer, at a switch X
+        inside its path, if its flits behind X and still to inject follow one
+        another (module docstring). Each flit then leaves X lag =
+        len(buffer) cycles after it reaches X. Such a worm has h = None, and
+        ``held`` keeps X and lag for ``_materialise``."""
+        rings, pkt_info, bits, mask = self.rings, self.pkt_info, self.idx_bits, self.idx_mask
         worms: dict[int, tuple] = {}
+        held: dict[int, tuple] = {}
         # A queue head injects from h (its header at t if not yet injecting);
         # a packet out of its queue has h = None and e set by any of its
-        # flits. A busy ring's flits must all be one packet's.
+        # flits, or by its buffer. A busy ring's flits must all be one
+        # packet's.
         for queue in self.queues.values():
             if len(queue) > 1:
                 return False
@@ -516,14 +545,33 @@ class _Engine:
             worms[queue[0]] = (h + info[3], h)
         for rid in self.busy_rings:
             ring = rings[rid]
-            if ring.pb or ring.defl:
+            fb, pb, size = ring.fb, ring.pb, ring.size
+            if ring.defl or len(pb) > 1:
                 return False
-            pos, flit = next(iter(ring.fb.items()))
+            if pb:
+                (x, buf), = pb.items()
+                flit = buf[-1]
+            else:
+                x, flit = next(iter(fb.items()))
             pkt = flit >> bits
-            worms.setdefault(pkt, (t + (pkt_info[pkt][2] - pos) % ring.size
-                                   - (flit & self.idx_mask), None))
-            if any(flit >> bits != pkt for flit in ring.fb.values()):
+            if any(f >> bits != pkt for f in fb.values()):
                 return False
+            if not pb:
+                worms.setdefault(pkt, (t + (pkt_info[pkt][2] - x) % size - (flit & mask), None))
+                continue
+            # Behind X: up flits back to the source, then the injection, or
+            # the packet's last flits, all on the path. The first reaches X
+            # at t and, like the rest, leaves it lag cycles later.
+            _, src, _, hops, length = pkt_info[pkt][:5]
+            last, lag = flit & mask, len(buf)
+            up, state = (x - src) % size, ring.inj.get(src)
+            n = up if state else length - 1 - last
+            if not (0 < up < hops and n <= up and all(f >> bits == pkt for f in buf)
+                    and (state is None or state[1] == last + up + 1)
+                    and all(fb.get((x - j) % size) == flit + j + 1 for j in range(n))):
+                return False
+            worms[pkt] = (t + hops - up - last - 1 + lag, worms[pkt][1] if state else None)
+            held[pkt] = (x, lag)
         if any(busy[0] not in worms for busy in self.ebusy.values()):
             return False
         # No two packets may share a ring or an ejection link.
@@ -539,17 +587,21 @@ class _Engine:
             if h is not None:
                 qs[0] = h + length - 1 if length > 1 else h + 1
                 self.flits_injected += h + length - t
-            elif e - hops + length <= t:
+            if pkt in held:
+                h = None
+            elif h is None and e - hops + length <= t:
                 # Every flit left is on the path a worm sent at e - hops
                 # would take, so that worm's bands describe it; otherwise
-                # (after a deflection) the worm holds its whole ring.
+                # (after a deflection, or buffered) the worm holds its whole
+                # ring.
                 h = e - hops
             rs[0], rs[1] = end, [(end, pkt, e, h)]
             ls[0], ls[1] = end, [(e, end)]
             self.flits_ejected += end - max(t, e)
             self.pkt_delivery[pkt] = end - 1
         for rid in self.busy_rings:
-            rings[rid].fb, rings[rid].inj = {}, {}
+            rings[rid].fb, rings[rid].pb, rings[rid].inj = {}, {}, {}
+        self.held = held
         self.queues.clear()
         self.ebusy.clear()
         self.busy_rings.clear()

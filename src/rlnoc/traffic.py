@@ -49,6 +49,11 @@ class Flow:
 # released together, step 12,288 cycles in 0.07 s (2-core Intel Xeon, Python 3.11).
 MAX_PACKET_LENGTH = 4096
 
+# Most flows in one flowset. A flow costs about 1.2 KiB of peak memory and 25 to 40 us
+# to generate and analyse once (100,000 flows on the 16x16 grid, 2-core Intel Xeon,
+# Python 3.11), so a flowset at the limit peaks near 135 MiB and takes 2.5 to 4 s.
+MAX_FLOWS = 100_000
+
 
 @dataclass(frozen=True)
 class Flowset:
@@ -57,6 +62,8 @@ class Flowset:
 
     def __post_init__(self):
         # Every field is checked here, for loaded and code-built flows alike.
+        if len(self.flows) > MAX_FLOWS:
+            raise TrafficError(f"a flowset holds at most {MAX_FLOWS} flows, got {len(self.flows)}")
         for f in self.flows:
             if type(f.id) is not int:
                 raise TrafficError(f"flow id must be an integer, got {f.id!r}")
@@ -276,8 +283,9 @@ class BenchmarkParams:
         for key in ("flows_per_set", "seed"):
             if not _is_int(getattr(self, key)):
                 raise TrafficError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.flows_per_set < 0:
-            raise TrafficError("flows_per_set must be >= 0")
+        if not 0 <= self.flows_per_set <= MAX_FLOWS:
+            raise TrafficError(f"flows_per_set must be from 0 to {MAX_FLOWS}, "
+                               f"got {self.flows_per_set}")
         lo, hi = self.packet_range
         if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi <= MAX_PACKET_LENGTH):
             raise TrafficError(f"packet_range must be integers from 1 to {MAX_PACKET_LENGTH} "
@@ -464,6 +472,8 @@ def load_flowset(doc: dict, topology: Topology | None = None) -> Flowset:
     entries = doc.get("flows", [])
     if not isinstance(entries, list):
         raise TrafficError(f"field 'flows' must be a list, got {entries!r}")
+    if len(entries) > MAX_FLOWS:
+        raise TrafficError(f"a flowset holds at most {MAX_FLOWS} flows, got {len(entries)}")
     return Flowset(tuple(_load_flow(entry, topology) for entry in entries), topology)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rlnoc import analysis, cli, data_path, simulator
 from rlnoc.cli import run
 from rlnoc.topology import TopologyError, load_topology
-from rlnoc.traffic import MAX_PACKET_LENGTH, TrafficError, load_flowset
+from rlnoc.traffic import MAX_FLOWS, MAX_PACKET_LENGTH, TrafficError, load_flowset
 
 
 def test_topo_generate_and_validate(capsys):
@@ -551,6 +551,25 @@ def test_packet_length_over_the_limit(tmp_path, capsys):
     at_limit = f"{MAX_PACKET_LENGTH}:{MAX_PACKET_LENGTH}"
     assert run(["gen", "--flows", "1", "--packets", at_limit, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["flows"][0]["L"] == MAX_PACKET_LENGTH
+
+
+def test_flow_count_over_the_limit(tmp_path, capsys):
+    # A count flag over the limit is a usage error before any flow is
+    # drawn; a file over it exits 3 with one error line, before any of its
+    # flows is read.
+    over = str(MAX_FLOWS + 1)
+    for argv in (["gen", "--flows", over], ["sweep", "--flows", "40", over],
+                 ["flowstats", "--mode", "shares", "--flows", over]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
+        assert f"must be at most {MAX_FLOWS}, got {over}" in capsys.readouterr().err, argv
+    probe = tmp_path / "many.json"
+    probe.write_text(json.dumps({"width": 2, "height": 2, "flows": [{}] * (MAX_FLOWS + 1)}))
+    for argv in (["analyze"], ["simulate"], ["verify"]):
+        assert run(argv + ["--flowset", str(probe)]) == 3, argv
+        assert capsys.readouterr().err == \
+            f"error: a flowset holds at most {MAX_FLOWS} flows, got {over}\n", argv
 
 
 def _bundled(name):

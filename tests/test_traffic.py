@@ -18,6 +18,7 @@ from rlnoc.analysis import AnalysisConfig, analyze, parse_profile, results_to_cs
 from rlnoc.harness import FULL_PROFILE
 from rlnoc.simulator import SimConfig, simulate
 from rlnoc.traffic import (
+    MAX_FLOWS,
     MAX_PACKET_LENGTH,
     BenchmarkParams,
     Flow,
@@ -687,6 +688,24 @@ class TestFlowsetValidation:
         doc["flows"][0]["L"] += 1
         with pytest.raises(TrafficError, match=message):
             load_flowset(doc, six_ring_topology)
+
+    def test_flow_count_is_bounded(self, six_ring_topology, monkeypatch):
+        # Generation parameters are checked before any flow is drawn, a
+        # document before any of its flows is read, and a flowset built in
+        # code by its constructor.
+        message = f"^flows_per_set must be from 0 to {MAX_FLOWS}, got {MAX_FLOWS + 1}$"
+        with pytest.raises(TrafficError, match=message):
+            generate_flowset(BenchmarkParams(flows_per_set=MAX_FLOWS + 1))
+        monkeypatch.setattr("rlnoc.traffic.MAX_FLOWS", 2)
+        flows = tuple(make_flow(fid, (0, 0), (1, 0)) for fid in range(1, 4))
+        assert build_flowset(six_ring_topology, *flows[:2]).flows == flows[:2]
+        message = "^a flowset holds at most 2 flows, got 3$"
+        with pytest.raises(TrafficError, match=message):
+            build_flowset(six_ring_topology, *flows)
+        with pytest.raises(TrafficError, match=message):
+            load_flowset({"width": 3, "height": 2, "flows": [{}, {}, {}]})
+        with pytest.raises(TrafficError, match="flows_per_set"):
+            BenchmarkParams(flows_per_set=3)
 
 
 class TestFlowsetFiles:
